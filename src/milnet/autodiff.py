@@ -4,9 +4,12 @@ The op set is exactly what the whole-image MIL pipeline needs: 2-D
 cross-correlation, max pooling, pointwise nonlinearities, a shared channel
 contraction, a descending sort, slicing, and scalar reductions.  A fresh
 graph is built for every batch and discarded after the backward pass.
-Tensors are treated as immutable once they enter a graph, and every kernel
-uses a fixed reduction order, so repeated runs on identical inputs produce
-bitwise-identical values and gradients.
+Tensors are treated as immutable once they enter a graph.  The conv kernel
+gradient is reduced by BLAS over row chunks of at most
+``KERNEL_GRAD_CHUNK`` rows, and the chunk products are summed in ascending
+order; the conv input gradient adds the kernel taps in a fixed order.  So
+repeated runs on identical inputs produce bitwise-identical values and
+gradients, at 1 and at 2 BLAS threads alike.
 
 Subgradient conventions: relu'(0) = 0, max pooling and the sort break ties
 toward the smallest original index, clamp has zero gradient at and outside
@@ -126,6 +129,13 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 _conv_index_cache: dict[tuple, np.ndarray] = {}
 
+# Rows (batch x output positions) reduced per BLAS call in the conv kernel
+# gradient.  With OpenBLAS 0.3.31, one GEMM over all rows, or one per image,
+# gives different bytes at 1 and 2 threads on the paper layers; 128-row
+# chunks give the same bytes, and their products are summed here in
+# ascending order, so the gradient does not depend on the thread count.
+KERNEL_GRAD_CHUNK = 128
+
 
 def _patch_indices(pw: int, kh: int, kw: int, oh: int, ow: int, stride: int) -> np.ndarray:
     """Flat padded-input indices of every (output position, kernel tap) pair.
@@ -182,16 +192,25 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
     def backward(grad: np.ndarray) -> None:
         g = grad.reshape(n, o, oh * ow).transpose(0, 2, 1)
         if kernel.requires_grad:
-            gw = np.einsum("npo,npk->ok", g, cols)
+            rows = g.reshape(n * oh * ow, o)
+            flat = cols.reshape(n * oh * ow, c * kh * kw)
+            gw = np.zeros((o, c * kh * kw))
+            for r in range(0, n * oh * ow, KERNEL_GRAD_CHUNK):
+                gw += rows[r:r + KERNEL_GRAD_CHUNK].T @ flat[r:r + KERNEL_GRAD_CHUNK]
             kernel._accumulate(gw.reshape(o, c, kh, kw))
         if x.requires_grad:
-            gcols = (g @ wmat).reshape(n, oh * ow, c, kh * kw).transpose(0, 2, 1, 3)
-            gpad = np.zeros((n, c, ph * pw))
-            np.add.at(gpad, (slice(None), slice(None), idx), gcols)
-            gpad = gpad.reshape(n, c, ph, pw)
-            if padding:
-                gpad = gpad[:, :, padding:padding + h, padding:padding + w]
-            x._accumulate(gpad)
+            # col2im in NHWC layout: one strided add per kernel tap.  Taps go
+            # in reverse row-major order, so each input cell receives its
+            # terms in ascending output-position order, one at a time.
+            gcols = (g @ wmat).reshape(n, oh, ow, c, kh, kw)
+            gpad = np.zeros((n, ph, pw, c))
+            for i in range(kh - 1, -1, -1):
+                for j in range(kw - 1, -1, -1):
+                    ys = slice(i, i + stride * oh, stride)
+                    xs = slice(j, j + stride * ow, stride)
+                    gpad[:, ys, xs] += gcols[..., i, j]
+            gpad = gpad[:, padding:padding + h, padding:padding + w]
+            x._accumulate(gpad.transpose(0, 3, 1, 2))
 
     return _node(out, (x, kernel), backward)
 

@@ -7,6 +7,7 @@ single line is ``W H``.
 
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
@@ -27,23 +28,41 @@ def write_pgm(path: str, pixels: np.ndarray) -> None:
         f.write(arr.tobytes())
 
 
+# bytes per read while parsing a header; a plain header fits in one read
+_HEADER_CHUNK = 64
+
+
 def _read_pgm_header(f) -> tuple[int, int, int, int]:
-    """Parse a P5 header; returns (width, height, maxval, data offset)."""
-    data = f.read()
-    if not data.startswith(b"P5"):
+    """Parse a P5 header; returns (width, height, maxval, data offset).
+
+    Reads ``f`` in chunks of ``_HEADER_CHUNK`` bytes only as far as the
+    header goes, so no more than one chunk of pixel data is read.
+    """
+    data = bytearray()
+
+    def byte_at(pos: int) -> bytes:
+        # the byte at pos, or b"" past the end of the file
+        while pos >= len(data):
+            more = f.read(_HEADER_CHUNK)
+            if not more:
+                return b""
+            data.extend(more)
+        return bytes(data[pos:pos + 1])
+
+    if byte_at(0) + byte_at(1) != b"P5":
         raise ValueError("not a binary PGM (missing P5 magic)")
     # header tokens may be separated by any whitespace and '#' comments
     tokens: list[int] = []
     pos = 2
     while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
+        while byte_at(pos).isspace():
             pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
+        if byte_at(pos) == b"#":
+            while byte_at(pos) not in (b"\n", b""):
                 pos += 1
             continue
         start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
+        while byte_at(pos) and not byte_at(pos).isspace():
             pos += 1
         tokens.append(int(data[start:pos]))
     pos += 1  # single whitespace byte after maxval
@@ -57,8 +76,6 @@ def read_pgm(path: str) -> np.ndarray:
         raw = f.read()
     if not raw.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
-    import io
-
     w, h, maxval, offset = _read_pgm_header(io.BytesIO(raw))
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
@@ -97,7 +114,7 @@ def load_gray_image(path: str) -> np.ndarray:
 
 
 def read_image_size(path: str) -> tuple[int, int]:
-    """Return (width, height) without loading pixel data."""
+    """Return (width, height), reading the PGM header or the sidecar only."""
     with open(path, "rb") as f:
         magic = f.read(2)
         if magic == b"P5":

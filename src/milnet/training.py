@@ -8,7 +8,9 @@ bitwise identical, including checkpoint bytes.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -319,18 +321,31 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(path: str, state: TrainState, cfg: TrainConfig) -> None:
+    """Write a checkpoint atomically.
+
+    The bytes go to a temporary file in the target's directory, which then
+    replaces the target in one rename, so a write that fails midway leaves
+    any previous checkpoint at ``path`` untouched and no partial file.
+    """
     blob = run_config_text(cfg, state.step).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<Q", len(blob)))
-        f.write(blob)
-        for name, arr in state.params.arrays.items():
-            _write_tensor(f, name, arr)
-        for name in state.params.arrays:
-            _write_tensor(f, "adam.m." + name, state.m[name])
-        for name in state.params.arrays:
-            _write_tensor(f, "adam.v." + name, state.v[name])
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for name, arr in state.params.arrays.items():
+                _write_tensor(f, name, arr)
+            for name in state.params.arrays:
+                _write_tensor(f, "adam.m." + name, state.m[name])
+            for name in state.params.arrays:
+                _write_tensor(f, "adam.v." + name, state.v[name])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, count: int, what: str) -> bytes:

@@ -3,19 +3,25 @@
 Every test here re-derives its expected values from scratch (exhaustive
 scans, pair counting, hand arithmetic) rather than trusting the library,
 then prints one PASS/FAIL line straight to the terminal so a full run ends
-with eight visible verdicts.  Tests run in file order; the expensive
-cross-validation runs happen once in a shared fixture.
+with visible verdicts for all eight guarantees (determinism prints two: one
+across reruns, one across BLAS thread counts).  Tests run in file order;
+the expensive cross-validation runs happen once in a shared fixture.
 """
 
+import dataclasses
+import hashlib
 import math
 import os
+import subprocess
+import sys
 import time
-import dataclasses
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import milnet
 from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.cli import main
@@ -355,6 +361,45 @@ class TestDeterminism:
             f"two cv runs, same seed: {len(names)} output files "
             f"(checkpoints, metrics, roc, scores, summary) all bitwise "
             f"identical" if not diffs else f"two cv runs differ in {diffs}",
+        )
+        assert ok
+
+    def test_checkpoints_match_across_blas_threads(self, tmp_path, capsys):
+        # each run is a fresh process, because BLAS reads its thread count
+        # from the environment once, when numpy is loaded
+        spec = tmp_path / "synth.cfg"
+        spec.write_text("image_size = 224\nn_pos = 5\nn_neg = 5\nseed = 4\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+        src = str(Path(milnet.__file__).resolve().parents[1])
+        runs = {
+            "paper": "preset = paper\nhead = sparse\nepochs = 1\nbatch = 8\nseed = 6\n",
+            "desk": "epochs = 2\nbatch = 4\nseed = 6\n",
+        }
+        digests = {}
+        for name, text in runs.items():
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text(text)
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads)
+                env["PYTHONPATH"] = os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")]))
+                out = tmp_path / f"{name}_{threads}.miln"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "milnet.cli", "train",
+                     "--config", str(cfg),
+                     "--data", str(tmp_path / "d" / "manifest.csv"),
+                     "--out", str(out)],
+                    env=env, capture_output=True, text=True, timeout=600,
+                )
+                assert proc.returncode == 0, proc.stderr
+                digests[name, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+        same = [name for name in runs if digests[name, "1"] == digests[name, "2"]]
+        ok = len(same) == len(runs)
+        _verdict(
+            capsys, "7 determinism", ok,
+            f"train checkpoints at 1 and 2 BLAS threads bitwise identical "
+            f"for presets {same} of {list(runs)}",
         )
         assert ok
 

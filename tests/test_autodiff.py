@@ -302,6 +302,64 @@ class TestConv2d:
         coords = [tuple(c) for c in rng.integers(0, [2, 2, 5, 5], size=(8, 4))]
         check_grad(build, x, coords=coords)
 
+    def test_kernel_gradient_fd_partial_last_chunk(self):
+        # 3 images x 10 x 10 output positions = 300 rows: two full chunks of
+        # the kernel-gradient reduction plus a partial one
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(3, 2, 10, 10))
+        w = rng.normal(size=(3, 2, 3, 3))
+        rows = 3 * 10 * 10
+        assert rows > ad.KERNEL_GRAD_CHUNK and rows % ad.KERNEL_GRAD_CHUNK
+
+        def build():
+            leaf = Tensor(w, requires_grad=True)
+            out = ad.conv2d(Tensor(x), leaf, stride=1, padding=1)
+            return ad.l2_norm_sq(out), leaf
+
+        check_grad(build, w)
+
+        # per-tap reference; the chunked sum adds the same 300 terms per
+        # entry in another order, so allow a few ulps of the term magnitudes
+        loss, leaf = build()
+        loss.backward()
+        g = 2.0 * ad.conv2d(Tensor(x), Tensor(w), padding=1).data
+        xpad = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        ref = np.zeros_like(w)
+        for i in range(3):
+            for j in range(3):
+                ref[:, :, i, j] = np.einsum(
+                    "noyx,ncyx->oc", g, xpad[:, :, i:i + 10, j:j + 10])
+        assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-10)
+
+    @pytest.mark.parametrize("k, stride, padding, shape", [
+        (11, 4, 2, (2, 3, 27, 30)),
+        (5, 1, 2, (2, 4, 9, 8)),
+        (2, 3, 0, (2, 3, 10, 11)),  # stride > kernel: some cells get nothing
+    ])
+    def test_input_gradient_bitwise_matches_add_at(self, k, stride, padding, shape):
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(5, shape[1], k, k))
+        leaf = Tensor(x, requires_grad=True)
+        out = ad.conv2d(leaf, Tensor(w), stride=stride, padding=padding)
+        ad.l2_norm_sq(out).backward()  # upstream gradient 2 * out
+
+        # scatter-add reference: every (output position, tap) term added to
+        # its padded input cell one at a time, in row-major term order
+        n, c, h, wd = shape
+        oh, ow = out.shape[2:]
+        pw = wd + 2 * padding
+        rows = np.arange(oh)[:, None, None, None] * stride + np.arange(k)[None, None, :, None]
+        cols = np.arange(ow)[None, :, None, None] * stride + np.arange(k)[None, None, None, :]
+        idx = (rows * pw + cols).reshape(oh * ow, k * k)
+        g = (2.0 * out.data).reshape(n, 5, oh * ow).transpose(0, 2, 1)
+        terms = (g @ w.reshape(5, -1)).reshape(n, oh * ow, c, k * k).transpose(0, 2, 1, 3)
+        gpad = np.zeros((n, c, (h + 2 * padding) * pw))
+        np.add.at(gpad, (slice(None), slice(None), idx), terms)
+        ref = gpad.reshape(n, c, h + 2 * padding, pw)[
+            :, :, padding:padding + h, padding:padding + wd]
+        assert np.array_equal(leaf.grad, ref)
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))

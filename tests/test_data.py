@@ -1,11 +1,13 @@
 """Manifest validation, the synthetic generator's guarantees, image files."""
 
+import io
 import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from milnet import pgm
 from milnet.data import (
     Manifest,
     ManifestRecord,
@@ -47,6 +49,28 @@ class TestPgm:
         arr = read_pgm(path)
         assert arr.shape == (2, 3)
         assert_array_equal(arr.reshape(-1), np.arange(6))
+
+    def test_comment_longer_than_a_read_chunk(self, tmp_path):
+        path = str(tmp_path / "long.pgm")
+        comment = b"# " + b"x" * (3 * pgm._HEADER_CHUNK) + b"\n"
+        with open(path, "wb") as f:
+            f.write(b"P5\n" + comment + b"3 2\n255\n" + bytes(range(6)))
+        assert read_image_size(path) == (3, 2)
+        assert_array_equal(read_pgm(path).reshape(-1), np.arange(6))
+
+    def test_size_of_truncated_file(self, tmp_path):
+        path = str(tmp_path / "cut.pgm")
+        with open(path, "wb") as f:
+            f.write(b"P5\n400 300\n255\n" + b"\x00" * 7)
+        assert read_image_size(path) == (400, 300)
+        with pytest.raises(ValueError, match="truncated"):
+            read_pgm(path)
+
+    def test_header_parse_stops_short_of_the_pixels(self):
+        header = b"P5\n500 400\n255\n"
+        f = io.BytesIO(header + bytes(500 * 400))
+        assert pgm._read_pgm_header(f) == (500, 400, 255, len(header))
+        assert f.tell() <= pgm._HEADER_CHUNK
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = str(tmp_path / "p2.pgm")

@@ -333,6 +333,28 @@ class TestCheckpoints:
             raw2 = f.read()
         assert raw1 == raw2
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.miln")
+        save_checkpoint(path, self.state, self.cfg)
+        before = (tmp_path / "model.miln").read_bytes()
+        written = []
+        real_write = training._write_tensor
+
+        def write_then_fail(f, name, arr):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(name)
+            real_write(f, name, arr)
+
+        monkeypatch.setattr(training, "_write_tensor", write_then_fail)
+        newer = self.state.copy()
+        newer.step += 1
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, newer, self.cfg)
+        assert written  # the failure came midway through the tensors
+        assert (tmp_path / "model.miln").read_bytes() == before
+        assert os.listdir(tmp_path) == ["model.miln"]
+
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "bad.miln")
         with open(path, "wb") as f:

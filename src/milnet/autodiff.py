@@ -177,11 +177,12 @@ def conv2d(x: Tensor, kernel: Tensor, stride: int = 1, padding: int = 0) -> Tens
             f"conv2d output would be empty: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
+    ph, pw = h + 2 * padding, w + 2 * padding
     if padding:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        padded = np.zeros((n, c, ph, pw))
+        padded[:, :, padding:padding + h, padding:padding + w] = x.data
     else:
         padded = x.data
-    ph, pw = padded.shape[2:]
     idx = _patch_indices(pw, kh, kw, oh, ow, stride)
     # cols[n, p, c*kh*kw] holds the receptive field of output position p
     cols = padded.reshape(n, c, ph * pw)[:, :, idx]

@@ -78,6 +78,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.select_k and args.resume:
+        raise ValueError(
+            "--select-k trains a fresh model per k and cannot --resume a checkpoint"
+        )
     cfg, raw = _load_config(args.config)
     dataset = load_dataset(load_manifest(args.data))
     if args.val_data:

@@ -378,6 +378,8 @@ def cross_validate(
     """
     from .training import init_state, metrics_csv, save_checkpoint, select_k, train
 
+    if use_select_k and cfg.mil.head == "label_assign" and pretrain is not None:
+        raise ValueError("use_select_k and pretrain cannot be combined")
     labels = np.asarray(labels, dtype=np.int64)
     os.makedirs(out_dir, exist_ok=True)
     plan = make_folds(labels, n_folds=n_folds, seed=cfg.seed)
@@ -402,8 +404,6 @@ def cross_validate(
             warm_state = init_state(pre.state.params.copy())
         chosen_k = None
         if use_select_k and cfg.mil.head == "label_assign":
-            if pretrain is not None:
-                raise ValueError("use_select_k and pretrain cannot be combined")
             chosen_k, result = select_k(
                 tr_imgs, labels[train_idx], va_imgs, labels[val_idx],
                 fold_cfg, log=fold_log,

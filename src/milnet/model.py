@@ -25,12 +25,14 @@ __all__ = [
     "PRESETS",
     "backbone_preset",
     "output_geometry",
+    "param_shapes",
     "init_params",
     "params_to_leaves",
     "forward_backbone",
     "instance_responses",
     "rank_responses",
     "response_grid",
+    "response_grids",
 ]
 
 RESPONSE_CLAMP = 1e-7  # responses live in [1e-7, 1 - 1e-7] so logs stay finite
@@ -148,28 +150,44 @@ class ModelParams:
         return ModelParams(self.spec, {k: v.copy() for k, v in self.arrays.items()})
 
 
-def init_params(spec: BackboneSpec, seed: int) -> ModelParams:
-    """Seed-controlled init: kernels uniform in +-sqrt(6/(fan_in+fan_out)),
-    biases zero.  Keeps initial responses near 0.5."""
-    rng = derive_rng(seed, "init")
-    arrays: dict[str, np.ndarray] = {}
+def param_shapes(spec: BackboneSpec) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter the spec needs, in the order
+    init_params draws and checkpoints store them."""
+    shapes: dict[str, tuple[int, ...]] = {}
     in_c = 1
     conv_i = 0
     for layer in spec.layers:
         if layer[0] != "conv":
             continue
         _, out_c, k, _, _ = layer
-        fan_in = in_c * k * k
-        fan_out = out_c * k * k
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        arrays[f"conv{conv_i}.kernel"] = rng.uniform(-limit, limit, size=(out_c, in_c, k, k))
-        arrays[f"conv{conv_i}.bias"] = np.zeros(out_c)
+        shapes[f"conv{conv_i}.kernel"] = (out_c, in_c, k, k)
+        shapes[f"conv{conv_i}.bias"] = (out_c,)
         in_c = out_c
         conv_i += 1
     n_c, _, _ = output_geometry(spec)
-    limit = np.sqrt(6.0 / (n_c + 1))
-    arrays["response.weight"] = rng.uniform(-limit, limit, size=n_c)
-    arrays["response.bias"] = np.zeros(())
+    shapes["response.weight"] = (n_c,)
+    shapes["response.bias"] = ()
+    return shapes
+
+
+def init_params(spec: BackboneSpec, seed: int) -> ModelParams:
+    """Seed-controlled init: kernels uniform in +-sqrt(6/(fan_in+fan_out)),
+    biases zero.  Keeps initial responses near 0.5."""
+    rng = derive_rng(seed, "init")
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(spec).items():
+        if name.endswith(".bias"):
+            arrays[name] = np.zeros(shape)
+            continue
+        if len(shape) == 4:
+            out_c, in_c, k, _ = shape
+            fan_in = in_c * k * k
+            fan_out = out_c * k * k
+        else:  # response.weight: one logistic unit over the output channels
+            fan_in = shape[0]
+            fan_out = 1
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        arrays[name] = rng.uniform(-limit, limit, size=shape)
     return ModelParams(spec, arrays)
 
 
@@ -252,12 +270,30 @@ def rank_responses(response_map: ResponseMap) -> RankedResponses:
     return RankedResponses(values=sorted_vals, perm=perm)
 
 
+# Images per forward pass in inference.  Every op of the forward pass treats
+# the images of a batch independently, so grids do not depend on the batch
+# size; 8 is the fastest size measured on desk inputs (4 and 16 are slower,
+# 64 much slower as the im2col buffers outgrow the cache), and at the paper
+# preset it is the footprint a training batch of 8 already has.
+INFER_BATCH = 8
+
+
+def response_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
+    """Inference-only response maps of [0, 1] float images, as an
+    (N, grid_h, grid_w) array, forwarded INFER_BATCH images at a time."""
+    leaves = params_to_leaves(params, requires_grad=False)
+    _, grid_h, grid_w = output_geometry(params.spec)
+    grids = np.empty((len(images), grid_h, grid_w))
+    for start in range(0, len(images), INFER_BATCH):
+        batch = np.stack(images[start:start + INFER_BATCH])[:, None, :, :]
+        fmap = forward_backbone(Tensor(batch), params.spec, leaves)
+        rmaps = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
+        for row, rm in enumerate(rmaps):
+            grids[start + row] = rm.values.data.reshape(grid_h, grid_w)
+    return grids
+
+
 def response_grid(params: ModelParams, image: np.ndarray) -> np.ndarray:
     """Inference-only response map of a single [0, 1] float image, as a
     (grid_h, grid_w) array."""
-    x = Tensor(image[None, None, :, :])
-    leaves = params_to_leaves(params, requires_grad=False)
-    fmap = forward_backbone(x, params.spec, leaves)
-    rmaps = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
-    rm = rmaps[0]
-    return rm.values.data.reshape(rm.grid_h, rm.grid_w).copy()
+    return response_grids(params, [image])[0]

@@ -115,8 +115,22 @@ def resize_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     h, w = img.shape
     ys = np.zeros(out_h) if out_h == 1 else np.arange(out_h) * ((h - 1) / (out_h - 1))
     xs = np.zeros(out_w) if out_w == 1 else np.arange(out_w) * ((w - 1) / (out_w - 1))
-    yg, xg = np.meshgrid(ys, xs, indexing="ij")
-    return _bilinear_sample(img, yg, xg)
+    # The grid is separable: taps and weights are per row and per column.
+    # Only the second tap of the last row or column can leave the frame; it
+    # reads the appended zero row or column, as _bilinear_sample reads zero
+    # outside the frame.  The arithmetic is _bilinear_sample's, in the same
+    # order, so the bytes match.
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    wy = (ys - y0)[:, None]
+    wx = xs - x0
+    padded = np.zeros((h + 1, w + 1))
+    padded[:h, :w] = img
+    r0 = padded[y0]
+    r1 = padded[y0 + 1]
+    top = r0[:, x0] * (1 - wx) + r0[:, x0 + 1] * wx
+    bot = r1[:, x0] * (1 - wx) + r1[:, x0 + 1] * wx
+    return top * (1 - wy) + bot * wy
 
 
 @dataclass(frozen=True)

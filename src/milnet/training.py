@@ -26,9 +26,10 @@ from .model import (
     forward_backbone,
     init_params,
     instance_responses,
+    param_shapes,
     params_to_leaves,
     rank_responses,
-    response_grid,
+    response_grids,
 )
 from .preprocessing import augment, to_network_input
 from .rng import derive_rng
@@ -141,7 +142,7 @@ def _prepare_inputs(images: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarr
 
 def bag_scores(params: ModelParams, inputs: list[np.ndarray]) -> np.ndarray:
     """Predicted positive probability per bag: the top patch response."""
-    return np.array([float(response_grid(params, x).max()) for x in inputs])
+    return response_grids(params, inputs).max(axis=(1, 2))
 
 
 def _batch_objective(
@@ -191,6 +192,12 @@ def train(
         raise ValueError(
             f"training fold has a single class ({n_pos} positives of {n}); "
             "both classes are required"
+        )
+    n_val_pos = int(val_labels.sum())
+    if n_val_pos == 0 or n_val_pos == len(val_labels):
+        raise ValueError(
+            f"validation set has a single class ({n_val_pos} positives of "
+            f"{len(val_labels)}); both classes are required for its AUC"
         )
     weights = bag_weights(
         n_pos, n, cfg.mil.k, cfg.mil.m, mode=cfg.mil.weight_mode
@@ -355,6 +362,42 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return data
 
 
+def _check_layout(
+    path: str,
+    cfg: TrainConfig,
+    arrays: dict[str, np.ndarray],
+    moments_m: dict[str, np.ndarray],
+    moments_v: dict[str, np.ndarray],
+) -> None:
+    """Raise naming the first tensor that differs from the parameter layout
+    of the backbone the checkpoint's config names."""
+    expected = param_shapes(cfg.backbone)
+    backbone = cfg.backbone.describe()
+    groups = (
+        ("parameter", "", arrays),
+        ("Adam moments", "adam.m.", moments_m),
+        ("Adam moments", "adam.v.", moments_v),
+    )
+    for kind, prefix, group in groups:
+        for name, shape in expected.items():
+            if name not in group:
+                raise ValueError(
+                    f"{path}: missing {kind} tensor {prefix + name!r} of "
+                    f"backbone {backbone}"
+                )
+            if group[name].shape != shape:
+                raise ValueError(
+                    f"{path}: tensor {prefix + name!r} has shape "
+                    f"{group[name].shape}, backbone {backbone} needs {shape}"
+                )
+        for name in group:
+            if name not in expected:
+                raise ValueError(
+                    f"{path}: tensor {prefix + name!r} is not a parameter of "
+                    f"backbone {backbone}"
+                )
+
+
 def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
     with open(path, "rb") as f:
         if _read_exact(f, 4, "magic") != CHECKPOINT_MAGIC:
@@ -393,8 +436,6 @@ def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
             moments_v[name[len("adam.v."):]] = arr
         else:
             arrays[name] = arr
-    for name in arrays:
-        if name not in moments_m or name not in moments_v:
-            raise ValueError(f"{path}: missing Adam moments for {name!r}")
+    _check_layout(path, cfg, arrays, moments_m, moments_v)
     params = ModelParams(cfg.backbone, arrays)
     return TrainState(params=params, m=moments_m, v=moments_v, step=step), cfg

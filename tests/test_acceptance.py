@@ -385,21 +385,31 @@ class TestDeterminism:
                 env["PYTHONPATH"] = os.pathsep.join(
                     filter(None, [src, os.environ.get("PYTHONPATH")]))
                 out = tmp_path / f"{name}_{threads}.miln"
-                proc = subprocess.run(
-                    [sys.executable, "-m", "milnet.cli", "train",
-                     "--config", str(cfg),
-                     "--data", str(tmp_path / "d" / "manifest.csv"),
+                scored = tmp_path / f"{name}_{threads}_eval"
+                manifest = str(tmp_path / "d" / "manifest.csv")
+                for argv in (
+                    ["train", "--config", str(cfg), "--data", manifest,
                      "--out", str(out)],
-                    env=env, capture_output=True, text=True, timeout=600,
+                    # inference forwards batches of images through stacked
+                    # GEMMs, so its scores are checked too
+                    ["eval", "--ckpt", str(out), "--data", manifest,
+                     "--out", str(scored)],
+                ):
+                    proc = subprocess.run(
+                        [sys.executable, "-m", "milnet.cli", *argv],
+                        env=env, capture_output=True, text=True, timeout=600,
+                    )
+                    assert proc.returncode == 0, proc.stderr
+                digests[name, threads] = (
+                    hashlib.sha256(out.read_bytes()).hexdigest(),
+                    hashlib.sha256((scored / "scores.csv").read_bytes()).hexdigest(),
                 )
-                assert proc.returncode == 0, proc.stderr
-                digests[name, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
         same = [name for name in runs if digests[name, "1"] == digests[name, "2"]]
         ok = len(same) == len(runs)
         _verdict(
             capsys, "7 determinism", ok,
-            f"train checkpoints at 1 and 2 BLAS threads bitwise identical "
-            f"for presets {same} of {list(runs)}",
+            f"train checkpoints and eval scores at 1 and 2 BLAS threads "
+            f"bitwise identical for presets {same} of {list(runs)}",
         )
         assert ok
 

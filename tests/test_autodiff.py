@@ -269,6 +269,20 @@ class TestConv2d:
                 rtol=1e-12, atol=1e-12,
             )
 
+    @pytest.mark.parametrize("k, stride, padding, shape", [
+        (11, 4, 2, (2, 1, 31, 29)),
+        (5, 2, 2, (3, 2, 12, 12)),
+        (3, 1, 1, (1, 4, 6, 5)),
+    ])
+    def test_padded_forward_bitwise_matches_np_pad(self, k, stride, padding, shape):
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, shape[1], k, k))
+        out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+        pads = ((0, 0), (0, 0), (padding, padding), (padding, padding))
+        ref = ad.conv2d(Tensor(np.pad(x, pads)), Tensor(w), stride=stride)
+        assert np.array_equal(out.data, ref.data)
+
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(1, 1, 5, 5))
         w = np.zeros((1, 1, 1, 1))

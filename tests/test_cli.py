@@ -156,6 +156,24 @@ class TestTrain:
         _, saved_cfg = load_checkpoint(str(out))
         assert saved_cfg.mil.k in (2, 4)
 
+    def test_select_k_with_resume_exits_2_before_loading(
+        self, data_dir, ckpt_path, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the option check")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        out = tmp_path / "m.miln"
+        rc = main([
+            "train", "--select-k", "--resume", str(ckpt_path),
+            "--data", str(data_dir / "manifest.csv"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "--select-k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         rc = main([
             "train", "--data", str(tmp_path / "nope.csv"),

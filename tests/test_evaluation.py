@@ -325,3 +325,25 @@ class TestScoresCsv:
         assert lines[0] == "path,label,score"
         assert lines[1] == "a.pgm,1,0.2500000000"
         assert lines[2] == "b.pgm,0,0.7500000000"
+
+
+class TestCrossValidateOptions:
+    def test_select_k_with_pretrain_rejected_before_any_fold(self, tmp_path, monkeypatch):
+        import milnet.training as training
+        from milnet.config import TrainConfig
+        from milnet.evaluation import cross_validate
+        from milnet.heads import MilConfig
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("a fold started training")
+
+        monkeypatch.setattr(training, "train", no_train)
+        monkeypatch.setattr(training, "select_k", no_train)
+        cfg = TrainConfig(mil=MilConfig(head="label_assign"))
+        rng = np.random.default_rng(0)
+        images = [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(10)]
+        out = tmp_path / "cv"
+        with pytest.raises(ValueError, match="cannot be combined"):
+            cross_validate(images, np.array([0, 1] * 5), cfg, str(out),
+                           use_select_k=True, pretrain=cfg)
+        assert not out.exists()

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from milnet.preprocessing import (
     AugmentConfig,
+    _bilinear_sample,
     augment,
     crop_foreground,
     otsu_threshold,
@@ -151,6 +152,29 @@ class TestResizeBilinear:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             resize_bilinear(np.zeros((4, 4)), 0, 4)
+
+    @pytest.mark.parametrize("h, w, out_h, out_w", [
+        (37, 53, 64, 64),
+        (300, 200, 224, 224),
+        (5, 9, 3, 1),
+        (64, 64, 1, 1),
+        (2, 2, 5, 7),   # upsampling
+        (1, 1, 4, 4),
+        (1, 7, 3, 3),
+        (64, 64, 64, 64),
+    ])
+    def test_bitwise_matches_dense_grid_sampling(self, h, w, out_h, out_w):
+        # reference: the full (out_h, out_w) coordinate grid through the
+        # general sampler that rotation uses
+        rng = np.random.default_rng(h * 1000 + w)
+        img = rng.integers(0, 256, size=(h, w)).astype(np.float64)
+        ys = np.zeros(out_h) if out_h == 1 else np.arange(out_h) * ((h - 1) / (out_h - 1))
+        xs = np.zeros(out_w) if out_w == 1 else np.arange(out_w) * ((w - 1) / (out_w - 1))
+        yg, xg = np.meshgrid(ys, xs, indexing="ij")
+        ref = _bilinear_sample(img, yg, xg)
+        out = resize_bilinear(img.astype(np.uint8), out_w, out_h)
+        assert out.shape == (out_h, out_w)
+        assert np.array_equal(out, ref)
 
 
 class TestAugmentConfig:

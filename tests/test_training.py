@@ -177,6 +177,19 @@ class TestTrainLoop:
             train(images, np.zeros(len(images), dtype=int),
                   images, labels, tiny_config())
 
+    def test_single_class_validation_set_rejected_before_compute(self, monkeypatch):
+        import milnet.model as model
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("forward pass ran before the label check")
+
+        monkeypatch.setattr(training, "forward_backbone", no_forward)
+        monkeypatch.setattr(model, "forward_backbone", no_forward)
+        images, labels = tiny_dataset()
+        with pytest.raises(ValueError, match="validation set has a single class"):
+            train(images, labels, images, np.ones(len(images), dtype=int),
+                  tiny_config())
+
     def test_empty_sets_rejected(self):
         images, labels = tiny_dataset()
         with pytest.raises(ValueError):
@@ -270,15 +283,26 @@ class TestSelectK:
 
 
 class TestBagScores:
+    # 11 inputs: one full inference batch and a partial one; each score must
+    # equal the top of the image's own response grid, forwarded on its own
     def test_max_of_response_grid(self):
         from milnet.model import response_grid
         params = init_params(TINY, seed=4)
         rng = np.random.default_rng(5)
-        inputs = [rng.uniform(0, 1, size=(16, 16)) for _ in range(3)]
+        inputs = [rng.uniform(0, 1, size=(16, 16)) for _ in range(11)]
         scores = bag_scores(params, inputs)
         expected = [response_grid(params, x).max() for x in inputs]
         assert_allclose(scores, expected, rtol=0, atol=0)
         assert ((scores > 0) & (scores < 1)).all()
+
+    def test_max_of_response_grid_paper_preset(self):
+        from milnet.model import backbone_preset, response_grid
+        params = init_params(backbone_preset("paper"), seed=4)
+        rng = np.random.default_rng(6)
+        inputs = [rng.uniform(0, 1, size=(224, 224)) for _ in range(11)]
+        scores = bag_scores(params, inputs)
+        expected = [response_grid(params, x).max() for x in inputs]
+        assert_allclose(scores, expected, rtol=0, atol=0)
 
 
 class TestMetricsCsv:
@@ -402,6 +426,50 @@ class TestCheckpoints:
                 f.write(struct.pack("<B", 0))
                 f.write(data.tobytes())
         with pytest.raises(ValueError, match="moments"):
+            load_checkpoint(path)
+
+    def _write_raw(self, path, tensors):
+        from milnet.config import run_config_text
+        blob = run_config_text(self.cfg, 0).encode("utf-8")
+        with open(path, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", 1))
+            f.write(struct.pack("<Q", len(blob)))
+            f.write(blob)
+            for name, arr in tensors.items():
+                training._write_tensor(f, name, arr)
+
+    def _all_tensors(self):
+        tensors = dict(self.state.params.arrays)
+        for name in self.state.params.names():
+            tensors["adam.m." + name] = self.state.m[name]
+            tensors["adam.v." + name] = self.state.v[name]
+        return tensors
+
+    def test_wrong_kernel_shape_named(self, tmp_path):
+        tensors = self._all_tensors()
+        tensors["conv0.kernel"] = np.zeros((4, 1, 5, 5))  # TINY has 3x3
+        path = str(tmp_path / "wrong_shape.miln")
+        self._write_raw(path, tensors)
+        with pytest.raises(ValueError, match=r"'conv0\.kernel' has shape \(4, 1, 5, 5\)"):
+            load_checkpoint(path)
+
+    def test_missing_tensor_named(self, tmp_path):
+        tensors = self._all_tensors()
+        for name in ("response.weight", "adam.m.response.weight",
+                     "adam.v.response.weight"):
+            del tensors[name]
+        path = str(tmp_path / "missing.miln")
+        self._write_raw(path, tensors)
+        with pytest.raises(ValueError, match=r"missing parameter tensor 'response\.weight'"):
+            load_checkpoint(path)
+
+    def test_extra_tensor_named(self, tmp_path):
+        tensors = self._all_tensors()
+        tensors["conv1.kernel"] = np.zeros((4, 4, 3, 3))
+        path = str(tmp_path / "extra.miln")
+        self._write_raw(path, tensors)
+        with pytest.raises(ValueError, match=r"'conv1\.kernel' is not a parameter"):
             load_checkpoint(path)
 
     def test_unknown_dtype_tag(self, tmp_path):

@@ -46,25 +46,24 @@ for i in range(4):
           f"diff {abs(wt.grad[i] - numeric):.2e}")
 
 # ---------------------------------------------------------------------------
-# the ranking primitive: a stable descending sort that remembers where each
-# value came from, so gradients flow back to the right slot
-r = Tensor(np.array([0.1, 0.9, 0.4, 0.9]), requires_grad=True, name="r")
-ranked, perm = ad.sort_descending(r)
-print("\nsorted values  =", ranked.data)
-print("permutation    =", perm, "(ties keep the earlier index first)")
+# the bag losses are built from log_sigmoid, log(1 / (1 + e^-z)) computed as
+# -softplus(-z): finite for any logit, and its gradient sigmoid(-z) stays
+# near 1 for a confidently wrong patch instead of vanishing, as it would
+# through a probability clipped away from 0 and 1
+z = Tensor(np.array([-20.0, 0.0, 20.0]), requires_grad=True, name="z")
+ad.reduce_sum(ad.log_sigmoid(z)).backward()
+print("\nlog_sigmoid(z) =", ad.log_sigmoid(z).data)
+print("grad wrt z     =", z.grad, "(= sigmoid(-z))")
 
-# take the second-ranked entry and backpropagate: only its source slot
-# receives gradient
-second = ad.reduce_sum(ad.slice1d(ranked, 1, 2))
-second.backward()
-print("grad wrt r     =", r.grad)
-
-# ---------------------------------------------------------------------------
-# clamp is the numerical guard used on responses before any log: inside the
-# interval it is the identity, at or outside the bounds the gradient is cut
-c = Tensor(np.array([-2.0, 0.3, 7.0]), requires_grad=True)
-ad.reduce_sum(ad.clamp(c, 0.0, 1.0)).backward()
-print("\nclamped grad   =", c.grad, "(only the in-range entry passes)")
+# which patches count is decided outside the graph (a sort of the logits);
+# it only picks constant coefficients, and weighted_sum applies them
+c = Tensor(np.array([0.1, 0.9, 0.4, 0.9]), requires_grad=True)
+order = np.argsort(-c.data, kind="stable")
+coeff = np.zeros(4)
+coeff[order[1]] = 1.0  # the second-ranked entry; ties keep the earlier index first
+ad.weighted_sum(c, coeff).backward()
+print("\nranking order  =", order)
+print("grad wrt c     =", c.grad, "(only the second-ranked slot)")
 
 # ---------------------------------------------------------------------------
 # graphs can reuse a node; backward accumulates instead of overwriting

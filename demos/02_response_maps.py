@@ -3,13 +3,15 @@ From image to response map
 ==========================
 
 The model is a conv trunk followed by one logistic unit applied to every
-cell of the final feature map.  Each cell therefore gets its own probability
-("response") and the bag heads only ever look at the sorted list of those.
-This script runs the pieces one at a time on a toy image.
+cell of the final feature map.  Each cell gets its own logit z and its own
+probability ("response") sigmoid(z); the bag heads rank the logits, which is
+the same order as ranking the responses.  This script runs the pieces one at
+a time on a toy image.
 """
 
 import numpy as np
 
+from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.model import (
     backbone_preset,
@@ -18,7 +20,6 @@ from milnet.model import (
     instance_responses,
     output_geometry,
     params_to_leaves,
-    rank_responses,
     response_grid,
 )
 
@@ -43,14 +44,14 @@ leaves = params_to_leaves(params, requires_grad=False)
 fmap = forward_backbone(Tensor(img[None, None, :, :]), spec, leaves)
 print("\nfeature map tensor  :", fmap.shape)
 
-rmaps = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
-rm = rmaps[0]
-print("responses per image :", rm.m, "values, all in (0, 1)")
-print("response values     :", np.array2string(rm.values.data, precision=3))
+logits = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
+print("logits tensor       :", logits.shape, "(images, patches)")
+responses = ad.sigmoid(logits).data[0]
+print("response values     :", np.array2string(responses, precision=3))
 
-ranked = rank_responses(rm)
-print("ranked (descending) :", np.array2string(ranked.values.data, precision=3))
-print("source cells        :", ranked.perm)
+order = np.argsort(-logits.data[0], kind="stable")
+print("ranked (descending) :", np.array2string(responses[order], precision=3))
+print("source cells        :", order)
 
 # ---------------------------------------------------------------------------
 # the same thing as a grid, via the inference-only helper

@@ -10,6 +10,7 @@ the mean of the background outside it by at least the configured amount.
 This script generates a small set and checks that claim directly.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -17,7 +18,8 @@ import numpy as np
 from milnet import SynthSpec, generate_synthetic, load_dataset, load_manifest
 from milnet.evaluation import dataset_stats
 
-out_dir = tempfile.mkdtemp(prefix="milnet_demo_synth_")
+work = tempfile.TemporaryDirectory(prefix="milnet_demo_synth_")
+out_dir = os.path.join(work.name, "set")
 spec = SynthSpec(image_size=64, n_pos=10, n_neg=40, intensity_lift=0.2, seed=3)
 manifest_path = generate_synthetic(spec, out_dir)
 print("wrote", manifest_path)
@@ -48,7 +50,7 @@ assert worst >= spec.intensity_lift
 
 # ---------------------------------------------------------------------------
 # the same generation twice is byte-for-byte identical (seeded per image)
-again = tempfile.mkdtemp(prefix="milnet_demo_synth_")
+again = os.path.join(work.name, "again")
 generate_synthetic(spec, again)
 a = open(manifest_path, "rb").read()
 b = open(again + "/manifest.csv", "rb").read()
@@ -62,3 +64,5 @@ print("\nimage sizes :", sorted(set(stats.image_widths.tolist())),
 print("mass sizes  :", sorted(set(stats.mass_widths.tolist())),
       "x", sorted(set(stats.mass_heights.tolist())))
 print(f"mass area   : {stats.mass_area_fraction:.4f} of the image")
+
+work.cleanup()

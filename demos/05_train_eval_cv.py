@@ -27,7 +27,8 @@ from milnet.heads import MilConfig
 from milnet.preprocessing import to_network_input
 from milnet.training import bag_scores, load_checkpoint, save_checkpoint, train
 
-work = tempfile.mkdtemp(prefix="milnet_demo_train_")
+work_dir = tempfile.TemporaryDirectory(prefix="milnet_demo_train_")
+work = work_dir.name
 manifest = load_manifest(
     generate_synthetic(SynthSpec(n_pos=10, n_neg=30, seed=5), os.path.join(work, "data"))
 )
@@ -87,3 +88,5 @@ identical = all(
 )
 print("two runs, every output file byte-identical:", identical)
 print("files per run:", sorted(os.listdir(out_a)))
+
+work_dir.cleanup()

@@ -19,9 +19,10 @@ from milnet.model import response_grid
 from milnet.preprocessing import to_network_input
 from milnet.training import init_state, train
 
-work = tempfile.mkdtemp(prefix="milnet_demo_loc_")
+work = tempfile.TemporaryDirectory(prefix="milnet_demo_loc_")
 spec = SynthSpec(n_pos=16, n_neg=64, intensity_lift=0.12, seed=11)
-ds = load_dataset(load_manifest(generate_synthetic(spec, work)))
+ds = load_dataset(load_manifest(generate_synthetic(spec, work.name)))
+work.cleanup()  # the images are in memory now
 pos = [i for i, y in enumerate(ds.labels) if y == 1]
 neg = [i for i, y in enumerate(ds.labels) if y == 0]
 train_idx = pos[:12] + neg[:48]

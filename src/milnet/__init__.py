@@ -1,9 +1,10 @@
 """Deep multi-instance learning for whole-image classification.
 
 A self-contained numpy implementation: a small reverse-mode autodiff engine,
-a convolutional backbone emitting a grid of patch responses through a shared
-logistic layer, a ranking layer, and three bag-level loss heads (max
-pooling, top-k label assignment, and an L1-sparse variant), plus the full
+a convolutional backbone emitting a grid of patch logits through a shared
+logistic layer, and three bag-level loss heads computed from those logits
+in one batched pass (max pooling, top-k label assignment, and an L1-sparse
+variant), plus the full
 training and 5-fold evaluation harness and a synthetic planted-mass dataset
 generator for end-to-end verification.
 """
@@ -25,10 +26,6 @@ from .heads import (
     MilConfig,
     bag_loss,
     bag_weights,
-    infer_bag,
-    loss_label_assign,
-    loss_max_pool,
-    loss_sparse,
 )
 from .model import (
     BackboneSpec,
@@ -36,8 +33,8 @@ from .model import (
     backbone_preset,
     init_params,
     instance_responses,
-    rank_responses,
     response_grid,
+    response_grids,
 )
 from .preprocessing import (
     AugmentConfig,
@@ -51,6 +48,7 @@ from .training import (
     TrainState,
     adam_step,
     bag_scores,
+    batch_objective,
     init_state,
     load_checkpoint,
     save_checkpoint,
@@ -80,17 +78,13 @@ __all__ = [
     "MilConfig",
     "bag_loss",
     "bag_weights",
-    "infer_bag",
-    "loss_label_assign",
-    "loss_max_pool",
-    "loss_sparse",
     "BackboneSpec",
     "ModelParams",
     "backbone_preset",
     "init_params",
     "instance_responses",
-    "rank_responses",
     "response_grid",
+    "response_grids",
     "AugmentConfig",
     "augment",
     "crop_foreground",
@@ -100,6 +94,7 @@ __all__ = [
     "TrainState",
     "adam_step",
     "bag_scores",
+    "batch_objective",
     "init_state",
     "load_checkpoint",
     "save_checkpoint",

@@ -1,8 +1,12 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The op set is exactly what the whole-image MIL pipeline needs: 2-D
-cross-correlation, max pooling, pointwise nonlinearities, a shared channel
-contraction, a descending sort, slicing, and scalar reductions.  A fresh
+cross-correlation, max pooling, pointwise nonlinearities (relu, sigmoid and
+log_sigmoid, the stable log sigmoid(x) = -softplus(-x) the bag losses are
+built from), a shared channel contraction, and scalar reductions (sum,
+weighted sum with constant coefficients, squared L2 norm).  The sum and the
+weighted sum are correctly rounded (math.fsum), so a bag loss does not
+change by one bit when the patches or the bags are reordered.  A fresh
 graph is built for every batch and discarded after the backward pass.
 Tensors are treated as immutable once they enter a graph.  The conv kernel
 gradient is reduced by BLAS over row chunks of at most
@@ -11,12 +15,13 @@ order; the conv input gradient adds the kernel taps in a fixed order.  So
 repeated runs on identical inputs produce bitwise-identical values and
 gradients, at 1 and at 2 BLAS threads alike.
 
-Subgradient conventions: relu'(0) = 0, max pooling and the sort break ties
-toward the smallest original index, clamp has zero gradient at and outside
-its bounds, and the L1 norm uses sign(0) = 0.
+Subgradient conventions: relu'(0) = 0, and max pooling breaks ties toward
+the smallest original index.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,21 +31,16 @@ __all__ = [
     "add_n",
     "add_channel_bias",
     "affine_channel",
-    "clamp",
-    "const_minus",
     "conv2d",
-    "l1_norm",
     "l2_norm_sq",
-    "log",
+    "log_sigmoid",
     "maxpool2d",
     "reduce_sum",
     "relu",
     "reshape",
     "scale",
     "sigmoid",
-    "slice1d",
-    "sort_descending",
-    "take_row",
+    "weighted_sum",
 ]
 
 
@@ -266,14 +266,19 @@ def relu(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    """Numerically stable logistic function; no overflow for |x| <= 700."""
-    d = x.data
+def _logistic(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) without overflow for any finite d."""
     out = np.empty_like(d)
     pos = d >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
     ez = np.exp(d[~pos])
     out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    """Numerically stable logistic function."""
+    out = _logistic(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -282,26 +287,19 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip into [lo, hi]; gradient passes only where the input is strictly inside."""
-    out = np.clip(x.data, lo, hi)
+def log_sigmoid(x: Tensor) -> Tensor:
+    """log sigmoid(x) = -softplus(-x), finite for every finite x.
+
+    The gradient is sigmoid(-x), computed directly rather than as
+    1 - sigmoid(x), so it stays exact to rounding where sigmoid(x) rounds
+    to 1.
+    """
+    d = x.data
+    out = np.minimum(d, 0.0) - np.log1p(np.exp(-np.abs(d)))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * ((x.data > lo) & (x.data < hi)))
-
-    return _node(out, (x,), backward)
-
-
-def log(x: Tensor) -> Tensor:
-    """Natural log; rejects nonpositive inputs (callers clamp upstream)."""
-    if np.any(x.data <= 0.0):
-        raise ValueError("log requires strictly positive input")
-    out = np.log(x.data)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad / x.data)
+            x._accumulate(grad * _logistic(-d))
 
     return _node(out, (x,), backward)
 
@@ -362,65 +360,12 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def take_row(x: Tensor, i: int) -> Tensor:
-    """Select row i of a 2-D tensor as a 1-D tensor."""
-    if x.ndim != 2:
-        raise ValueError(f"take_row expects a 2-D tensor, got {x.shape}")
-    out = x.data[i].copy()
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[i] = grad
-            x._accumulate(gx)
-
-    return _node(out, (x,), backward)
-
-
-def slice1d(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice of a 1-D tensor."""
-    if x.ndim != 1:
-        raise ValueError(f"slice1d expects a 1-D tensor, got {x.shape}")
-    out = x.data[start:stop].copy()
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = grad
-            x._accumulate(gx)
-
-    return _node(out, (x,), backward)
-
-
-def sort_descending(x: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Sort a 1-D tensor into nonincreasing order.
-
-    Returns the sorted tensor and the permutation such that
-    sorted[j] == x[perm[j]].  Ties keep the smaller original index first.
-    Backward routes the upstream gradient through the permutation, which is
-    exact because sorting is locally a fixed permutation.
-    """
-    if x.ndim != 1:
-        raise ValueError(f"sort_descending expects a 1-D tensor, got {x.shape}")
-    if x.data.size == 0:
-        raise ValueError("sort_descending requires a nonempty vector")
-    perm = np.argsort(-x.data, kind="stable")
-    out = x.data[perm]
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[perm] = grad
-            x._accumulate(gx)
-
-    return _node(out, (x,), backward), perm
-
-
 # ---------------------------------------------------------------------------
 # reductions and scalar algebra
 
 def reduce_sum(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum())
+    """Sum of all entries, correctly rounded, so independent of their order."""
+    out = np.asarray(math.fsum(x.data.ravel().tolist()))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
@@ -429,13 +374,19 @@ def reduce_sum(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def l1_norm(x: Tensor) -> Tensor:
-    """Sum of absolute values; subgradient sign(x) with sign(0) = 0."""
-    out = np.asarray(np.abs(x.data).sum())
+def weighted_sum(x: Tensor, coeff: np.ndarray) -> Tensor:
+    """sum(coeff * x) for a constant coefficient array of x's shape; the sum
+    of the products is correctly rounded, so independent of their order."""
+    coeff = np.asarray(coeff, dtype=np.float64)
+    if coeff.shape != x.shape:
+        raise ValueError(
+            f"weighted_sum coefficients {coeff.shape} do not match input {x.shape}"
+        )
+    out = np.asarray(math.fsum((coeff * x.data).ravel().tolist()))
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(float(grad) * np.sign(x.data))
+            x._accumulate(float(grad) * coeff)
 
     return _node(out, (x,), backward)
 
@@ -456,17 +407,6 @@ def scale(x: Tensor, c: float) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             x._accumulate(grad * c)
-
-    return _node(out, (x,), backward)
-
-
-def const_minus(c: float, x: Tensor) -> Tensor:
-    """Elementwise c - x."""
-    out = c - x.data
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(-grad)
 
     return _node(out, (x,), backward)
 

@@ -26,6 +26,7 @@ from .evaluation import (
     accuracy,
     auc,
     bagging,
+    check_cv_options,
     cross_validate,
     dataset_stats,
     export_response_map,
@@ -40,6 +41,7 @@ from .pgm import load_gray_image
 from .preprocessing import to_network_input
 from .training import (
     bag_scores,
+    check_select_k,
     load_checkpoint,
     metrics_csv,
     save_checkpoint,
@@ -83,6 +85,8 @@ def _cmd_train(args) -> int:
             "--select-k trains a fresh model per k and cannot --resume a checkpoint"
         )
     cfg, raw = _load_config(args.config)
+    if args.select_k:
+        check_select_k(cfg)
     dataset = load_dataset(load_manifest(args.data))
     if args.val_data:
         val_set = load_dataset(load_manifest(args.val_data))
@@ -132,8 +136,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_cv(args) -> int:
     cfg, raw = _load_config(args.config)
-    dataset = load_dataset(load_manifest(args.data))
-    names = [os.path.basename(p) for p in dataset.paths]
     pretrain_cfg = None
     if args.pretrain_epochs:
         pretrain_cfg = dataclasses.replace(
@@ -143,6 +145,10 @@ def _cmd_cv(args) -> int:
         )
         if "lr" not in raw:
             cfg = dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
+    check_cv_options(cfg, args.workers, args.select_k, pretrain_cfg)
+    dataset = load_dataset(load_manifest(args.data))
+    names = [os.path.basename(p) for p in dataset.paths]
+    if pretrain_cfg is not None:
         _log(
             f"pretraining max_pool for {args.pretrain_epochs} epochs per fold, "
             f"then {cfg.mil.head} at lr {cfg.learning_rate:g}"
@@ -231,6 +237,19 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="milnet",
@@ -270,10 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--data", required=True, help="manifest CSV")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel fold workers")
-    p.add_argument("--select-k", action="store_true", help="per-fold k selection")
     p.add_argument(
-        "--pretrain-epochs", type=int, default=0, metavar="N",
+        "--workers", type=_int_at_least(1), default=1, help="parallel fold workers",
+    )
+    p.add_argument(
+        "--select-k", action="store_true", help="per-fold k selection (label_assign)",
+    )
+    p.add_argument(
+        "--pretrain-epochs", type=_int_at_least(0), default=0, metavar="N",
         help="warm up each fold with N max_pool epochs, then fine-tune the "
              "configured head (lr drops to finetune_lr unless lr is set)",
     )

@@ -39,6 +39,7 @@ __all__ = [
     "export_response_map",
     "FoldOutcome",
     "CvSummary",
+    "check_cv_options",
     "cross_validate",
     "scores_csv",
 ]
@@ -348,6 +349,24 @@ def _summary_csv(summary: CvSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
+def check_cv_options(
+    cfg: "TrainConfig",
+    workers: int,
+    use_select_k: bool,
+    pretrain: "TrainConfig | None",
+) -> None:
+    """Raise on a cross_validate option set that cannot run, before any
+    data or compute is spent on it."""
+    from .training import check_select_k
+
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if use_select_k:
+        check_select_k(cfg)
+        if pretrain is not None:
+            raise ValueError("use_select_k and pretrain cannot be combined")
+
+
 def cross_validate(
     images: list[np.ndarray],
     labels,
@@ -378,8 +397,7 @@ def cross_validate(
     """
     from .training import init_state, metrics_csv, save_checkpoint, select_k, train
 
-    if use_select_k and cfg.mil.head == "label_assign" and pretrain is not None:
-        raise ValueError("use_select_k and pretrain cannot be combined")
+    check_cv_options(cfg, workers, use_select_k, pretrain)
     labels = np.asarray(labels, dtype=np.int64)
     os.makedirs(out_dir, exist_ok=True)
     plan = make_folds(labels, n_folds=n_folds, seed=cfg.seed)
@@ -403,7 +421,7 @@ def cross_validate(
             )
             warm_state = init_state(pre.state.params.copy())
         chosen_k = None
-        if use_select_k and cfg.mil.head == "label_assign":
+        if use_select_k:
             chosen_k, result = select_k(
                 tr_imgs, labels[train_idx], va_imgs, labels[val_idx],
                 fold_cfg, log=fold_log,

@@ -1,8 +1,9 @@
 """Central finite-difference verification of every analytic gradient.
 
-Two suites: "heads" differentiates each loss head against a bare response
-vector; "backbone" goes through the full conv stack, so conv, pool, relu,
-the logistic layer, ranking and the head all get exercised together.
+Two suites: "heads" differentiates each loss head against a bare row of
+instance logits; "backbone" differentiates the training objective itself
+(conv stack, logistic layer, ranking, head and L2 term) against every
+parameter tensor and the input image.
 Comparisons use |analytic - numeric| <= atol + rtol * max(|analytic|,
 |numeric|); the absolute floor keeps finite-difference noise on true-zero
 gradients from registering as failures.
@@ -24,19 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
-from .heads import MilConfig, bag_loss, bag_weights, l2_penalty
-from .model import (
-    RankedResponses,
-    backbone_preset,
-    forward_backbone,
-    init_params,
-    instance_responses,
-    output_geometry,
-    rank_responses,
-)
+from .config import TrainConfig
+from .heads import MilConfig, bag_loss, bag_weights
+from .model import backbone_preset, init_params, output_geometry
 from .rng import derive_rng
+from .training import batch_objective
 
 __all__ = ["GradReport", "check_head_gradients", "check_full_gradients", "run_suite"]
 
@@ -122,32 +116,26 @@ def _draw_mil(rng: np.random.Generator, head: str, m: int) -> MilConfig:
 def check_head_gradients(
     head: str, n_draws: int = 20, seed: int = 2024, m: int = 16
 ) -> GradReport:
-    """Differentiate one head with respect to a raw response vector."""
+    """Differentiate one head with respect to a raw logit row."""
     report = GradReport(suite="heads", head=head, n_draws=n_draws)
     start = time.monotonic()
     for draw in range(n_draws):
         rng = derive_rng(seed, "gradcheck-head", head, draw)
         cfg = _draw_mil(rng, head, m)
-        label = draw % 2
+        labels = np.array([draw % 2])
         n_pos = int(rng.integers(1, 20))
         weights = bag_weights(n_pos, 20, cfg.k, m, mode="balanced")
-        values = rng.uniform(0.05, 0.95, size=m)
+        logits = rng.uniform(-3.0, 3.0, size=(1, m))
 
         def loss_value() -> float:
-            r = Tensor(values)
-            vals, perm = ad.sort_descending(r)
-            return float(
-                bag_loss(cfg, RankedResponses(vals, perm), label, weights).data
-            )
+            return float(bag_loss(cfg, Tensor(logits), labels, weights).data)
 
-        r = Tensor(values, requires_grad=True, name="responses")
-        vals, perm = ad.sort_descending(r)
-        loss = bag_loss(cfg, RankedResponses(vals, perm), label, weights)
-        loss.backward()
-        for idx in _pick_coords(r.grad, rng):
+        z = Tensor(logits, requires_grad=True, name="logits")
+        bag_loss(cfg, z, labels, weights).backward()
+        for idx in _pick_coords(z.grad, rng):
             _fd_compare(
-                report, f"draw {draw} responses[{idx}]",
-                loss_value, values, idx, float(r.grad[idx]),
+                report, f"draw {draw} logits[{idx}]",
+                loss_value, logits, idx, float(z.grad[idx]),
             )
     report.seconds = time.monotonic() - start
     return report
@@ -160,8 +148,8 @@ def check_full_gradients(
     preset: str = "desk",
     coords_per_tensor: int = 2,
 ) -> GradReport:
-    """Differentiate head + backbone end to end against every parameter
-    tensor and the input image."""
+    """Differentiate the training objective end to end against every
+    parameter tensor and the input image."""
     spec = backbone_preset(preset)
     _, gh, gw = output_geometry(spec)
     m = gh * gw
@@ -169,10 +157,10 @@ def check_full_gradients(
     start = time.monotonic()
     for draw in range(n_draws):
         rng = derive_rng(seed, "gradcheck-full", head, draw)
-        cfg = _draw_mil(rng, head, m)
-        label = draw % 2
+        cfg = TrainConfig(backbone=spec, mil=_draw_mil(rng, head, m))
+        labels = np.array([draw % 2])
         n_pos = int(rng.integers(1, 20))
-        weights = bag_weights(n_pos, 20, cfg.k, m, mode="balanced")
+        weights = bag_weights(n_pos, 20, cfg.mil.k, m, mode="balanced")
         params = init_params(spec, int(rng.integers(0, 2**32)))
         for arr in params.arrays.values():
             arr += rng.normal(0.0, 0.02, size=arr.shape)
@@ -184,15 +172,7 @@ def check_full_gradients(
                 for name, arr in params.arrays.items()
             }
             xt = Tensor(x, requires_grad=want_grads, name="input")
-            fmap = forward_backbone(xt, spec, leaves)
-            rmaps = instance_responses(
-                fmap, leaves["response.weight"], leaves["response.bias"]
-            )
-            loss = bag_loss(cfg, rank_responses(rmaps[0]), label, weights)
-            loss = ad.add(
-                loss, ad.scale(l2_penalty(list(leaves.values())), cfg.lam / 2.0)
-            )
-            return loss, leaves, xt
+            return batch_objective(cfg, weights, leaves, xt, labels), leaves, xt
 
         loss, leaves, xt = objective(want_grads=True)
         loss.backward()

@@ -1,15 +1,26 @@
-"""The three MIL loss heads and the shared inference rule.
+"""The three MIL loss heads, computed from one (N, m) logit tensor.
 
-All heads consume the descending-ranked response vector of one bag.  The
+Every head scores the same instance logits z (the response of a patch is
+sigmoid(z)) and differs only in which ranked patches get which target.  The
 max-pooling head penalizes only the top response; the label-assignment head
 treats the top k patches as carrying the bag label and the rest as negative;
-the sparse head adds an L1 penalty over all responses to the max-pooling
-term.  Inference is the same for every head: the top response is the bag's
-predicted probability.
+the sparse head adds mu * sum(sigmoid(z)), the L1 norm of the responses, to
+the max-pooling term.  Inference is the same for every head: the top
+response is the bag's predicted probability.
 
-Batch objectives sum per-bag terms (no mean) and add the L2 penalty
-(lam / 2) * ||theta||^2 once per step, over all trainable parameters
-including biases.
+Ranking is a row-wise stable argsort of the logits, ties going to the
+smaller patch index; it is the same order as ranking the responses, and it
+is not a graph op, since a sort is locally a fixed permutation.  The ranks
+and labels fix two constant per-cell coefficient arrays, one for the
+-log sigmoid(z) terms and one for the -log sigmoid(-z) = -log(1 - sigmoid(z))
+terms, and each is applied with one weighted sum, so a batch costs the same
+handful of graph nodes at every size.  Working in logits keeps every term
+finite, and a confidently wrong patch gets a gradient close to its weight
+rather than none.
+
+bag_loss sums the bag terms over the batch (no mean); the training objective
+adds the L2 penalty (lam / 2) * ||theta||^2 once per step, over all
+trainable parameters including biases.
 """
 
 from __future__ import annotations
@@ -17,21 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import RankedResponses
 
 __all__ = [
     "HEADS",
     "MilConfig",
     "BagWeights",
     "bag_weights",
-    "loss_max_pool",
-    "loss_label_assign",
-    "loss_sparse",
     "bag_loss",
     "l2_penalty",
-    "infer_bag",
 ]
 
 HEADS = ("max_pool", "label_assign", "sparse")
@@ -114,118 +122,54 @@ def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced"
     return BagWeights(w1=w1, w0=w0, w1_patch=w1_patch, w0_patch=1.0 - w1_patch)
 
 
-def _check_label(label: int) -> int:
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label!r}")
-    return label
-
-
 def l2_penalty(params: Sequence[Tensor]) -> Tensor:
     """||theta||^2 over all given parameter tensors."""
     return ad.add_n([ad.l2_norm_sq(p) for p in params])
 
 
-def _with_l2(term: Tensor, lam: float, params: Sequence[Tensor]) -> Tensor:
-    if lam > 0.0 and len(params) > 0:
-        return ad.add(term, ad.scale(l2_penalty(params), lam / 2.0))
-    return term
-
-
-def _max_pool_term(ranked: RankedResponses, label: int, weights: BagWeights) -> Tensor:
-    top = ad.slice1d(ranked.values, 0, 1)
-    p = top if label == 1 else ad.const_minus(1.0, top)
-    return ad.scale(ad.reduce_sum(ad.log(p)), -weights.bag(label))
-
-
-def loss_max_pool(
-    ranked: RankedResponses,
-    label: int,
-    weights: BagWeights,
-    lam: float = 0.0,
-    params: Sequence[Tensor] = (),
-) -> Tensor:
-    """-w_y * log p(y) with p(1) = top response, p(0) = 1 - top response.
-
-    Gradient flows only into the single argmax instance.
-    """
-    term = _max_pool_term(ranked, _check_label(label), weights)
-    return _with_l2(term, lam, params)
-
-
-def loss_label_assign(
-    ranked: RankedResponses,
-    label: int,
-    k: int,
-    weights: BagWeights,
-    lam: float = 0.0,
-    params: Sequence[Tensor] = (),
-) -> Tensor:
-    """Weighted cross entropy with the top k patches assigned the bag label
-    and the remaining patches assigned negative.
-
-    For a negative bag the two sums coincide into one negative-label cross
-    entropy over all m patches.  Gradient reaches every instance.
-    """
-    _check_label(label)
-    m = ranked.values.shape[0]
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} must be in [1, m={m}]")
-    if label == 1:
-        top = ad.slice1d(ranked.values, 0, k)
-        head = ad.scale(ad.reduce_sum(ad.log(top)), -weights.w1_patch)
-        if k < m:
-            tail = ad.slice1d(ranked.values, k, m)
-            rest = ad.scale(
-                ad.reduce_sum(ad.log(ad.const_minus(1.0, tail))), -weights.w0_patch
-            )
-            term = ad.add(head, rest)
-        else:
-            term = head
-    else:
-        comp = ad.log(ad.const_minus(1.0, ranked.values))
-        term = ad.scale(ad.reduce_sum(comp), -weights.w0_patch)
-    return _with_l2(term, lam, params)
-
-
-def loss_sparse(
-    ranked: RankedResponses,
-    label: int,
-    mu: float,
-    weights: BagWeights,
-    lam: float = 0.0,
-    params: Sequence[Tensor] = (),
-) -> Tensor:
-    """Max-pooling bag term plus mu * ||r||_1 over all m responses.
-
-    With mu = 0 this is exactly the max-pooling loss, values and gradients.
-    """
-    if mu < 0:
-        raise ValueError(f"mu must be nonnegative, got {mu}")
-    term = _max_pool_term(ranked, _check_label(label), weights)
-    if mu > 0.0:
-        term = ad.add(term, ad.scale(ad.l1_norm(ranked.values), mu))
-    return _with_l2(term, lam, params)
-
-
 def bag_loss(
     cfg: MilConfig,
-    ranked: RankedResponses,
-    label: int,
+    logits: Tensor,
+    labels,
     weights: BagWeights,
 ) -> Tensor:
-    """Per-bag term of the configured head, without the L2 penalty."""
-    if cfg.head == "max_pool":
-        return loss_max_pool(ranked, label, weights)
-    if cfg.head == "label_assign":
-        return loss_label_assign(ranked, label, cfg.k, weights)
-    return loss_sparse(ranked, label, cfg.mu, weights)
+    """Summed bag terms of the configured head over a batch, without L2.
 
-
-def infer_bag(ranked: RankedResponses) -> float:
-    """Predicted positive probability of the bag: the top response.
-
-    Identical rule for all three heads.
+    logits is the (N, m) graph tensor of instance logits, labels the N bag
+    labels (0 or 1).  Per bag, with the patches ranked by logit:
+      max_pool      -w1 log sigmoid(z_top) if positive,
+                    -w0 log sigmoid(-z_top) if negative;
+      label_assign  -w1_patch sum_top-k log sigmoid(z)
+                    - w0_patch sum_rest log sigmoid(-z) if positive,
+                    -w0_patch sum_all log sigmoid(-z) if negative;
+      sparse        the max_pool term + mu * sum_all sigmoid(z).
     """
-    if ranked.values.shape[0] == 0:
-        raise ValueError("cannot infer from an empty bag")
-    return float(ranked.values.data[0])
+    z = logits.data
+    if z.ndim != 2 or z.shape[1] == 0:
+        raise ValueError(f"logits must be a nonempty (N, m) tensor, got {z.shape}")
+    n, m = z.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
+        raise ValueError(f"need {n} labels, each 0 or 1, got {labels!r}")
+    order = np.argsort(-z, axis=1, kind="stable")
+    pos = labels == 1
+    neg = ~pos
+    pos_coef = np.zeros((n, m))  # weight of -log sigmoid(z) per cell
+    neg_coef = np.zeros((n, m))  # weight of -log sigmoid(-z) per cell
+    if cfg.head == "label_assign":
+        if not 1 <= cfg.k <= m:
+            raise ValueError(f"k={cfg.k} must be in [1, m={m}]")
+        rows = np.flatnonzero(pos)[:, None]
+        pos_coef[rows, order[pos, :cfg.k]] = weights.w1_patch
+        neg_coef[rows, order[pos, cfg.k:]] = weights.w0_patch
+        neg_coef[neg] = weights.w0_patch
+    else:
+        pos_coef[pos, order[pos, 0]] = weights.w1
+        neg_coef[neg, order[neg, 0]] = weights.w0
+    terms = [
+        ad.weighted_sum(ad.log_sigmoid(logits), -pos_coef),
+        ad.weighted_sum(ad.log_sigmoid(ad.scale(logits, -1.0)), -neg_coef),
+    ]
+    if cfg.head == "sparse" and cfg.mu > 0.0:
+        terms.append(ad.scale(ad.reduce_sum(ad.sigmoid(logits)), cfg.mu))
+    return ad.add_n(terms)

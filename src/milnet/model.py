@@ -1,10 +1,11 @@
-"""Backbone CNN, shared logistic instance-response layer, and ranking layer.
+"""Backbone CNN and the shared logistic instance-response layer.
 
 The backbone maps a grayscale image batch to a multi-channel feature map
 whose every spatial cell stands for one patch of the input.  A logistic
-layer with weights shared across positions turns each cell into a malignancy
-probability, and the ranking layer sorts those per-image responses in
-descending order for the MIL loss heads.
+layer with weights shared across positions turns each cell into a logit z;
+the cell's response, its malignancy probability, is sigmoid(z).  Training
+hands the (N, m) logits straight to the MIL loss heads, and inference applies
+the sigmoid to the same logits.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .rng import derive_rng
 __all__ = [
     "BackboneSpec",
     "ModelParams",
-    "ResponseMap",
-    "RankedResponses",
     "PRESETS",
     "backbone_preset",
     "output_geometry",
@@ -30,12 +29,9 @@ __all__ = [
     "params_to_leaves",
     "forward_backbone",
     "instance_responses",
-    "rank_responses",
     "response_grid",
     "response_grids",
 ]
-
-RESPONSE_CLAMP = 1e-7  # responses live in [1e-7, 1 - 1e-7] so logs stay finite
 
 # layer forms: ("conv", out_channels, kernel, stride, padding)
 #              ("relu",)
@@ -225,49 +221,15 @@ def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -
     return out
 
 
-@dataclass
-class ResponseMap:
-    """Per-patch malignancy probabilities of one image, flattened row-major.
+def instance_responses(feature_map: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Shared logistic layer over every feature-map cell, as logits.
 
-    values is a 1-D graph tensor of length m = grid_h * grid_w with every
-    entry strictly inside (0, 1) after clamping.
-    """
-
-    values: Tensor
-    grid_h: int
-    grid_w: int
-
-    @property
-    def m(self) -> int:
-        return self.grid_h * self.grid_w
-
-
-@dataclass
-class RankedResponses:
-    """Descending-sorted responses plus the permutation that produced them:
-    values[j] == unsorted[perm[j]]."""
-
-    values: Tensor
-    perm: np.ndarray
-
-
-def instance_responses(feature_map: Tensor, weight: Tensor, bias: Tensor) -> list[ResponseMap]:
-    """Shared logistic layer over every feature-map cell.
-
-    r[n, i, j] = sigmoid(weight . F[n, i, j, :] + bias), clamped into
-    [1e-7, 1 - 1e-7]; one flattened ResponseMap per image in the batch.
+    z[n, i * w + j] = weight . F[n, :, i, j] + bias: one row of
+    m = h * w logits per image, flattened row-major.  The cell's response is
+    sigmoid(z).
     """
     n, _, h, w = feature_map.shape
-    z = ad.affine_channel(feature_map, weight, bias)
-    r = ad.clamp(ad.sigmoid(z), RESPONSE_CLAMP, 1.0 - RESPONSE_CLAMP)
-    flat = ad.reshape(r, (n, h * w))
-    return [ResponseMap(values=ad.take_row(flat, i), grid_h=h, grid_w=w) for i in range(n)]
-
-
-def rank_responses(response_map: ResponseMap) -> RankedResponses:
-    """Descending sort of one image's responses (stable under ties)."""
-    sorted_vals, perm = ad.sort_descending(response_map.values)
-    return RankedResponses(values=sorted_vals, perm=perm)
+    return ad.reshape(ad.affine_channel(feature_map, weight, bias), (n, h * w))
 
 
 # Images per forward pass in inference.  Every op of the forward pass treats
@@ -287,9 +249,8 @@ def response_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
     for start in range(0, len(images), INFER_BATCH):
         batch = np.stack(images[start:start + INFER_BATCH])[:, None, :, :]
         fmap = forward_backbone(Tensor(batch), params.spec, leaves)
-        rmaps = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
-        for row, rm in enumerate(rmaps):
-            grids[start + row] = rm.values.data.reshape(grid_h, grid_w)
+        logits = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
+        grids[start:start + len(batch)] = ad.sigmoid(logits).data.reshape(-1, grid_h, grid_w)
     return grids
 
 

@@ -28,7 +28,6 @@ from .model import (
     instance_responses,
     param_shapes,
     params_to_leaves,
-    rank_responses,
     response_grids,
 )
 from .preprocessing import augment, to_network_input
@@ -41,7 +40,9 @@ __all__ = [
     "init_state",
     "adam_step",
     "bag_scores",
+    "batch_objective",
     "train",
+    "check_select_k",
     "select_k",
     "save_checkpoint",
     "load_checkpoint",
@@ -145,21 +146,18 @@ def bag_scores(params: ModelParams, inputs: list[np.ndarray]) -> np.ndarray:
     return response_grids(params, inputs).max(axis=(1, 2))
 
 
-def _batch_objective(
+def batch_objective(
     cfg: TrainConfig,
     weights: BagWeights,
     leaves: dict[str, Tensor],
-    x: np.ndarray,
+    x: Tensor,
     labels: np.ndarray,
 ) -> Tensor:
-    """Summed per-bag loss over a batch plus one L2 term; graph root."""
-    fmap = forward_backbone(Tensor(x), cfg.backbone, leaves)
-    rmaps = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
-    terms = [
-        bag_loss(cfg.mil, rank_responses(rm), int(label), weights)
-        for rm, label in zip(rmaps, labels)
-    ]
-    total = ad.add_n(terms)
+    """The training objective of one (N, 1, H, W) batch, as the graph root:
+    the head's bag terms summed over the batch plus one L2 term."""
+    fmap = forward_backbone(x, cfg.backbone, leaves)
+    logits = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
+    total = bag_loss(cfg.mil, logits, labels, weights)
     if cfg.mil.lam > 0.0:
         total = ad.add(total, ad.scale(l2_penalty(list(leaves.values())), cfg.mil.lam / 2.0))
     return total
@@ -229,7 +227,7 @@ def train(
                     img = augment(img, cfg.aug, rng)
                 xs[row, 0] = img
             leaves = params_to_leaves(state.params)
-            total = _batch_objective(cfg, weights, leaves, xs, train_labels[chunk])
+            total = batch_objective(cfg, weights, leaves, Tensor(xs), train_labels[chunk])
             if not np.isfinite(total.data):
                 raise RuntimeError(
                     f"non-finite loss {total.data!r} at epoch {epoch}, "
@@ -268,6 +266,14 @@ def train(
     )
 
 
+def check_select_k(cfg: TrainConfig) -> None:
+    """Raise unless k selection applies to cfg's head (label_assign only)."""
+    if cfg.mil.head != "label_assign":
+        raise ValueError(
+            f"k selection applies to the label_assign head, not {cfg.mil.head!r}"
+        )
+
+
 def select_k(
     train_images: list[np.ndarray],
     train_labels: np.ndarray,
@@ -278,10 +284,7 @@ def select_k(
 ) -> tuple[int, TrainResult]:
     """Train one label_assign model per k in the grid; best validation AUC
     wins, ties going to the smaller k (the grid is kept sorted)."""
-    if cfg.mil.head != "label_assign":
-        raise ValueError(
-            f"select_k applies to the label_assign head, not {cfg.mil.head!r}"
-        )
+    check_select_k(cfg)
     m = cfg.mil.m
     for k in cfg.k_grid:
         if k > m:

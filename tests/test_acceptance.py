@@ -22,7 +22,6 @@ import numpy as np
 import pytest
 
 import milnet
-from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.cli import main
 from milnet.config import TrainConfig
@@ -30,7 +29,7 @@ from milnet.data import SynthSpec, generate_synthetic, load_dataset, load_manife
 from milnet.evaluation import auc, cross_validate
 from milnet.gradcheck import check_full_gradients
 from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
-from milnet.model import RankedResponses, response_grid
+from milnet.model import response_grid
 from milnet.preprocessing import otsu_threshold, to_network_input
 from milnet.training import train
 
@@ -41,13 +40,14 @@ def _verdict(capsys, tag: str, ok: bool, detail: str) -> bool:
     return ok
 
 
-def _ranked(values) -> RankedResponses:
-    vals, perm = ad.sort_descending(Tensor(np.asarray(values, dtype=np.float64)))
-    return RankedResponses(vals, perm)
+def _logits(values) -> Tensor:
+    """One bag of responses v as the (1, m) logits logit(v) the heads take."""
+    v = np.asarray(values, dtype=np.float64)
+    return Tensor((np.log(v) - np.log1p(-v))[None, :])
 
 
 def _loss(head_cfg: MilConfig, values, label: int, weights: BagWeights) -> float:
-    return float(bag_loss(head_cfg, _ranked(values), label, weights).data)
+    return float(bag_loss(head_cfg, _logits(values), [label], weights).data)
 
 
 class TestGradientSuite:

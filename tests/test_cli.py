@@ -174,6 +174,26 @@ class TestTrain:
         assert "--select-k" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_select_k_with_other_head_exits_2_before_loading(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the option check")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("head = sparse\nepochs = 1\n")
+        out = tmp_path / "m.miln"
+        rc = main([
+            "train", "--config", str(cfg), "--select-k",
+            "--data", str(data_dir / "manifest.csv"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "label_assign head, not 'sparse'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         rc = main([
             "train", "--data", str(tmp_path / "nope.csv"),
@@ -352,6 +372,48 @@ class TestCv:
         _, saved = load_checkpoint(str(out / "fold0_ckpt.miln"))
         assert saved.mil.head == "label_assign"
         assert saved.learning_rate == 5e-5
+
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("epochs = 1\n", ["--select-k"], "label_assign head, not 'max_pool'"),
+        ("head = label_assign\nepochs = 1\n", ["--select-k", "--pretrain-epochs", "1"],
+         "cannot be combined"),
+    ], ids=["select_k_other_head", "select_k_with_pretrain"])
+    def test_incompatible_options_exit_2_before_loading(
+        self, config, flags, message, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the option check")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "cv"
+        rc = main(["cv", "--config", str(cfg), "--data", str(data_dir / "manifest.csv"),
+                   "--out", str(out)] + flags)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--workers", "0"), ("--workers", "-1"), ("--pretrain-epochs", "-3"),
+    ])
+    def test_out_of_range_counts_exit_2_at_parse_time(
+        self, flag, value, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the option check")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--data", str(data_dir / "manifest.csv"),
+                  "--out", str(tmp_path / "cv"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
 class TestGradcheck:

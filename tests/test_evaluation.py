@@ -347,3 +347,44 @@ class TestCrossValidateOptions:
             cross_validate(images, np.array([0, 1] * 5), cfg, str(out),
                            use_select_k=True, pretrain=cfg)
         assert not out.exists()
+
+    def _no_training(self, monkeypatch):
+        import milnet.training as training
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("a fold started training")
+
+        monkeypatch.setattr(training, "train", no_train)
+        monkeypatch.setattr(training, "select_k", no_train)
+        rng = np.random.default_rng(0)
+        return [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(10)]
+
+    @pytest.mark.parametrize("head", ["max_pool", "sparse"])
+    def test_select_k_with_other_head_rejected_before_out_dir(
+        self, head, tmp_path, monkeypatch
+    ):
+        from milnet.config import TrainConfig
+        from milnet.evaluation import cross_validate
+        from milnet.heads import MilConfig
+
+        images = self._no_training(monkeypatch)
+        out = tmp_path / "cv"
+        with pytest.raises(ValueError, match="label_assign"):
+            cross_validate(images, np.array([0, 1] * 5),
+                           TrainConfig(mil=MilConfig(head=head)), str(out),
+                           use_select_k=True)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected_before_out_dir(
+        self, workers, tmp_path, monkeypatch
+    ):
+        from milnet.config import TrainConfig
+        from milnet.evaluation import cross_validate
+
+        images = self._no_training(monkeypatch)
+        out = tmp_path / "cv"
+        with pytest.raises(ValueError, match="workers"):
+            cross_validate(images, np.array([0, 1] * 5), TrainConfig(), str(out),
+                           workers=workers)
+        assert not out.exists()

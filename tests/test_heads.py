@@ -1,4 +1,8 @@
-"""Loss-head values and gradients against from-scratch scalar oracles."""
+"""Loss-head values and gradients against from-scratch scalar oracles.
+
+The heads take instance logits; a bag given here as responses r is fed in
+as logit(r), and the oracles are written in terms of r.
+"""
 
 import math
 
@@ -6,26 +10,32 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from milnet import autodiff as ad
 from milnet.autodiff import Tensor
+from milnet.config import TrainConfig
 from milnet.heads import (
     BagWeights,
     MilConfig,
     bag_loss,
     bag_weights,
-    infer_bag,
     l2_penalty,
-    loss_label_assign,
-    loss_max_pool,
-    loss_sparse,
 )
-from milnet.model import ResponseMap, rank_responses
+from milnet.model import BackboneSpec, ModelParams, init_params, params_to_leaves
+from milnet.training import bag_scores, batch_objective
 
 
-def ranked_from(values):
-    rm = ResponseMap(values=Tensor(np.asarray(values, dtype=np.float64),
-                                   requires_grad=True),
-                     grid_h=1, grid_w=len(values))
-    return rm.values, rank_responses(rm)
+def logit(values):
+    v = np.asarray(values, dtype=np.float64)
+    return np.log(v) - np.log1p(-v)
+
+
+def bag_from(values):
+    """One bag of responses as a (1, m) logit leaf that records gradients."""
+    return Tensor(logit(values)[None, :], requires_grad=True)
+
+
+def head_loss(head, z, label, weights, k=1, mu=0.0):
+    return bag_loss(MilConfig(head=head, k=k, mu=mu), z, [label], weights)
 
 
 def max_pool_oracle(r, label, w1, w0):
@@ -60,21 +70,18 @@ class TestHandValues:
     R = (0.2, 0.8, 0.5, 0.1)
 
     def test_max_pool_positive_bag(self):
-        _, ranked = ranked_from(self.R)
-        loss = loss_max_pool(ranked, 1, UNIT)
+        loss = head_loss("max_pool", bag_from(self.R), 1, UNIT)
         assert_allclose(loss.data, -math.log(0.8), rtol=1e-12)
         assert_allclose(loss.data, 0.223144, atol=1e-6)
 
     def test_max_pool_negative_bag(self):
-        _, ranked = ranked_from((0.2, 0.1))
-        loss = loss_max_pool(ranked, 0, UNIT)
+        loss = head_loss("max_pool", bag_from((0.2, 0.1)), 0, UNIT)
         assert_allclose(loss.data, -math.log(1.0 - 0.2), rtol=1e-12)
         assert_allclose(loss.data, 0.223144, atol=1e-6)
 
     def test_max_pool_half_is_ln2_either_label(self):
         for label in (0, 1):
-            _, ranked = ranked_from((0.5, 0.3))
-            loss = loss_max_pool(ranked, label, UNIT)
+            loss = head_loss("max_pool", bag_from((0.5, 0.3)), label, UNIT)
             assert_allclose(loss.data, math.log(2.0), rtol=1e-12)
 
     def test_label_assign_worked_example(self):
@@ -82,16 +89,14 @@ class TestHandValues:
         # 0.25*(-ln 0.8 - ln 0.5) + 0.75*(-ln 0.8 - ln 0.9)
         expected = 0.25 * (-math.log(0.8) - math.log(0.5)) \
             + 0.75 * (-math.log(0.8) - math.log(0.9))
-        _, ranked = ranked_from(self.R)
-        loss = loss_label_assign(ranked, 1, 2, UNIT)
+        loss = head_loss("label_assign", bag_from(self.R), 1, UNIT, k=2)
         assert_allclose(loss.data, expected, rtol=1e-12)
         oracle = label_assign_oracle(self.R, 1, 2, 0.25, 0.75)
         assert_allclose(loss.data, oracle, rtol=1e-12)
 
     def test_sparse_worked_example(self):
         # max-pool term -ln 0.8 plus 0.01 * (0.2+0.8+0.5+0.1)
-        _, ranked = ranked_from(self.R)
-        loss = loss_sparse(ranked, 1, 0.01, UNIT)
+        loss = head_loss("sparse", bag_from(self.R), 1, UNIT, mu=0.01)
         assert_allclose(loss.data, -math.log(0.8) + 0.01 * 1.6, rtol=1e-12)
         assert_allclose(loss.data, 0.239144, atol=1e-6)
 
@@ -107,8 +112,7 @@ class TestAgainstScalarOracle:
             label = int(rng.integers(0, 2))
             w1, w0 = rng.uniform(0.1, 2.0, size=2)
             weights = BagWeights(w1=w1, w0=w0, w1_patch=0.5, w0_patch=0.5)
-            _, ranked = ranked_from(r)
-            loss = loss_max_pool(ranked, label, weights)
+            loss = head_loss("max_pool", bag_from(r), label, weights)
             assert_allclose(loss.data, max_pool_oracle(r.tolist(), label, w1, w0),
                             rtol=1e-12)
 
@@ -121,8 +125,7 @@ class TestAgainstScalarOracle:
             k = int(rng.integers(1, m + 1))
             w1p, w0p = rng.uniform(0.1, 1.0, size=2)
             weights = BagWeights(w1=1.0, w0=1.0, w1_patch=w1p, w0_patch=w0p)
-            _, ranked = ranked_from(r)
-            loss = loss_label_assign(ranked, label, k, weights)
+            loss = head_loss("label_assign", bag_from(r), label, weights, k=k)
             assert_allclose(loss.data,
                             label_assign_oracle(r.tolist(), label, k, w1p, w0p),
                             rtol=1e-12)
@@ -136,10 +139,28 @@ class TestAgainstScalarOracle:
             mu = float(rng.uniform(0.0, 0.1))
             w1, w0 = rng.uniform(0.1, 2.0, size=2)
             weights = BagWeights(w1=w1, w0=w0, w1_patch=0.5, w0_patch=0.5)
-            _, ranked = ranked_from(r)
-            loss = loss_sparse(ranked, label, mu, weights)
+            loss = head_loss("sparse", bag_from(r), label, weights, mu=mu)
             assert_allclose(loss.data, sparse_oracle(r.tolist(), label, mu, w1, w0),
                             rtol=1e-12)
+
+    def test_batch_is_the_sum_of_its_bags(self):
+        rng = np.random.default_rng(106)
+        weights = BagWeights(w1=0.7, w0=0.3, w1_patch=0.2, w0_patch=0.8)
+        for cfg in (MilConfig(head="max_pool"), MilConfig(head="label_assign", k=3),
+                    MilConfig(head="sparse", mu=0.05)):
+            z = rng.normal(0.0, 2.0, size=(6, 9))
+            labels = np.array([0, 1, 1, 0, 1, 0])
+            batch = Tensor(z, requires_grad=True)
+            loss = bag_loss(cfg, batch, labels, weights)
+            loss.backward()
+            for i in range(6):
+                row = Tensor(z[i:i + 1], requires_grad=True)
+                one = bag_loss(cfg, row, labels[i:i + 1], weights)
+                one.backward()
+                assert_allclose(batch.grad[i], row.grad[0], rtol=1e-12, atol=0)
+            total = sum(float(bag_loss(cfg, Tensor(z[i:i + 1]), labels[i:i + 1],
+                                       weights).data) for i in range(6))
+            assert_allclose(loss.data, total, rtol=1e-12)
 
 
 class TestDegeneracies:
@@ -149,10 +170,9 @@ class TestDegeneracies:
             m = int(rng.integers(1, 17))
             r = rng.uniform(0.01, 0.99, size=m)
             label = int(rng.integers(0, 2))
-            raw_a, ranked_a = ranked_from(r)
-            raw_b, ranked_b = ranked_from(r)
-            la = loss_sparse(ranked_a, label, 0.0, UNIT)
-            lb = loss_max_pool(ranked_b, label, UNIT)
+            raw_a, raw_b = bag_from(r), bag_from(r)
+            la = head_loss("sparse", raw_a, label, UNIT, mu=0.0)
+            lb = head_loss("max_pool", raw_b, label, UNIT)
             assert la.data == lb.data
             la.backward()
             lb.backward()
@@ -165,8 +185,7 @@ class TestDegeneracies:
                 r = rng.uniform(0.01, 0.99, size=m)
                 w1p = float(rng.uniform(0.1, 1.0))
                 weights = BagWeights(w1=1.0, w0=1.0, w1_patch=w1p, w0_patch=0.5)
-                _, ranked = ranked_from(r)
-                loss = loss_label_assign(ranked, 1, m, weights)
+                loss = head_loss("label_assign", bag_from(r), 1, weights, k=m)
                 brute = -w1p * sum(math.log(v) for v in r)
                 assert_allclose(loss.data, brute, rtol=1e-12)
 
@@ -178,13 +197,13 @@ class TestPermutationInvariance:
         base = None
         for trial in range(6):
             perm = rng.permutation(8)
-            _, ranked = ranked_from(r[perm])
+            z = bag_from(r[perm])
             vals = (
-                loss_max_pool(ranked, 1, UNIT).data.item(),
-                loss_label_assign(ranked, 1, 3, UNIT).data.item(),
-                loss_label_assign(ranked, 0, 3, UNIT).data.item(),
-                loss_sparse(ranked, 1, 0.02, UNIT).data.item(),
-                infer_bag(ranked),
+                head_loss("max_pool", z, 1, UNIT).data.item(),
+                head_loss("label_assign", z, 1, UNIT, k=3).data.item(),
+                head_loss("label_assign", z, 0, UNIT, k=3).data.item(),
+                head_loss("sparse", z, 1, UNIT, mu=0.02).data.item(),
+                float(ad.sigmoid(z).data.max()),  # inference: the top response
             )
             if base is None:
                 base = vals
@@ -193,38 +212,77 @@ class TestPermutationInvariance:
 
 
 class TestGradientStructure:
+    """Gradients with respect to the logits: d(-log sigmoid(z))/dz =
+    -(1 - r) and d(-log(1 - sigmoid(z)))/dz = r for response r."""
+
     def test_max_pool_touches_only_argmax(self):
-        raw, ranked = ranked_from((0.2, 0.8, 0.5, 0.1))
-        loss = loss_max_pool(ranked, 1, UNIT)
+        raw = bag_from((0.2, 0.8, 0.5, 0.1))
+        loss = head_loss("max_pool", raw, 1, UNIT)
         loss.backward()
-        assert raw.grad[1] != 0.0
-        assert raw.grad[0] == raw.grad[2] == raw.grad[3] == 0.0
-        # d(-log r)/dr = -1/r at the top response
-        assert_allclose(raw.grad[1], -1.0 / 0.8, rtol=1e-12)
+        assert raw.grad[0, 1] != 0.0
+        assert raw.grad[0, 0] == raw.grad[0, 2] == raw.grad[0, 3] == 0.0
+        # -(1 - r) at the top response
+        assert_allclose(raw.grad[0, 1], -(1.0 - 0.8), rtol=1e-12)
+
+    def test_max_pool_ties_go_to_the_smaller_index(self):
+        raw = Tensor(np.array([[0.5, 0.7, 0.5, 0.7]]), requires_grad=True)
+        head_loss("max_pool", raw, 1, UNIT).backward()
+        assert raw.grad[0, 1] != 0.0
+        assert raw.grad[0, 0] == raw.grad[0, 2] == raw.grad[0, 3] == 0.0
 
     def test_label_assign_touches_all(self):
-        raw, ranked = ranked_from((0.2, 0.8, 0.5, 0.1))
-        loss = loss_label_assign(ranked, 1, 2, UNIT)
+        raw = bag_from((0.2, 0.8, 0.5, 0.1))
+        loss = head_loss("label_assign", raw, 1, UNIT, k=2)
         loss.backward()
         assert (raw.grad != 0.0).all()
         # top-2 pulled up (negative gradient), tail pushed down (positive)
-        assert raw.grad[1] < 0 and raw.grad[2] < 0
-        assert raw.grad[0] > 0 and raw.grad[3] > 0
+        assert raw.grad[0, 1] < 0 and raw.grad[0, 2] < 0
+        assert raw.grad[0, 0] > 0 and raw.grad[0, 3] > 0
 
     def test_sparse_touches_all(self):
-        raw, ranked = ranked_from((0.2, 0.8, 0.5, 0.1))
-        loss = loss_sparse(ranked, 1, 0.05, UNIT)
+        raw = bag_from((0.2, 0.8, 0.5, 0.1))
+        loss = head_loss("sparse", raw, 1, UNIT, mu=0.05)
         loss.backward()
         assert (raw.grad != 0.0).all()
-        assert_allclose(raw.grad[1], -1.0 / 0.8 + 0.05, rtol=1e-12)
-        assert_allclose(raw.grad[0], 0.05, rtol=1e-12)
+        # mu * r * (1 - r) from the response sum on every cell
+        assert_allclose(raw.grad[0, 1], -(1.0 - 0.8) + 0.05 * 0.8 * 0.2, rtol=1e-12)
+        assert_allclose(raw.grad[0, 0], 0.05 * 0.2 * 0.8, rtol=1e-12)
 
     def test_loss_decreases_as_top_response_rises(self):
         for top in (0.6, 0.7, 0.8, 0.9):
-            _, ranked_lo = ranked_from((top - 0.05, 0.1))
-            _, ranked_hi = ranked_from((top, 0.1))
-            assert loss_max_pool(ranked_hi, 1, UNIT).data \
-                < loss_max_pool(ranked_lo, 1, UNIT).data
+            lo = head_loss("max_pool", bag_from((top - 0.05, 0.1)), 1, UNIT)
+            hi = head_loss("max_pool", bag_from((top, 0.1)), 1, UNIT)
+            assert hi.data < lo.data
+
+
+class TestConfidentlyWrongBag:
+    """A negative bag whose top logit is 20 (response 1 - 2e-9): the loss is
+    finite and the top logit still gets pushed down, for every head."""
+
+    W = BagWeights(w1=0.8, w0=0.2, w1_patch=0.25, w0_patch=0.75)
+
+    @pytest.mark.parametrize("cfg", [
+        MilConfig(head="max_pool"),
+        MilConfig(head="label_assign", k=2),
+        MilConfig(head="sparse", mu=0.01),
+    ], ids=lambda c: c.head)
+    def test_finite_loss_and_gradient_on_the_top_logit(self, cfg):
+        z = Tensor(np.array([[20.0, 0.0, -1.0, 1.0]]), requires_grad=True)
+        loss = bag_loss(cfg, z, [0], self.W)
+        assert np.isfinite(loss.data)
+        loss.backward()
+        assert np.isfinite(z.grad).all()
+        assert z.grad[0, 0] > 0.1
+
+    def test_max_pool_value_and_gradient(self):
+        z = Tensor(np.array([[20.0, 0.0, -1.0, 1.0]]), requires_grad=True)
+        loss = head_loss("max_pool", z, 0, self.W)
+        # -w0 log(1 - sigmoid(20)) = w0 * (20 + log(1 + e^-20))
+        assert_allclose(loss.data, 0.2 * (20.0 + math.log1p(math.exp(-20.0))),
+                        rtol=1e-12)
+        loss.backward()
+        assert_allclose(z.grad[0, 0], 0.2 / (1.0 + math.exp(-20.0)), rtol=1e-12)
+        assert z.grad[0, 1] == z.grad[0, 2] == z.grad[0, 3] == 0.0
 
 
 class TestL2Penalty:
@@ -237,14 +295,23 @@ class TestL2Penalty:
         assert_array_equal(a.grad, [2.0, 4.0])
         assert_array_equal(b.grad, [[6.0]])
 
-    def test_loss_heads_add_lam_half(self):
-        p = Tensor(np.array([2.0, 1.0]), requires_grad=True)
-        _, ranked = ranked_from((0.4, 0.3))
-        plain = loss_max_pool(ranked, 1, UNIT)
-        reg = loss_max_pool(ranked, 1, UNIT, lam=0.1, params=[p])
-        assert_allclose(reg.data - plain.data, 0.05 * 5.0, rtol=1e-12)
+    def test_objective_adds_lam_half(self):
+        params = init_params(TrainConfig().backbone, seed=3)
+        x = Tensor(np.random.default_rng(3).uniform(0, 1, size=(2, 1, 64, 64)))
+        labels = np.array([1, 0])
+        plain_cfg = TrainConfig(mil=MilConfig(lam=0.0))
+        reg_cfg = TrainConfig(mil=MilConfig(lam=0.1))
+        plain_leaves = params_to_leaves(params)
+        reg_leaves = params_to_leaves(params)
+        plain = batch_objective(plain_cfg, UNIT, plain_leaves, x, labels)
+        reg = batch_objective(reg_cfg, UNIT, reg_leaves, x, labels)
+        norm_sq = sum(float((a * a).sum()) for a in params.arrays.values())
+        assert_allclose(reg.data - plain.data, 0.05 * norm_sq, rtol=1e-12)
+        plain.backward()
         reg.backward()
-        assert_allclose(p.grad, [0.2, 0.1], rtol=1e-12)
+        for name, arr in params.arrays.items():
+            assert_allclose(reg_leaves[name].grad - plain_leaves[name].grad,
+                            0.1 * arr, rtol=1e-9, atol=1e-15)
 
 
 class TestBagWeights:
@@ -321,7 +388,6 @@ class TestMilConfig:
 class TestBagLossDispatch:
     def test_selects_head(self):
         r = (0.2, 0.8, 0.5, 0.1)
-        _, ranked = ranked_from(r)
         cfgs = {
             "max_pool": MilConfig(head="max_pool"),
             "label_assign": MilConfig(head="label_assign", k=2),
@@ -330,36 +396,52 @@ class TestBagLossDispatch:
         w = BagWeights(w1=1.0, w0=1.0, w1_patch=0.25, w0_patch=0.75)
         vals = {}
         for name, cfg in cfgs.items():
-            _, ranked = ranked_from(r)
-            vals[name] = bag_loss(cfg, ranked, 1, w).data.item()
+            vals[name] = bag_loss(cfg, bag_from(r), [1], w).data.item()
         assert_allclose(vals["max_pool"], -math.log(0.8), rtol=1e-12)
         assert_allclose(vals["label_assign"],
                         label_assign_oracle(r, 1, 2, 0.25, 0.75), rtol=1e-12)
         assert_allclose(vals["sparse"], -math.log(0.8) + 0.01 * 1.6, rtol=1e-12)
 
     def test_bag_loss_has_no_l2(self):
-        _, ranked = ranked_from((0.4, 0.2))
         cfg = MilConfig(head="max_pool", lam=10.0)
-        loss = bag_loss(cfg, ranked, 1, UNIT)
+        loss = bag_loss(cfg, bag_from((0.4, 0.2)), [1], UNIT)
         assert_allclose(loss.data, -math.log(0.4), rtol=1e-12)
 
 
+
 class TestInferBag:
+    """The inference rule, identical for every head: a bag's score is its
+    top response.  A 1x1 identity conv makes each pixel one patch logit."""
+
+    @staticmethod
+    def score(z):
+        z = np.asarray(z, dtype=np.float64)
+        spec = BackboneSpec(input_size=z.shape[0], layers=(("conv", 1, 1, 1, 0),))
+        params = ModelParams(spec, {
+            "conv0.kernel": np.ones((1, 1, 1, 1)), "conv0.bias": np.zeros(1),
+            "response.weight": np.ones(1), "response.bias": np.asarray(0.0),
+        })
+        return bag_scores(params, [z])[0]
+
     def test_returns_top(self):
-        _, ranked = ranked_from((0.2, 0.8, 0.5))
-        assert infer_bag(ranked) == 0.8
+        z = logit([[0.2, 0.8], [0.5, 0.1]])
+        assert self.score(z) == 1.0 / (1.0 + np.exp(-z.max()))
+        assert_allclose(self.score(z), 0.8, rtol=1e-15)
 
     def test_single_instance(self):
-        _, ranked = ranked_from((0.37,))
-        assert infer_bag(ranked) == 0.37
+        z = logit([[0.37]])  # negative: sigmoid(z) = e^z / (1 + e^z)
+        assert self.score(z) == np.exp(z[0, 0]) / (1.0 + np.exp(z[0, 0]))
 
     def test_all_equal(self):
-        _, ranked = ranked_from((0.4, 0.4, 0.4))
-        assert infer_bag(ranked) == 0.4
+        assert self.score(np.zeros((2, 2))) == 0.5
 
     def test_label_assign_errors(self):
-        _, ranked = ranked_from((0.4, 0.2))
+        z = bag_from((0.4, 0.2))
         with pytest.raises(ValueError):
-            loss_label_assign(ranked, 1, 3, UNIT)
+            head_loss("label_assign", z, 1, UNIT, k=3)
         with pytest.raises(ValueError):
-            loss_label_assign(ranked, 2, 1, UNIT)
+            head_loss("label_assign", z, 2, UNIT, k=1)
+        with pytest.raises(ValueError):
+            bag_loss(MilConfig(), z, [1, 0], UNIT)
+        with pytest.raises(ValueError):
+            bag_loss(MilConfig(), Tensor(np.zeros(4)), [1], UNIT)

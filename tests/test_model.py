@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.model import (
     BackboneSpec,
@@ -15,7 +16,6 @@ from milnet.model import (
     instance_responses,
     output_geometry,
     params_to_leaves,
-    rank_responses,
     response_grid,
 )
 
@@ -183,43 +183,34 @@ class TestInstanceResponses:
         fmap = rng.normal(size=(2, 5, 3, 4))
         w = rng.normal(size=5)
         b = 0.3
-        rmaps = instance_responses(Tensor(fmap), Tensor(w), Tensor(np.asarray(b)))
-        assert len(rmaps) == 2
-        for n, rm in enumerate(rmaps):
-            assert (rm.grid_h, rm.grid_w, rm.m) == (3, 4, 12)
+        logits = instance_responses(Tensor(fmap), Tensor(w), Tensor(np.asarray(b)))
+        assert logits.shape == (2, 12)
+        responses = ad.sigmoid(logits).data
+        for n in range(2):
             z = np.einsum("chw,c->hw", fmap[n], w) + b
+            assert_allclose(logits.data[n], z.reshape(-1), rtol=1e-12)
             expected = 1.0 / (1.0 + np.exp(-z))
-            assert_allclose(rm.values.data, expected.reshape(-1), rtol=1e-12)
+            assert_allclose(responses[n], expected.reshape(-1), rtol=1e-12)
 
-    def test_clamped_into_open_interval(self):
+    def test_extreme_logits_pass_through_unclipped(self):
         fmap = np.full((1, 1, 2, 2), 1000.0)
-        rmaps = instance_responses(Tensor(fmap), Tensor(np.ones(1)),
-                                   Tensor(np.asarray(0.0)))
-        vals = rmaps[0].values.data
-        assert (vals <= 1.0 - 1e-7).all()
+        logits = instance_responses(Tensor(fmap), Tensor(np.ones(1)),
+                                    Tensor(np.asarray(0.0)))
+        assert_array_equal(logits.data, np.full((1, 4), 1000.0))
+        # the responses saturate to exactly 1 and 0; nothing clips them inside
+        assert_array_equal(ad.sigmoid(logits).data, 1.0)
         fmap = np.full((1, 1, 2, 2), -1000.0)
-        rmaps = instance_responses(Tensor(fmap), Tensor(np.ones(1)),
-                                   Tensor(np.asarray(0.0)))
-        assert (rmaps[0].values.data >= 1e-7).all()
+        logits = instance_responses(Tensor(fmap), Tensor(np.ones(1)),
+                                    Tensor(np.asarray(0.0)))
+        assert_array_equal(ad.sigmoid(logits).data, 0.0)
 
     def test_row_major_flattening(self):
         fmap = np.zeros((1, 1, 2, 3))
         fmap[0, 0] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-        rmaps = instance_responses(Tensor(fmap), Tensor(np.ones(1)),
-                                   Tensor(np.asarray(0.0)))
+        logits = instance_responses(Tensor(fmap), Tensor(np.ones(1)),
+                                    Tensor(np.asarray(0.0)))
         z = np.array([1, 2, 3, 4, 5, 6], dtype=np.float64)
-        assert_allclose(rmaps[0].values.data, 1 / (1 + np.exp(-z)), rtol=1e-12)
-
-
-class TestRankResponses:
-    def test_descending_with_perm(self):
-        vals = np.array([0.3, 0.9, 0.1, 0.5])
-        rm_vals = Tensor(vals, requires_grad=True)
-        from milnet.model import ResponseMap
-        ranked = rank_responses(ResponseMap(values=rm_vals, grid_h=2, grid_w=2))
-        assert_array_equal(ranked.values.data, [0.9, 0.5, 0.3, 0.1])
-        assert_array_equal(ranked.perm, [1, 3, 0, 2])
-        assert_array_equal(vals[ranked.perm], ranked.values.data)
+        assert_array_equal(logits.data[0], z)
 
 
 class TestResponseGrid:
@@ -232,9 +223,9 @@ class TestResponseGrid:
 
         leaves = params_to_leaves(params, requires_grad=False)
         fmap = forward_backbone(Tensor(img[None, None]), params.spec, leaves)
-        rmaps = instance_responses(fmap, leaves["response.weight"],
-                                   leaves["response.bias"])
-        assert_allclose(grid.reshape(-1), rmaps[0].values.data, rtol=0, atol=0)
+        logits = instance_responses(fmap, leaves["response.weight"],
+                                    leaves["response.bias"])
+        assert_allclose(grid.reshape(-1), ad.sigmoid(logits).data[0], rtol=0, atol=0)
 
     def test_zeroed_params_give_half(self):
         params = init_params(PRESETS["desk"], seed=0)

@@ -282,6 +282,46 @@ class TestSelectK:
         assert result.config.mil.k == best_k
 
 
+def _graph_nodes(root) -> int:
+    """Op nodes (tensors with a backward closure) reachable from root."""
+    seen, stack, count = set(), [root], 0
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        count += node._backward_fn is not None
+        stack.extend(node._parents)
+    return count
+
+
+class TestGraphSize:
+    """One training step builds one graph path for the whole batch: the node
+    count does not grow with the batch, and a desk step stays small."""
+
+    @pytest.mark.parametrize("head", ["max_pool", "label_assign", "sparse"])
+    def test_node_count_independent_of_batch_size(self, head, monkeypatch):
+        counts = []
+        backward = training.Tensor.backward
+
+        def counting_backward(self):
+            counts.append(_graph_nodes(self))
+            return backward(self)
+
+        monkeypatch.setattr(training.Tensor, "backward", counting_backward)
+        rng = np.random.default_rng(7)
+        images = [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(8)]
+        labels = np.array([1, 0] * 4)
+        for batch in (2, 8):
+            cfg = TrainConfig(epochs=1, batch_size=batch, seed=1,
+                              augment_enabled=False,
+                              mil=MilConfig(head=head, k=2, mu=1e-3))
+            train(images, labels, images[:4], labels[:4], cfg)
+        assert len(counts) == 4 + 1  # four steps at batch 2, one at batch 8
+        assert len(set(counts)) == 1, counts
+        assert counts[-1] <= 32, counts
+
+
 class TestBagScores:
     # 11 inputs: one full inference batch and a partial one; each score must
     # equal the top of the image's own response grid, forwarded on its own

@@ -12,6 +12,7 @@ This script generates a small set and checks that claim directly.
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -52,8 +53,8 @@ assert worst >= spec.intensity_lift
 # the same generation twice is byte-for-byte identical (seeded per image)
 again = os.path.join(work.name, "again")
 generate_synthetic(spec, again)
-a = open(manifest_path, "rb").read()
-b = open(again + "/manifest.csv", "rb").read()
+a = Path(manifest_path).read_bytes()
+b = Path(again, "manifest.csv").read_bytes()
 print("regenerated manifest identical:", a == b)
 
 # ---------------------------------------------------------------------------

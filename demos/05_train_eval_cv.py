@@ -11,6 +11,7 @@ acceptance-grade settings live in tests/test_acceptance.py.
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -83,7 +84,7 @@ print("\nper-fold accuracy:", [f"{o.accuracy:.3f}" for o in summary.outcomes])
 print(f"mean auc {summary.auc_mean:.4f} +- {summary.auc_std:.4f}")
 
 identical = all(
-    open(os.path.join(out_a, f), "rb").read() == open(os.path.join(out_b, f), "rb").read()
+    Path(out_a, f).read_bytes() == Path(out_b, f).read_bytes()
     for f in sorted(os.listdir(out_a))
 )
 print("two runs, every output file byte-identical:", identical)

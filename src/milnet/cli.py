@@ -38,12 +38,12 @@ from .evaluation import (
 )
 from .gradcheck import run_suite
 from .pgm import load_gray_image
-from .preprocessing import to_network_input
 from .training import (
     bag_scores,
     check_select_k,
     load_checkpoint,
     metrics_csv,
+    prepare_inputs,
     save_checkpoint,
     select_k,
     train,
@@ -60,13 +60,6 @@ def _load_config(path: str | None) -> tuple[TrainConfig, dict[str, str]]:
     if path is None:
         return TrainConfig(), {}
     return parse_config_file(path)
-
-
-def _prepare(images, cfg: TrainConfig):
-    return [
-        to_network_input(img, cfg.backbone.input_size, mode=cfg.preprocess)
-        for img in images
-    ]
 
 
 def _cmd_synth(args) -> int:
@@ -188,7 +181,7 @@ def _eval_outputs(out_dir, names, labels, scores) -> None:
 def _cmd_eval(args) -> int:
     state, cfg = load_checkpoint(args.ckpt)
     dataset = load_dataset(load_manifest(args.data))
-    scores = bag_scores(state.params, _prepare(dataset.images, cfg))
+    scores = bag_scores(state.params, prepare_inputs(dataset.images, cfg))
     names = [os.path.basename(p) for p in dataset.paths]
     _eval_outputs(args.out, names, dataset.labels, scores)
     _log(f"evaluated {len(dataset)} images; wrote {args.out}/scores.csv")
@@ -200,7 +193,7 @@ def _cmd_bag(args) -> int:
     per_model = []
     for ckpt_path in args.ckpts:
         state, cfg = load_checkpoint(ckpt_path)
-        per_model.append(bag_scores(state.params, _prepare(dataset.images, cfg)))
+        per_model.append(bag_scores(state.params, prepare_inputs(dataset.images, cfg)))
     combined = bagging(per_model, mode=args.mode)
     names = [os.path.basename(p) for p in dataset.paths]
     _eval_outputs(args.out, names, dataset.labels, combined)
@@ -251,11 +244,12 @@ def _int_at_least(low: int):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    config_keys = config_help()
     parser = argparse.ArgumentParser(
         prog="milnet",
         description="whole-image classification by deep multi-instance learning",
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=config_help(),
+        epilog=config_keys,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -269,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "train", help="train one model",
-        formatter_class=argparse.RawDescriptionHelpFormatter, epilog=config_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter, epilog=config_keys,
     )
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--data", required=True, help="training manifest CSV")
@@ -284,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cv", help="stratified 5-fold cross-validation",
-        formatter_class=argparse.RawDescriptionHelpFormatter, epilog=config_help(),
+        formatter_class=argparse.RawDescriptionHelpFormatter, epilog=config_keys,
     )
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--data", required=True, help="manifest CSV")

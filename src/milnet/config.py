@@ -2,20 +2,29 @@
 
 One config format serves both the user-facing CLI files and the text blob
 embedded in checkpoints, so a checkpoint alone is enough to reproduce a run.
-Floats are written with repr() and therefore round-trip exactly.
+One table per config object, ``USER_KEYS`` for :class:`TrainConfig` and
+``SYNTH_KEYS`` for :class:`SynthSpec`, maps each key to its row: the dotted
+field path it sets, parser, formatter, doc and the one head it applies to.
+Files, checkpoint blobs (in table order) and help text (with defaults taken
+from ``TrainConfig()``/``SynthSpec()``) all go through the table.  Floats
+are written with repr() and therefore round-trip exactly.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any
 
 from .data import SynthSpec
 from .heads import HEADS, MilConfig
-from .model import BackboneSpec, backbone_preset, output_geometry
+from .model import PRESETS, BackboneSpec, backbone_preset, output_geometry
 from .preprocessing import AugmentConfig
 
 __all__ = [
     "TrainConfig",
+    "Key",
     "USER_KEYS",
     "SYNTH_KEYS",
     "parse_flat",
@@ -81,40 +90,78 @@ class TrainConfig:
             )
 
 
-# key -> (one-line doc, applies-to note used in validation errors)
-USER_KEYS: dict[str, str] = {
-    "head": "loss head: max_pool | label_assign | sparse (default max_pool)",
-    "k": "patches assigned the bag label; label_assign head only (default 4)",
-    "k_grid": "comma-separated k candidates for select-k; label_assign only",
-    "mu": "L1 response-sparsity weight; sparse head only (default 1e-05)",
-    "lambda": "L2 weight-decay coefficient (default 1e-05)",
-    "weight_mode": "class weighting: balanced | literal (default balanced)",
-    "lr": "Adam learning rate (default 0.001)",
-    "beta1": "Adam first-moment decay (default 0.9)",
-    "beta2": "Adam second-moment decay (default 0.999)",
-    "eps": "Adam denominator stabilizer (default 1e-08)",
-    "epochs": "training epochs (default 50)",
-    "batch": "minibatch size in bags (default 8)",
-    "seed": "root seed for init/shuffle/augment streams (default 0)",
-    "preset": "backbone preset: desk | paper (default desk)",
-    "backbone": "explicit backbone layer string; mutually exclusive with preset",
-    "preprocess": "input pipeline: resize | full = Otsu crop then resize",
-    "augment": "training-time augmentation: on | off (default on)",
-    "flip_prob": "horizontal flip probability (default 0.5)",
-    "shift_frac": "max translation as a fraction of image side (default 0.1)",
-    "rotate_deg_max": "max rotation magnitude in degrees (default 45)",
-    "cutout_frac": "cutout square side fraction (default 50/224)",
-    "finetune_lr": "learning rate used when resuming a checkpoint (default 5e-05)",
+@dataclass(frozen=True)
+class Key:
+    """One row of a key table; the table maps each key name to its row."""
+
+    path: str  # dotted field path in the config object
+    parse: Callable[[str], Any]
+    fmt: Callable[[Any], str] | None  # None: an input-only alias, never written
+    doc: str
+    head: str | None = None  # the only head the key applies to
+
+
+def _converter(convert: Callable[[str], Any], expected: str) -> Callable[[str], Any]:
+    def parse(text: str):
+        try:
+            return convert(text)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}, got {text!r}") from None
+
+    return parse
+
+
+# (parser, formatter) pairs for the table rows
+_INT = (_converter(int, "an integer"), str)
+_FLOAT = (_converter(float, "a number"), repr)
+_TEXT = (str, str)
+_SWITCH = (
+    _converter({"on": True, "off": False}.__getitem__, "'on' or 'off'"),
+    lambda on: "on" if on else "off",
+)
+_INTS = (
+    _converter(lambda s: tuple(int(p) for p in s.split(",")), "comma-separated integers"),
+    lambda ints: ",".join(str(v) for v in ints),
+)
+_BACKBONE = (BackboneSpec.parse, BackboneSpec.describe)
+_PRESET = (backbone_preset, None)
+
+
+USER_KEYS: dict[str, Key] = {
+    "preset": Key("backbone", *_PRESET, "backbone preset: " + " | ".join(PRESETS)),
+    "backbone": Key("backbone", *_BACKBONE, "backbone layer string; excludes preset"),
+    "head": Key("mil.head", *_TEXT, "loss head: " + " | ".join(HEADS)),
+    "k": Key("mil.k", *_INT, "patches assigned the bag label", "label_assign"),
+    "mu": Key("mil.mu", *_FLOAT, "L1 response-sparsity weight", "sparse"),
+    "lambda": Key("mil.lam", *_FLOAT, "L2 weight-decay coefficient"),
+    "weight_mode": Key("mil.weight_mode", *_TEXT, "class weighting: balanced | literal"),
+    "lr": Key("learning_rate", *_FLOAT, "Adam learning rate"),
+    "beta1": Key("beta1", *_FLOAT, "Adam first-moment decay"),
+    "beta2": Key("beta2", *_FLOAT, "Adam second-moment decay"),
+    "eps": Key("eps", *_FLOAT, "Adam denominator stabilizer"),
+    "epochs": Key("epochs", *_INT, "training epochs"),
+    "batch": Key("batch_size", *_INT, "minibatch size in bags"),
+    "seed": Key("seed", *_INT, "root seed for init/shuffle/augment streams"),
+    "k_grid": Key("k_grid", *_INTS, "comma-separated k candidates for --select-k",
+                  "label_assign"),
+    "preprocess": Key("preprocess", *_TEXT, "resize | full = Otsu crop then resize"),
+    "augment": Key("augment_enabled", *_SWITCH, "training-time augmentation: on | off"),
+    "flip_prob": Key("aug.flip_prob", *_FLOAT, "horizontal flip probability"),
+    "shift_frac": Key("aug.shift_frac", *_FLOAT, "max translation / image side"),
+    "rotate_deg_max": Key("aug.rotate_deg_max", *_FLOAT, "max rotation in degrees"),
+    "cutout_frac": Key("aug.cutout_frac", *_FLOAT, "cutout square side / image side"),
+    "finetune_lr": Key("finetune_learning_rate", *_FLOAT,
+                       "lr for train --resume and cv --pretrain-epochs unless lr is set"),
 }
 
-SYNTH_KEYS: dict[str, str] = {
-    "image_size": "square image side in pixels (default 64)",
-    "n_pos": "number of positive images (default 40)",
-    "n_neg": "number of negative images (default 160)",
-    "mass_frac": "planted square side / image side (default 0.14)",
-    "intensity_lift": "guaranteed in-box vs background mean gap (default 0.2)",
-    "noise_level": "background noise sigma (default 0.02)",
-    "seed": "generator seed (default 7)",
+SYNTH_KEYS: dict[str, Key] = {
+    "image_size": Key("image_size", *_INT, "square image side in pixels"),
+    "n_pos": Key("n_pos", *_INT, "number of positive images"),
+    "n_neg": Key("n_neg", *_INT, "number of negative images"),
+    "mass_frac": Key("mass_frac", *_FLOAT, "planted square side / image side"),
+    "intensity_lift": Key("intensity_lift", *_FLOAT, "in-box vs background mean gap"),
+    "noise_level": Key("noise_level", *_FLOAT, "background noise sigma"),
+    "seed": Key("seed", *_INT, "generator seed"),
 }
 
 
@@ -136,26 +183,69 @@ def parse_flat(text: str, source: str = "<config>") -> dict[str, str]:
     return items
 
 
-def _as_int(key: str, s: str) -> int:
+def _parse(name: str, parse: Callable[[str], Any], text: str, source: str):
     try:
-        return int(s)
-    except ValueError:
-        raise ValueError(f"config key {key!r}: expected an integer, got {s!r}") from None
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{source}: key {name!r}: {exc}") from None
 
 
-def _as_float(key: str, s: str) -> float:
+def _construct(default, values: dict[str, Any]):
+    """A new object of default's class with each dotted path set.  A nested
+    config object is built afresh from its class, so its derived fields
+    (mil.m) are derived again."""
+    kwargs: dict[str, Any] = {}
+    nested: dict[str, dict[str, Any]] = {}
+    for path, value in values.items():
+        outer, _, inner = path.partition(".")
+        if inner:
+            nested.setdefault(outer, {})[inner] = value
+        else:
+            kwargs[outer] = value
+    for outer, sub in nested.items():
+        kwargs[outer] = type(getattr(default, outer))(**sub)
+    return type(default)(**kwargs)
+
+
+def _builds(default, values: dict[str, Any]) -> bool:
     try:
-        return float(s)
+        _construct(default, values)
     except ValueError:
-        raise ValueError(f"config key {key!r}: expected a number, got {s!r}") from None
-
-
-def _as_switch(key: str, s: str) -> bool:
-    if s == "on":
-        return True
-    if s == "off":
         return False
-    raise ValueError(f"config key {key!r}: expected 'on' or 'off', got {s!r}")
+    return True
+
+
+def _check_known(table: dict[str, Key], items: dict[str, str], source: str, what: str):
+    for name in items:
+        if name not in table:
+            raise ValueError(
+                f"{source}: unknown {what} key {name!r}; "
+                f"documented keys: {', '.join(table)}"
+            )
+
+
+def _from_items(table: dict[str, Key], items: dict[str, str], default, source: str):
+    """Build default's class from the table keys present in items; every
+    error names the source and, where one key is at fault, the key."""
+    keys = [(name, key) for name, key in table.items() if name in items]
+    values: dict[str, Any] = {}
+    for name, key in keys:
+        if key.path in values:
+            both = " or ".join(repr(n) for n, k in keys if k.path == key.path)
+            raise ValueError(f"{source}: set {both}, not both")
+        values[key.path] = _parse(name, key.parse, items[name], source)
+    try:
+        return _construct(default, values)
+    except ValueError as exc:
+        # name the key that is wrong on its own and the only thing wrong; a
+        # conflict between keys (k above the backbone's patch count) or two
+        # wrong values name no single key, and the message names the fields
+        for name, key in keys:
+            alone = {key.path: values[key.path]}
+            rest = {path: value for path, value in values.items() if path != key.path}
+            if not _builds(default, alone) and _builds(default, rest):
+                raise ValueError(f"{source}: key {name!r}: {exc}") from None
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def train_config_from_items(
@@ -163,91 +253,22 @@ def train_config_from_items(
 ) -> TrainConfig:
     """Build a validated TrainConfig from parsed key/value strings.
 
-    strict mode (user files) rejects unknown keys and head/key mismatches
-    before any compute; non-strict mode is for checkpoint blobs, which store
-    every field regardless of head.
+    strict mode (user files) rejects unknown keys and keys of another head;
+    non-strict mode is for checkpoint blobs, which store every field
+    regardless of head.
     """
     if strict:
-        for key in items:
-            if key not in USER_KEYS:
-                raise ValueError(
-                    f"{source}: unknown config key {key!r}; "
-                    f"documented keys: {', '.join(USER_KEYS)}"
-                )
-    head = items.get("head", "max_pool")
-    if head not in HEADS:
-        raise ValueError(f"{source}: unknown head {head!r}; choose from {HEADS}")
+        _check_known(USER_KEYS, items, source, "config")
+    cfg = _from_items(USER_KEYS, items, TrainConfig(), source)
     if strict:
-        if head != "label_assign":
-            for key in ("k", "k_grid"):
-                if key in items:
-                    raise ValueError(
-                        f"{source}: {key!r} applies to the label_assign head only "
-                        f"(head = {head})"
-                    )
-        if head != "sparse" and "mu" in items:
-            raise ValueError(
-                f"{source}: 'mu' applies to the sparse head only (head = {head})"
-            )
-        if "preset" in items and "backbone" in items:
-            raise ValueError(f"{source}: set 'preset' or 'backbone', not both")
-    if "backbone" in items:
-        backbone = BackboneSpec.parse(items["backbone"])
-    else:
-        backbone = backbone_preset(items.get("preset", "desk"))
-    mil_kwargs = dict(
-        head=head,
-        weight_mode=items.get("weight_mode", "balanced"),
-    )
-    if "k" in items:
-        mil_kwargs["k"] = _as_int("k", items["k"])
-    if "mu" in items:
-        mil_kwargs["mu"] = _as_float("mu", items["mu"])
-    if "lambda" in items:
-        mil_kwargs["lam"] = _as_float("lambda", items["lambda"])
-    mil = MilConfig(**mil_kwargs)
-    kwargs: dict = {"backbone": backbone, "mil": mil}
-    if "lr" in items:
-        kwargs["learning_rate"] = _as_float("lr", items["lr"])
-    if "beta1" in items:
-        kwargs["beta1"] = _as_float("beta1", items["beta1"])
-    if "beta2" in items:
-        kwargs["beta2"] = _as_float("beta2", items["beta2"])
-    if "eps" in items:
-        kwargs["eps"] = _as_float("eps", items["eps"])
-    if "epochs" in items:
-        kwargs["epochs"] = _as_int("epochs", items["epochs"])
-    if "batch" in items:
-        kwargs["batch_size"] = _as_int("batch", items["batch"])
-    if "seed" in items:
-        kwargs["seed"] = _as_int("seed", items["seed"])
-    if "k_grid" in items:
-        try:
-            grid = tuple(int(part) for part in items["k_grid"].split(","))
-        except ValueError:
-            raise ValueError(
-                f"config key 'k_grid': expected comma-separated integers, "
-                f"got {items['k_grid']!r}"
-            ) from None
-        kwargs["k_grid"] = grid
-    if "preprocess" in items:
-        kwargs["preprocess"] = items["preprocess"]
-    if "augment" in items:
-        kwargs["augment_enabled"] = _as_switch("augment", items["augment"])
-    aug_kwargs = {}
-    for key, fld in (
-        ("flip_prob", "flip_prob"),
-        ("shift_frac", "shift_frac"),
-        ("rotate_deg_max", "rotate_deg_max"),
-        ("cutout_frac", "cutout_frac"),
-    ):
-        if key in items:
-            aug_kwargs[fld] = _as_float(key, items[key])
-    if aug_kwargs:
-        kwargs["aug"] = AugmentConfig(**aug_kwargs)
-    if "finetune_lr" in items:
-        kwargs["finetune_learning_rate"] = _as_float("finetune_lr", items["finetune_lr"])
-    return TrainConfig(**kwargs)
+        for name in items:
+            head = USER_KEYS[name].head
+            if head is not None and head != cfg.mil.head:
+                raise ValueError(
+                    f"{source}: {name!r} applies to the {head} head only "
+                    f"(head = {cfg.mil.head})"
+                )
+    return cfg
 
 
 def parse_config_file(path: str) -> tuple[TrainConfig, dict[str, str]]:
@@ -258,80 +279,49 @@ def parse_config_file(path: str) -> tuple[TrainConfig, dict[str, str]]:
     return train_config_from_items(items, source=path), items
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def run_config_text(cfg: TrainConfig, step: int) -> str:
-    """Canonical config blob stored in checkpoints: every field, fixed order."""
-    pairs = [
-        ("backbone", cfg.backbone.describe()),
-        ("head", cfg.mil.head),
-        ("k", cfg.mil.k),
-        ("mu", cfg.mil.mu),
-        ("lambda", cfg.mil.lam),
-        ("weight_mode", cfg.mil.weight_mode),
-        ("lr", cfg.learning_rate),
-        ("beta1", cfg.beta1),
-        ("beta2", cfg.beta2),
-        ("eps", cfg.eps),
-        ("epochs", cfg.epochs),
-        ("batch", cfg.batch_size),
-        ("seed", cfg.seed),
-        ("k_grid", ",".join(str(k) for k in cfg.k_grid)),
-        ("preprocess", cfg.preprocess),
-        ("augment", cfg.augment_enabled),
-        ("flip_prob", cfg.aug.flip_prob),
-        ("shift_frac", cfg.aug.shift_frac),
-        ("rotate_deg_max", cfg.aug.rotate_deg_max),
-        ("cutout_frac", cfg.aug.cutout_frac),
-        ("finetune_lr", cfg.finetune_learning_rate),
-        ("step", step),
+    """Canonical config blob stored in checkpoints: every written key in
+    table order, then the step counter."""
+    lines = [
+        f"{name} = {key.fmt(attrgetter(key.path)(cfg))}\n"
+        for name, key in USER_KEYS.items()
+        if key.fmt is not None
     ]
-    return "".join(f"{key} = {_fmt(value)}\n" for key, value in pairs)
+    return "".join(lines) + f"step = {step}\n"
 
 
 def parse_run_config(text: str) -> tuple[TrainConfig, int]:
     """Inverse of run_config_text; returns (config, step)."""
     items = parse_flat(text, source="<checkpoint>")
-    step = _as_int("step", items.pop("step", "0"))
+    step = _parse("step", _INT[0], items.pop("step", "0"), "<checkpoint>")
     if step < 0:
         raise ValueError(f"checkpoint step must be nonnegative, got {step}")
-    cfg = train_config_from_items(items, source="<checkpoint>", strict=False)
-    return cfg, step
+    return train_config_from_items(items, source="<checkpoint>", strict=False), step
 
 
 def parse_synth_file(path: str) -> SynthSpec:
     with open(path, "r", encoding="utf-8") as f:
         items = parse_flat(f.read(), source=path)
-    for key in items:
-        if key not in SYNTH_KEYS:
-            raise ValueError(
-                f"{path}: unknown synth key {key!r}; "
-                f"documented keys: {', '.join(SYNTH_KEYS)}"
-            )
-    kwargs: dict = {}
-    for key in ("image_size", "n_pos", "n_neg", "seed"):
-        if key in items:
-            kwargs[key] = _as_int(key, items[key])
-    for key in ("mass_frac", "intensity_lift", "noise_level"):
-        if key in items:
-            kwargs[key] = _as_float(key, items[key])
-    return SynthSpec(**kwargs)
+    _check_known(SYNTH_KEYS, items, path, "synth")
+    return _from_items(SYNTH_KEYS, items, SynthSpec(), path)
 
 
-def _render_keys(keys: dict[str, str]) -> str:
-    width = max(len(k) for k in keys)
-    return "\n".join(f"  {k.ljust(width)}  {doc}" for k, doc in keys.items())
+def _render_keys(title: str, table: dict[str, Key], default) -> str:
+    width = max(len(name) for name in table)
+    lines = [f"{title} keys (flat 'key = value' lines):"]
+    for name, key in table.items():
+        doc = key.doc
+        if key.head is not None:
+            doc += f"; {key.head} head only"
+        if key.fmt is not None:
+            doc += f" (default {key.fmt(attrgetter(key.path)(default))})"
+        lines.append(f"  {name.ljust(width)}  {doc}")
+    return "\n".join(lines)
 
 
 def config_help() -> str:
-    return "config file keys (flat 'key = value' lines):\n" + _render_keys(USER_KEYS)
+    return _render_keys("config file", USER_KEYS, TrainConfig())
 
 
 def synth_help() -> str:
-    return "synth spec keys (flat 'key = value' lines):\n" + _render_keys(SYNTH_KEYS)
+    return _render_keys("synth spec", SYNTH_KEYS, SynthSpec())

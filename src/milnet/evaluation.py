@@ -395,7 +395,8 @@ def cross_validate(
     fold and a trailing mean±std row (sample standard deviation).
     Fold runs are independent and may execute on worker threads.
     """
-    from .training import init_state, metrics_csv, save_checkpoint, select_k, train
+    from .training import bag_scores, init_state, metrics_csv, prepare_inputs
+    from .training import save_checkpoint, select_k, train
 
     check_cv_options(cfg, workers, use_select_k, pretrain)
     labels = np.asarray(labels, dtype=np.int64)
@@ -431,12 +432,7 @@ def cross_validate(
                 tr_imgs, labels[train_idx], va_imgs, labels[val_idx],
                 fold_cfg, log=fold_log, init_state_override=warm_state,
             )
-        from .training import bag_scores
-
-        test_inputs = [
-            to_network_input(images[i], cfg.backbone.input_size, mode=cfg.preprocess)
-            for i in test_idx
-        ]
+        test_inputs = prepare_inputs([images[i] for i in test_idx], cfg)
         scores = bag_scores(result.state.params, test_inputs)
         fold_acc = accuracy(scores, labels[test_idx])
         fold_auc = auc(scores, labels[test_idx])

@@ -92,9 +92,6 @@ class BagWeights:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
-    def bag(self, label: int) -> float:
-        return self.w1 if label == 1 else self.w0
-
 
 def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced") -> BagWeights:
     """Empirical class weights from training-set counts.

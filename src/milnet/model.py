@@ -33,10 +33,14 @@ __all__ = [
     "response_grids",
 ]
 
-# layer forms: ("conv", out_channels, kernel, stride, padding)
-#              ("relu",)
-#              ("pool", window, stride)
-Layer = tuple
+Layer = tuple  # (kind, *integer fields), e.g. ("conv", 8, 5, 2, 2) or ("relu",)
+
+# the integer fields of each layer kind, in layer-string order
+_LAYER_FIELDS: dict[str, tuple[str, ...]] = {
+    "conv": ("channels", "kernel", "stride", "padding"),
+    "relu": (),
+    "pool": ("window", "stride"),
+}
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,27 @@ class BackboneSpec:
 
     input_size: int
     layers: tuple[Layer, ...]
+
+    def __post_init__(self):
+        if self.input_size < 1:
+            raise ValueError(
+                f"backbone layer 'input:{self.input_size}': size must be >= 1, "
+                f"got {self.input_size}"
+            )
+        for layer in self.layers:
+            text = ":".join(str(v) for v in layer)
+            names = _LAYER_FIELDS.get(layer[0])
+            if names is None:
+                raise ValueError(f"unknown backbone layer {text!r}")
+            if len(layer) != 1 + len(names):
+                form = ":".join([layer[0]] + [f"<{name}>" for name in names])
+                raise ValueError(f"backbone layer {text!r}: expected {form}")
+            for name, value in zip(names, layer[1:]):
+                low = 0 if name == "padding" else 1
+                if value < low:
+                    raise ValueError(
+                        f"backbone layer {text!r}: {name} must be >= {low}, got {value}"
+                    )
 
     def describe(self) -> str:
         parts = [f"input:{self.input_size}"]
@@ -55,21 +80,16 @@ class BackboneSpec:
     @staticmethod
     def parse(text: str) -> "BackboneSpec":
         fields = [f.strip() for f in text.split(",") if f.strip()]
-        if not fields or not fields[0].startswith("input:"):
+        parsed = []
+        for field in fields:
+            kind, *parts = field.split(":")
+            try:
+                parsed.append((kind, *(int(part) for part in parts)))
+            except ValueError:
+                raise ValueError(f"backbone layer {field!r}: expected integers") from None
+        if not parsed or parsed[0][0] != "input" or len(parsed[0]) != 2:
             raise ValueError(f"backbone spec must start with 'input:<size>': {text!r}")
-        input_size = int(fields[0].split(":")[1])
-        layers: list[Layer] = []
-        for field in fields[1:]:
-            parts = field.split(":")
-            kind = parts[0]
-            if kind == "conv":
-                layers.append(("conv", int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
-            elif kind == "relu":
-                layers.append(("relu",))
-            elif kind == "pool":
-                layers.append(("pool", int(parts[1]), int(parts[2])))
-            else:
-                raise ValueError(f"unknown backbone layer {field!r}")
+        (_, input_size), *layers = parsed
         return BackboneSpec(input_size=input_size, layers=tuple(layers))
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "metrics_csv",
+    "prepare_inputs",
 ]
 
 
@@ -136,7 +137,8 @@ def metrics_csv(metrics: list[EpochMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _prepare_inputs(images: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarray]:
+def prepare_inputs(images: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarray]:
+    """Each raw image as the network input the config's preprocessing makes."""
     size = cfg.backbone.input_size
     return [to_network_input(img, size, mode=cfg.preprocess) for img in images]
 
@@ -200,8 +202,8 @@ def train(
     weights = bag_weights(
         n_pos, n, cfg.mil.k, cfg.mil.m, mode=cfg.mil.weight_mode
     )
-    base_train = _prepare_inputs(train_images, cfg)
-    base_val = _prepare_inputs(val_images, cfg)
+    base_train = prepare_inputs(train_images, cfg)
+    base_val = prepare_inputs(val_images, cfg)
 
     if init_state_override is not None:
         state = init_state_override

@@ -194,6 +194,33 @@ class TestTrain:
         assert "label_assign head, not 'sparse'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_malformed_backbone_exits_2_before_loading(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the config check")
+
+        monkeypatch.setattr(cli, "load_manifest", no_load)
+        cfg = tmp_path / "run.cfg"
+        out = tmp_path / "m.miln"
+        for backbone, message in (
+            ("input:64,conv:8,relu", "'conv:8': expected conv:<channels>"),
+            ("input:64,conv:8:3:0:0,relu", "stride must be >= 1, got 0"),
+            ("input:64,conv:8:0:1:0,relu", "kernel must be >= 1, got 0"),
+        ):
+            cfg.write_text(f"backbone = {backbone}\nepochs = 1\n")
+            rc = main([
+                "train", "--config", str(cfg),
+                "--data", str(data_dir / "manifest.csv"), "--out", str(out),
+            ])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {cfg}: key 'backbone': ")
+            assert message in err
+        assert not out.exists()
+
     def test_missing_manifest_exits_2(self, tmp_path, capsys):
         rc = main([
             "train", "--data", str(tmp_path / "nope.csv"),

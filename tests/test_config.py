@@ -1,5 +1,9 @@
 """Flat-config parsing: user files, checkpoint blobs, synth specs."""
 
+import re
+from dataclasses import fields
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
@@ -16,8 +20,10 @@ from milnet.config import (
     synth_help,
     train_config_from_items,
 )
-from milnet.heads import MilConfig
+from milnet.data import SynthSpec
+from milnet.heads import HEADS, MilConfig
 from milnet.model import backbone_preset, output_geometry
+from milnet.preprocessing import AugmentConfig
 
 
 class TestParseFlat:
@@ -123,6 +129,21 @@ class TestUserConfig:
         with pytest.raises(ValueError, match="'lr': expected a number"):
             train_config_from_items({"lr": "fast"})
 
+    @pytest.mark.parametrize("text, message", [
+        ("lr = fast", "key 'lr': expected a number, got 'fast'"),
+        ("weight_mode = foo", "key 'weight_mode': weight_mode must be 'balanced' or 'literal'"),
+        ("flip_prob = 2", r"key 'flip_prob': flip_prob must be in \[0, 1\], got 2.0"),
+        ("epochs = 0", "key 'epochs': epochs must be >= 1, got 0"),
+        ("backbone = input:64,conv:8:3:0:0",
+         "key 'backbone': backbone layer 'conv:8:3:0:0': stride must be >= 1"),
+        ("head = label_assign\nk = 17", "k=17 exceeds instances per bag m=16"),
+    ])
+    def test_value_errors_name_the_file_and_the_key(self, tmp_path, text, message):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"seed = 3\n{text}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ") + message):
+            parse_config_file(str(p))
+
     def test_augment_switch(self):
         assert train_config_from_items({"augment": "off"}).augment_enabled is False
         assert train_config_from_items({"augment": "on"}).augment_enabled is True
@@ -195,22 +216,38 @@ class TestRunConfigBlob:
 
     def test_round_trip_random_configs(self):
         rng = np.random.default_rng(41)
-        for _ in range(30):
+        seen: dict[str, set[str]] = {}
+        for _ in range(40):
             head = ["max_pool", "label_assign", "sparse"][rng.integers(0, 3)]
             cfg = TrainConfig(
                 learning_rate=float(10.0 ** rng.uniform(-5, -1)),
+                beta1=float(rng.uniform(0.5, 0.99)),
+                beta2=float(rng.uniform(0.9, 0.9999)),
+                eps=float(10.0 ** rng.uniform(-12, -6)),
                 epochs=int(rng.integers(1, 100)),
                 batch_size=int(rng.integers(1, 16)),
                 seed=int(rng.integers(0, 2**31)),
                 k_grid=tuple(int(v) for v in rng.integers(1, 16, size=3)),
+                backbone=backbone_preset(("desk", "paper")[rng.integers(0, 2)]),
                 mil=MilConfig(head=head, k=int(rng.integers(1, 16)),
                               mu=float(rng.uniform(0, 0.1)),
-                              lam=float(rng.uniform(0, 0.01))),
+                              lam=float(rng.uniform(0, 0.01)),
+                              weight_mode=("balanced", "literal")[rng.integers(0, 2)]),
                 preprocess=("resize", "full")[rng.integers(0, 2)],
                 augment_enabled=bool(rng.integers(0, 2)),
+                aug=AugmentConfig(flip_prob=float(rng.uniform(0, 1)),
+                                  shift_frac=float(rng.uniform(0, 0.9)),
+                                  rotate_deg_max=float(rng.uniform(0, 180)),
+                                  cutout_frac=float(rng.uniform(0, 0.9))),
+                finetune_learning_rate=float(10.0 ** rng.uniform(-6, -2)),
             )
-            back, step = parse_run_config(run_config_text(cfg, step=7))
+            text = run_config_text(cfg, step=7)
+            back, step = parse_run_config(text)
             assert back == cfg and step == 7
+            for key, value in parse_flat(text).items():
+                seen.setdefault(key, set()).add(value)
+        # the samples vary every key the blob holds
+        assert {key for key, values in seen.items() if len(values) < 2} == {"step"}
 
     def test_blob_lists_every_user_key(self):
         # one line per documented key plus the step counter
@@ -225,6 +262,10 @@ class TestRunConfigBlob:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError, match="step must be nonnegative"):
             parse_run_config("step = -3\n")
+
+    def test_corrupt_backbone_rejected(self):
+        with pytest.raises(ValueError, match=r"<checkpoint>: key 'backbone': .*'conv:8:3'"):
+            parse_run_config("backbone = input:64,conv:8:3,relu\nstep = 2\n")
 
 
 class TestSynthSpecFile:
@@ -264,6 +305,35 @@ class TestSynthSpecFile:
         with pytest.raises(ValueError, match="'n_pos': expected an integer"):
             parse_synth_file(str(p))
 
+    @pytest.mark.parametrize("text, message", [
+        ("n_pos = many", "key 'n_pos': expected an integer, got 'many'"),
+        ("n_neg = 0", "key 'n_neg': n_pos and n_neg must be positive"),
+        ("mass_frac = 1.5", r"key 'mass_frac': mass_frac must be in \(0, 1\)"),
+    ])
+    def test_value_errors_name_the_file_and_the_key(self, tmp_path, text, message):
+        p = tmp_path / "synth.cfg"
+        p.write_text(f"seed = 3\n{text}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}: ") + message):
+            parse_synth_file(str(p))
+
+
+class TestKeyTables:
+    def test_every_train_config_field_has_one_written_key(self):
+        leaves = [f.name for f in fields(TrainConfig) if f.name not in ("mil", "aug")]
+        leaves += [f"mil.{f.name}" for f in fields(MilConfig) if f.name != "m"]
+        leaves += [f"aug.{f.name}" for f in fields(AugmentConfig)]
+        written = [key.path for key in USER_KEYS.values() if key.fmt is not None]
+        assert sorted(written) == sorted(leaves)
+        # preset is the one user-only alias
+        assert {n: k.path for n, k in USER_KEYS.items() if k.fmt is None} == {
+            "preset": "backbone"}
+        assert {k.head for k in USER_KEYS.values()} <= set(HEADS) | {None}
+
+    def test_every_synth_spec_field_has_one_key(self):
+        paths = [key.path for key in SYNTH_KEYS.values()]
+        assert sorted(paths) == sorted(f.name for f in fields(SynthSpec))
+        assert all(key.fmt is not None and key.head is None for key in SYNTH_KEYS.values())
+
 
 class TestHelpText:
     def test_config_help_lists_every_key(self):
@@ -275,3 +345,18 @@ class TestHelpText:
         text = synth_help()
         for key in SYNTH_KEYS:
             assert key in text
+
+    @pytest.mark.parametrize("render, table, default, spot", [
+        (config_help, USER_KEYS, TrainConfig(),
+         ("k_grid", "; label_assign head only (default 4,8,12,16)")),
+        (synth_help, SYNTH_KEYS, SynthSpec(), ("n_neg", " (default 160)")),
+    ])
+    def test_help_shows_each_default_of_the_dataclass(self, render, table, default, spot):
+        lines = {line.split()[0]: line for line in render().splitlines()[1:]}
+        assert list(lines) == list(table)
+        for name, key in table.items():
+            if key.fmt is not None:
+                shown = key.fmt(attrgetter(key.path)(default))
+                assert lines[name].endswith(f"(default {shown})")
+        name, ending = spot
+        assert lines[name].endswith(ending)

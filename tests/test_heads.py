@@ -348,11 +348,6 @@ class TestBagWeights:
         with pytest.raises(ValueError):
             BagWeights(w1=-0.1, w0=1.0, w1_patch=0.5, w0_patch=0.5)
 
-    def test_bag_lookup(self):
-        w = BagWeights(w1=0.8, w0=0.2, w1_patch=0.5, w0_patch=0.5)
-        assert w.bag(1) == 0.8
-        assert w.bag(0) == 0.2
-
 
 class TestMilConfig:
     def test_defaults(self):

@@ -85,6 +85,32 @@ class TestBackboneSpec:
         with pytest.raises(ValueError):
             BackboneSpec.parse("input:64,dense:10")
 
+    @pytest.mark.parametrize("text, message", [
+        ("input:64,conv:8,relu",
+         "'conv:8': expected conv:<channels>:<kernel>:<stride>:<padding>"),
+        ("input:64,pool:2", "'pool:2': expected pool:<window>:<stride>"),
+        ("input:64,relu:2", "'relu:2': expected relu"),
+        ("input:64:2,relu", "must start with 'input:<size>'"),
+        ("conv:8:3:1:0", "must start with 'input:<size>'"),
+        ("", "must start with 'input:<size>'"),
+        ("input:64,conv:8:x:1:0", "'conv:8:x:1:0': expected integers"),
+        ("input:0,relu", "'input:0': size must be >= 1, got 0"),
+        ("input:64,conv:0:3:1:0", "'conv:0:3:1:0': channels must be >= 1, got 0"),
+        ("input:64,conv:8:0:1:0", "'conv:8:0:1:0': kernel must be >= 1, got 0"),
+        ("input:64,conv:8:3:0:0", "'conv:8:3:0:0': stride must be >= 1, got 0"),
+        ("input:64,conv:8:3:1:-1", "'conv:8:3:1:-1': padding must be >= 0, got -1"),
+        ("input:64,pool:0:2", "'pool:0:2': window must be >= 1, got 0"),
+        ("input:64,pool:2:0", "'pool:2:0': stride must be >= 1, got 0"),
+        ("input:64,relu,input:32", "unknown backbone layer 'input:32'"),
+    ])
+    def test_parse_rejects_malformed_layer(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            BackboneSpec.parse(text)
+
+    def test_zero_padding_is_valid(self):
+        spec = BackboneSpec.parse("input:8,conv:4:3:1:0,relu,pool:2:2")
+        assert output_geometry(spec) == (4, 3, 3)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             backbone_preset("tiny")

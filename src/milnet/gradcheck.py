@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, float64_gemms
 from .config import TrainConfig
 from .heads import MilConfig, bag_loss, bag_weights
 from .model import backbone_preset, init_params, output_geometry
@@ -141,6 +141,7 @@ def check_head_gradients(
     return report
 
 
+@float64_gemms()
 def check_full_gradients(
     head: str,
     n_draws: int = 20,
@@ -149,7 +150,11 @@ def check_full_gradients(
     coords_per_tensor: int = 2,
 ) -> GradReport:
     """Differentiate the training objective end to end against every
-    parameter tensor and the input image."""
+    parameter tensor and the input image.
+
+    The conv GEMMs run on float64 operands here: central differences at
+    FD_STEP need the objective to full float64 precision.
+    """
     spec = backbone_preset(preset)
     _, gh, gw = output_geometry(spec)
     m = gh * gw

@@ -228,8 +228,8 @@ def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -
     for layer in spec.layers:
         if layer[0] == "conv":
             _, _, _, s, p = layer
-            out = ad.conv2d(out, leaves[f"conv{conv_i}.kernel"], stride=s, padding=p)
-            out = ad.add_channel_bias(out, leaves[f"conv{conv_i}.bias"])
+            out = ad.conv2d(out, leaves[f"conv{conv_i}.kernel"], stride=s, padding=p,
+                            bias=leaves[f"conv{conv_i}.bias"])
             conv_i += 1
         elif layer[0] == "relu":
             out = ad.relu(out)

@@ -32,11 +32,12 @@ def write_pgm(path: str, pixels: np.ndarray) -> None:
 _HEADER_CHUNK = 64
 
 
-def _read_pgm_header(f) -> tuple[int, int, int, int]:
+def _read_pgm_header(f, path: str = "<stream>") -> tuple[int, int, int, int]:
     """Parse a P5 header; returns (width, height, maxval, data offset).
 
     Reads ``f`` in chunks of ``_HEADER_CHUNK`` bytes only as far as the
-    header goes, so no more than one chunk of pixel data is read.
+    header goes, so no more than one chunk of pixel data is read.  Errors
+    are ValueErrors that name ``path``.
     """
     data = bytearray()
 
@@ -50,7 +51,7 @@ def _read_pgm_header(f) -> tuple[int, int, int, int]:
         return bytes(data[pos:pos + 1])
 
     if byte_at(0) + byte_at(1) != b"P5":
-        raise ValueError("not a binary PGM (missing P5 magic)")
+        raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
     # header tokens may be separated by any whitespace and '#' comments
     tokens: list[int] = []
     pos = 2
@@ -64,7 +65,12 @@ def _read_pgm_header(f) -> tuple[int, int, int, int]:
         start = pos
         while byte_at(pos) and not byte_at(pos).isspace():
             pos += 1
-        tokens.append(int(data[start:pos]))
+        token = bytes(data[start:pos])
+        if not token:
+            raise ValueError(f"{path}: truncated PGM header")
+        if not token.isdigit():
+            raise ValueError(f"{path}: PGM header field {token!r} is not an integer")
+        tokens.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = tokens
     return w, h, maxval, pos
@@ -74,9 +80,7 @@ def read_pgm(path: str) -> np.ndarray:
     """Read a binary (P5) PGM into a 2-D uint8 array."""
     with open(path, "rb") as f:
         raw = f.read()
-    if not raw.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
-    w, h, maxval, offset = _read_pgm_header(io.BytesIO(raw))
+    w, h, maxval, offset = _read_pgm_header(io.BytesIO(raw), path)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     if len(raw) - offset < w * h:
@@ -85,17 +89,22 @@ def read_pgm(path: str) -> np.ndarray:
     return pixels.reshape(h, w).copy()
 
 
-def _read_raw(path: str) -> np.ndarray:
+def _read_dims(path: str) -> tuple[int, int]:
+    """(width, height) from the sidecar ``<path>.dims`` of a raw image."""
     dims_path = path + ".dims"
     if not os.path.exists(dims_path):
         raise ValueError(
             f"{path}: not a PGM and no sidecar dimensions file {dims_path}"
         )
-    with open(dims_path, "r", encoding="ascii") as f:
+    with open(dims_path, "rb") as f:
         parts = f.read().split()
-    if len(parts) != 2:
-        raise ValueError(f"{dims_path}: expected a single 'W H' line")
-    w, h = int(parts[0]), int(parts[1])
+    if len(parts) != 2 or not all(part.isdigit() for part in parts):
+        raise ValueError(f"{dims_path}: expected a single 'W H' line of integers")
+    return int(parts[0]), int(parts[1])
+
+
+def _read_raw(path: str) -> np.ndarray:
+    w, h = _read_dims(path)
     pixels = np.fromfile(path, dtype=np.uint8)
     if pixels.size != w * h:
         raise ValueError(
@@ -119,11 +128,6 @@ def read_image_size(path: str) -> tuple[int, int]:
         magic = f.read(2)
         if magic == b"P5":
             f.seek(0)
-            w, h, _, _ = _read_pgm_header(f)
+            w, h, _, _ = _read_pgm_header(f, path)
             return w, h
-    dims_path = path + ".dims"
-    if not os.path.exists(dims_path):
-        raise ValueError(f"{path}: not a PGM and no sidecar {dims_path}")
-    with open(dims_path, "r", encoding="ascii") as f:
-        parts = f.read().split()
-    return int(parts[0]), int(parts[1])
+    return _read_dims(path)

@@ -3,9 +3,10 @@
 Every test here re-derives its expected values from scratch (exhaustive
 scans, pair counting, hand arithmetic) rather than trusting the library,
 then prints one PASS/FAIL line straight to the terminal so a full run ends
-with visible verdicts for all eight guarantees (determinism prints two: one
-across reruns, one across BLAS thread counts).  Tests run in file order;
-the expensive cross-validation runs happen once in a shared fixture.
+with visible verdicts for all eight guarantees (determinism prints three:
+across reruns, across fold-worker counts and across BLAS thread counts).
+Tests run in file order; the expensive cross-validation runs happen once in
+a shared fixture.
 """
 
 import dataclasses
@@ -335,32 +336,52 @@ class TestLocalization:
         assert ok
 
 
+def _cv_runs(tmp_path, workers: dict[str, str]) -> tuple[list[str], list[str]]:
+    """Run the same small cv once per (output dir, fold workers) entry;
+    returns the file names of the first output and those that differ
+    between the outputs."""
+    spec = tmp_path / "synth.cfg"
+    spec.write_text("image_size = 64\nn_pos = 6\nn_neg = 14\nseed = 3\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epochs = 2\nbatch = 4\nseed = 9\n")
+    for out, n in workers.items():
+        rc = main([
+            "cv", "--config", str(cfg),
+            "--data", str(tmp_path / "d" / "manifest.csv"),
+            "--out", str(tmp_path / out), "--workers", n,
+        ])
+        assert rc == 0
+    first, *rest = workers
+    names = sorted(os.listdir(tmp_path / first))
+    diffs = [
+        name for name in names for other in rest
+        if (tmp_path / first / name).read_bytes()
+        != (tmp_path / other / name).read_bytes()
+    ]
+    return names, diffs
+
+
 class TestDeterminism:
     def test_cv_is_bitwise_reproducible(self, tmp_path, capsys):
-        spec = tmp_path / "synth.cfg"
-        spec.write_text("image_size = 64\nn_pos = 6\nn_neg = 14\nseed = 3\n")
-        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epochs = 2\nbatch = 4\nseed = 9\n")
-        for out in ("cv_a", "cv_b"):
-            rc = main([
-                "cv", "--config", str(cfg),
-                "--data", str(tmp_path / "d" / "manifest.csv"),
-                "--out", str(tmp_path / out), "--workers", "2",
-            ])
-            assert rc == 0
-        names = sorted(os.listdir(tmp_path / "cv_a"))
-        diffs = [
-            name for name in names
-            if (tmp_path / "cv_a" / name).read_bytes()
-            != (tmp_path / "cv_b" / name).read_bytes()
-        ]
+        names, diffs = _cv_runs(tmp_path, {"cv_a": "2", "cv_b": "2"})
         ok = not diffs and len(names) == 21  # 5 folds x 4 files + summary
         _verdict(
             capsys, "7 determinism", ok,
             f"two cv runs, same seed: {len(names)} output files "
             f"(checkpoints, metrics, roc, scores, summary) all bitwise "
             f"identical" if not diffs else f"two cv runs differ in {diffs}",
+        )
+        assert ok
+
+    def test_cv_matches_across_fold_workers(self, tmp_path, capsys):
+        names, diffs = _cv_runs(tmp_path, {"cv_1": "1", "cv_2": "2"})
+        ok = not diffs and len(names) == 21
+        _verdict(
+            capsys, "7 determinism", ok,
+            f"cv at 1 and 2 fold workers: {len(names)} output files all "
+            f"bitwise identical" if not diffs
+            else f"cv at 1 and 2 fold workers differs in {diffs}",
         )
         assert ok
 

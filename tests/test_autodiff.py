@@ -1,13 +1,19 @@
 """Finite-difference and oracle checks for every autodiff op."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import milnet.gradcheck as gradcheck
+import milnet.training as training
 from milnet import autodiff as ad
 from milnet.autodiff import Tensor
+from milnet.config import TrainConfig
+from milnet.evaluation import cross_validate
+from milnet.model import PRESETS, BackboneSpec
 
 
 def central_diff(f, arr, idx, step=1e-6):
@@ -207,6 +213,7 @@ def conv2d_oracle(x, w, stride, padding):
 
 
 class TestConv2d:
+    @pytest.mark.usefixtures("float64_gemms")
     def test_matches_nested_loop_oracle(self):
         rng = np.random.default_rng(42)
         for stride, padding in [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)]:
@@ -232,6 +239,7 @@ class TestConv2d:
         ref = ad.conv2d(Tensor(np.pad(x, pads)), Tensor(w), stride=stride)
         assert np.array_equal(out.data, ref.data)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_identity_kernel(self):
         x = np.random.default_rng(0).normal(size=(1, 1, 5, 5))
         w = np.zeros((1, 1, 1, 1))
@@ -239,6 +247,7 @@ class TestConv2d:
         out = ad.conv2d(Tensor(x), Tensor(w))
         assert_allclose(out.data, x, rtol=1e-15)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_kernel_gradient_fd(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(1, 2, 6, 6))
@@ -252,6 +261,7 @@ class TestConv2d:
         coords = [tuple(c) for c in rng.integers(0, [3, 2, 3, 3], size=(8, 4))]
         check_grad(build, w, coords=coords)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_input_gradient_fd(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(2, 2, 5, 5))
@@ -265,6 +275,7 @@ class TestConv2d:
         coords = [tuple(c) for c in rng.integers(0, [2, 2, 5, 5], size=(8, 4))]
         check_grad(build, x, coords=coords)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_kernel_gradient_fd_partial_last_chunk(self):
         # 3 images x 10 x 10 output positions = 300 rows: two full chunks of
         # the kernel-gradient reduction plus a partial one
@@ -294,6 +305,7 @@ class TestConv2d:
                     "noyx,ncyx->oc", g, xpad[:, :, i:i + 10, j:j + 10])
         assert_allclose(leaf.grad, ref, rtol=1e-12, atol=1e-10)
 
+    @pytest.mark.usefixtures("float64_gemms")
     @pytest.mark.parametrize("k, stride, padding, shape", [
         (11, 4, 2, (2, 3, 27, 30)),
         (5, 1, 2, (2, 4, 9, 8)),
@@ -323,11 +335,30 @@ class TestConv2d:
             :, :, padding:padding + h, padding:padding + wd]
         assert np.array_equal(leaf.grad, ref)
 
+    def test_bias_value_and_grad(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(2, 3, 2, 2))
+        w = rng.normal(size=(3, 3, 3, 3))
+        b = rng.normal(size=3)
+        xt = Tensor(x, requires_grad=True)
+        bt = Tensor(b, requires_grad=True)
+        out = ad.conv2d(xt, Tensor(w), padding=1, bias=bt)
+        bare = Tensor(x, requires_grad=True)
+        ref = ad.conv2d(bare, Tensor(w), padding=1)
+        assert np.array_equal(out.data, ref.data + b[None, :, None, None])
+        ad.reduce_sum(out).backward()
+        ad.reduce_sum(ref).backward()
+        assert_array_equal(xt.grad, bare.grad)
+        assert_array_equal(bt.grad, np.full(3, 8.0))  # 2 images x 2x2 cells
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
         with pytest.raises(ValueError):
             ad.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 2, 3, 3))))
+        with pytest.raises(ValueError, match="bias"):
+            ad.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((3, 2, 3, 3))),
+                      bias=Tensor(np.zeros(2)))
 
     def test_kernel_larger_than_input_errors(self):
         with pytest.raises(ValueError):
@@ -424,20 +455,6 @@ class TestAffineChannel:
         check_grad(build_x, x)
 
 
-class TestAddChannelBias:
-    def test_value_and_grad(self):
-        rng = np.random.default_rng(14)
-        x = rng.normal(size=(2, 3, 2, 2))
-        b = rng.normal(size=3)
-        xt = Tensor(x, requires_grad=True)
-        bt = Tensor(b, requires_grad=True)
-        out = ad.add_channel_bias(xt, bt)
-        assert_allclose(out.data, x + b[None, :, None, None], rtol=1e-14)
-        ad.reduce_sum(out).backward()
-        assert_array_equal(xt.grad, np.ones_like(x))
-        assert_array_equal(bt.grad, np.full(3, 8.0))  # 2 images x 2x2 cells
-
-
 class TestDeterminism:
     def test_identical_graphs_bitwise(self):
         rng = np.random.default_rng(99)
@@ -457,3 +474,95 @@ class TestDeterminism:
         assert l1 == l2
         assert_array_equal(gx1, gx2)
         assert_array_equal(gw1, gw2)
+
+
+def conv_layers():
+    """(input CHW, kernel OIKK, stride, padding) of every conv layer of
+    every backbone preset, as test parameters."""
+    for preset, spec in sorted(PRESETS.items()):
+        c, size, i = 1, spec.input_size, 0
+        for layer in spec.layers:
+            if layer[0] == "conv":
+                _, out_c, k, stride, padding = layer
+                yield pytest.param((c, size, size), (out_c, c, k, k), stride, padding,
+                                   id=f"{preset}-c{i}")
+                c, size, i = out_c, (size + 2 * padding - k) // stride + 1, i + 1
+            elif layer[0] == "pool":
+                _, window, stride = layer
+                size = (size - window) // stride + 1
+
+
+def conv_runs_float32() -> bool:
+    # 1 + 2**-30 rounds to 1 in float32 and is exact in float64
+    probe = ad.conv2d(Tensor(np.full((1, 1, 1, 1), 1.0 + 2.0**-30)),
+                      Tensor(np.ones((1, 1, 1, 1))))
+    return probe.data.item() == 1.0
+
+
+class TestGemmPrecision:
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_float32_operands_track_float64(self, in_chw, k_shape, stride, padding):
+        # output, kernel gradient and input gradient of the default float32
+        # operands stay within 1e-5 of each one's largest float64 magnitude
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0.0, 1.0, size=(2, *in_chw))
+        fan_in = k_shape[1] * k_shape[2] * k_shape[3]
+        w = rng.uniform(-1.0, 1.0, size=k_shape) * math.sqrt(6.0 / fan_in)
+
+        def run():
+            xt = Tensor(x, requires_grad=True)
+            wt = Tensor(w, requires_grad=True)
+            out = ad.conv2d(xt, wt, stride=stride, padding=padding)
+            coeff = np.random.default_rng(32).normal(size=out.shape)
+            ad.weighted_sum(out, coeff).backward()
+            return out.data, wt.grad, xt.grad
+
+        fast = run()
+        with ad.float64_gemms():
+            exact = run()
+        for what, got, want in zip(("output", "kernel grad", "input grad"), fast, exact):
+            dev = np.abs(got - want).max() / np.abs(want).max()
+            assert dev <= 1e-5, (what, dev)
+
+    def test_scope_is_float64_inside_only(self):
+        assert conv_runs_float32()
+        with ad.float64_gemms():
+            assert not conv_runs_float32()
+            with ad.float64_gemms():
+                assert not conv_runs_float32()
+            assert not conv_runs_float32()
+        assert conv_runs_float32()
+
+    def test_gradcheck_is_float64_and_does_not_leak(self, monkeypatch):
+        seen = []
+        objective = gradcheck.batch_objective
+
+        def recording(*args, **kwargs):
+            seen.append(conv_runs_float32())
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(gradcheck, "batch_objective", recording)
+        assert gradcheck.check_full_gradients("sparse", n_draws=1).passed
+        assert seen and not any(seen)
+        assert conv_runs_float32()
+
+    def test_cv_fold_threads_start_float32(self, tmp_path, monkeypatch):
+        seen = []
+        real_train = training.train
+
+        def recording(*args, **kwargs):
+            seen.append((threading.current_thread() is threading.main_thread(),
+                         conv_runs_float32()))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", recording)
+        rng = np.random.default_rng(0)
+        images = [rng.integers(0, 256, (16, 16)).astype(np.uint8) for _ in range(10)]
+        spec = BackboneSpec(input_size=16, layers=(("conv", 2, 3, 2, 1), ("relu",)))
+        cfg = TrainConfig(backbone=spec, epochs=1, batch_size=4, seed=3,
+                          augment_enabled=False)
+        # the scope covers this thread only; the fold workers keep the default
+        with ad.float64_gemms():
+            cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"),
+                           workers=2)
+        assert seen == [(False, True)] * 5

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 
 import numpy as np
 import pytest
@@ -109,6 +110,28 @@ class TestPgm:
             f.write(b"\x00" * 10)
         with pytest.raises(ValueError, match="sidecar"):
             load_gray_image(path)
+
+    def test_one_token_sidecar_names_the_file(self, tmp_path):
+        path = str(tmp_path / "one.raw")
+        with open(path, "wb") as f:
+            f.write(b"\x00" * 16)
+        with open(path + ".dims", "w") as f:
+            f.write("16\n")
+        for read in (read_image_size, load_gray_image):
+            with pytest.raises(ValueError, match=re.escape(path + ".dims")):
+                read(path)
+
+    @pytest.mark.parametrize("header, problem", [
+        (b"P5\n400", "truncated"),
+        (b"P5\n4 x4\n255\n" + bytes(16), "not an integer"),
+    ], ids=["truncated", "non-integer"])
+    def test_bad_header_names_the_file(self, tmp_path, header, problem):
+        path = str(tmp_path / "bad.pgm")
+        with open(path, "wb") as f:
+            f.write(header)
+        for read in (read_image_size, read_pgm, load_gray_image):
+            with pytest.raises(ValueError, match=re.escape(path) + ".*" + problem):
+                read(path)
 
     def test_raw_size_mismatch(self, tmp_path):
         path = str(tmp_path / "short.raw")

@@ -418,11 +418,13 @@ class TestInferBag:
         })
         return bag_scores(params, [z])[0]
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_returns_top(self):
         z = logit([[0.2, 0.8], [0.5, 0.1]])
         assert self.score(z) == 1.0 / (1.0 + np.exp(-z.max()))
         assert_allclose(self.score(z), 0.8, rtol=1e-15)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_single_instance(self):
         z = logit([[0.37]])  # negative: sigmoid(z) = e^z / (1 + e^z)
         assert self.score(z) == np.exp(z[0, 0]) / (1.0 + np.exp(z[0, 0]))

@@ -172,6 +172,7 @@ class TestForwardBackbone:
             ("conv", 4, 3, 1, 1), ("relu",), ("pool", 2, 2)))
         self.params = init_params(self.spec, seed=21)
 
+    @pytest.mark.usefixtures("float64_gemms")
     def test_matches_numpy_oracle(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 1, size=(2, 1, 12, 12))

@@ -28,6 +28,13 @@ the kernel taps in a fixed order.  This holds for sgemm as for dgemm, so
 repeated runs on identical inputs produce bitwise-identical values and
 gradients, at 1 and at 2 BLAS threads alike.
 
+The same holds at any core count.  A large conv2d or maxpool2d is shared
+by the calling thread and a process-wide pool with one thread per further
+CPU the process may run on.  The work splits only at image boundaries, and
+every image goes through the same BLAS calls and the same sums as it would
+unsplit; the kernel gradient's chunk products are computed on several
+threads but summed in ascending order on the calling thread.
+
 Subgradient conventions: relu'(0) = 0, and max pooling breaks ties toward
 the smallest original index.
 """
@@ -37,6 +44,10 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import partial
 
 import numpy as np
 
@@ -156,6 +167,68 @@ _gemm_dtype: contextvars.ContextVar = contextvars.ContextVar(
 )
 
 
+# Multiply-adds below which conv2d runs on the calling thread alone.  Handing
+# a share to the pool and waiting for it takes about 50 us, so splitting
+# pays only on large GEMMs.  Forced at batch 8, it slowed the three desk
+# layers (1.6M to 2.4M each) from 2.4-2.8 to 2.7-3.5 ms forward and from
+# 2.6-2.7 to 8.6-13.5 ms backward; every paper layer (187M and more) got
+# faster.  The kernel gradient compares one chunk product instead: paper
+# c0's (1M) ran its backward 2x slower split, c1-c4's (39M to 113M) faster.
+_SPLIT_MIN_MACS = 20_000_000
+
+# Window elements (batch x channels x output cells x window area) below which
+# maxpool2d runs on the calling thread alone.  An element costs about 15 ns
+# (strided copy and argmax), far more than a multiply-add in a GEMM; the
+# desk pool (16K at batch 8) got slower split, the paper pools (0.66M to
+# 3.4M) faster.
+_SPLIT_MIN_POOL_READS = 200_000
+
+# Threads besides the calling one that share the image groups of a large
+# conv2d or maxpool2d: one fewer than the CPUs this process may run on, read
+# at the first large op.  The pool is started then too, and forgotten in a
+# forked child, which has none of its threads.
+_pool_workers: int | None = None
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _shares(work: int, minimum: int) -> int:
+    """How many threads, the calling one included, share ``work``."""
+    global _pool_workers
+    if work < minimum:
+        return 1
+    if _pool_workers is None:
+        _pool_workers = len(os.sched_getaffinity(0)) - 1
+    return _pool_workers + 1
+
+
+def _run_shares(tasks: list) -> None:
+    """Call tasks[0] on this thread and the rest on the pool; return when all
+    are done, raising the first error.  The tasks only fill slices of
+    buffers the caller allocated, so worker threads allocate no large
+    arrays of their own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_pool_workers, thread_name_prefix="milnet-op")
+        pool = _pool
+    futures = [pool.submit(task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 @contextlib.contextmanager
 def float64_gemms():
     """Run conv2d with float64 GEMM operands until the block exits.
@@ -171,6 +244,17 @@ def float64_gemms():
         _gemm_dtype.reset(token)
 
 
+def _split_images(fn, n: int, shares: int) -> None:
+    """Call fn(a, b) on contiguous, nonempty image ranges [a, b) that cover
+    range(n), at most ``shares`` of them, one per thread."""
+    shares = min(shares, n)
+    if shares == 1:
+        fn(0, n)
+        return
+    bounds = [n * i // shares for i in range(shares + 1)]
+    _run_shares([partial(fn, a, b) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
 def conv2d(
     x: Tensor,
     kernel: Tensor,
@@ -184,7 +268,9 @@ def conv2d(
     No kernel flip is applied.  The GEMM operands are float32, or float64
     inside :func:`float64_gemms`; products are upcast and accumulated in
     float64.  Backward gives the gradients with respect to the input, the
-    kernel and the bias, with the same GEMM operand precision.
+    kernel and the bias, with the same GEMM operand precision.  Large
+    batches are split by image over the calling thread and the thread pool
+    (see the module docstring).
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(
@@ -209,52 +295,93 @@ def conv2d(
             f"conv2d output would be empty: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}"
         )
+    # read here: pool threads do not see the caller's float64_gemms() scope
     dtype = _gemm_dtype.get()
+    p, k = oh * ow, c * kh * kw
+    shares = _shares(n * p * o * k, _SPLIT_MIN_MACS)
     ph, pw = h + 2 * padding, w + 2 * padding
-    if padding:
-        padded = np.zeros((n, c, ph, pw), dtype=dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        padded = x.data.astype(dtype, copy=False)
+    padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
     # cols[n, p, c*kh*kw] holds the receptive field of output position p
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
-    cols = windows.reshape(n, oh * ow, c * kh * kw)
-    wmat = kernel.data.reshape(o, c * kh * kw).astype(dtype)
+    cols = np.empty((n, p, k), dtype=dtype)
+    wmat = kernel.data.reshape(o, k).astype(dtype)
+    prod = np.empty((n, p, o), dtype=dtype)
     out = np.empty((n, o, oh, ow))
-    out.reshape(n, o, oh * ow)[...] = (cols @ wmat.T).transpose(0, 2, 1)
-    if bias is not None:
-        out += bias.data[None, :, None, None]
+
+    def forward(a: int, b: int) -> None:
+        padded[a:b, :, padding:padding + h, padding:padding + w] = x.data[a:b]
+        cols[a:b].reshape(b - a, oh, ow, c, kh, kw)[...] = windows[a:b]
+        np.matmul(cols[a:b], wmat.T, out=prod[a:b])
+        out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
+        if bias is not None:
+            out[a:b] += bias.data[None, :, None, None]
+
+    _split_images(forward, n, shares)
 
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if not (kernel.requires_grad or x.requires_grad):
             return
-        g = np.ascontiguousarray(grad.reshape(n, o, oh * ow).transpose(0, 2, 1), dtype=dtype)
-        if kernel.requires_grad:
-            rows = g.reshape(n * oh * ow, o)
-            flat = cols.reshape(n * oh * ow, c * kh * kw)
-            gw = np.zeros((o, c * kh * kw))
-            for r in range(0, n * oh * ow, KERNEL_GRAD_CHUNK):
-                gw += rows[r:r + KERNEL_GRAD_CHUNK].T @ flat[r:r + KERNEL_GRAD_CHUNK]
-            kernel._accumulate(gw.reshape(o, c, kh, kw))
+        g = np.empty((n, p, o), dtype=dtype)
         if x.requires_grad:
+            gcols = np.empty((n, p, k), dtype=dtype)
+            gpad = np.zeros((n, ph, pw, c))
+
+        def input_grad(a: int, b: int) -> None:
+            g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
+            if not x.requires_grad:
+                return
             # col2im in NHWC layout: one strided add per kernel tap.  Taps go
             # in reverse row-major order, so each input cell receives its
             # terms in ascending output-position order, one at a time.
-            gcols = (g @ wmat).reshape(n, oh, ow, c, kh, kw)
-            gpad = np.zeros((n, ph, pw, c))
+            np.matmul(g[a:b], wmat, out=gcols[a:b])
+            taps = gcols[a:b].reshape(b - a, oh, ow, c, kh, kw)
             for i in range(kh - 1, -1, -1):
                 for j in range(kw - 1, -1, -1):
                     ys = slice(i, i + stride * oh, stride)
                     xs = slice(j, j + stride * ow, stride)
-                    gpad[:, ys, xs] += gcols[..., i, j]
-            gpad = gpad[:, padding:padding + h, padding:padding + w]
-            x._accumulate(gpad.transpose(0, 3, 1, 2))
+                    gpad[a:b, ys, xs] += taps[..., i, j]
+
+        _split_images(input_grad, n, shares)
+        if kernel.requires_grad:
+            gw = _chunked_product_sum(g.reshape(n * p, o), cols.reshape(n * p, k))
+            kernel._accumulate(gw.reshape(o, c, kh, kw))
+        if x.requires_grad:
+            crop = gpad[:, padding:padding + h, padding:padding + w]
+            x._accumulate(crop.transpose(0, 3, 1, 2))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _node(out, parents, backward)
+
+
+def _chunked_product_sum(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """rows.T @ flat in float64, as the ascending sum of the products of
+    ``KERNEL_GRAD_CHUNK``-row chunks.  Large chunk products are computed a
+    round at a time, one per thread, each into its own slot; the calling
+    thread then adds the round's slots in order."""
+    total = rows.shape[0]
+    gw = np.zeros((rows.shape[1], flat.shape[1]))
+    shares = _shares(KERNEL_GRAD_CHUNK * gw.size, _SPLIT_MIN_MACS)
+    starts = range(0, total, KERNEL_GRAD_CHUNK)
+    if shares == 1:
+        # no slots or hand-offs, which cost about 7 us a chunk on desk layers
+        for r in starts:
+            gw += rows[r:r + KERNEL_GRAD_CHUNK].T @ flat[r:r + KERNEL_GRAD_CHUNK]
+        return gw
+    slots = np.empty((shares, *gw.shape), dtype=rows.dtype)
+
+    def product(r: int, slot: np.ndarray) -> None:
+        chunk = slice(r, r + KERNEL_GRAD_CHUNK)
+        np.matmul(rows[chunk].T, flat[chunk], out=slot)
+
+    for first in range(0, len(starts), shares):
+        batch = starts[first:first + shares]
+        _run_shares([partial(product, r, slot) for r, slot in zip(batch, slots)])
+        for slot in slots[:len(batch)]:
+            gw += slot
+    return gw
 
 
 def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
@@ -262,7 +389,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
     Gradient is routed only to the argmax element of each window; ties go to
     the first element in row-major window order (the smallest original
-    index).
+    index).  Large batches are split by image like :func:`conv2d`.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d expects 4-D input, got {x.shape}")
@@ -273,22 +400,40 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         )
     oh = (h - window) // stride + 1
     ow = (w - window) // stride + 1
+    shares = _shares(n * c * oh * ow * window * window, _SPLIT_MIN_POOL_READS)
     view = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(2, 3))
     view = view[:, :, ::stride, ::stride]
-    flat = view.reshape(n, c, oh, ow, window * window)
-    arg = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    flat = np.empty((n, c, oh, ow, window * window))
+    arg = np.empty((n, c, oh, ow), dtype=np.intp)
+    out = np.empty((n, c, oh, ow))
+
+    def forward(a: int, b: int) -> None:
+        flat[a:b].reshape(b - a, c, oh, ow, window, window)[...] = view[a:b]
+        np.argmax(flat[a:b], axis=-1, out=arg[a:b])
+        out[a:b] = np.take_along_axis(flat[a:b], arg[a:b, ..., None], axis=-1)[..., 0]
+
+    _split_images(forward, n, shares)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        ky, kx = arg // window, arg % window
-        iy = np.arange(oh)[None, None, :, None] * stride + ky
-        ix = np.arange(ow)[None, None, None, :] * stride + kx
         gx = np.zeros((n, c, h * w))
-        nn = np.arange(n)[:, None, None, None]
-        cc = np.arange(c)[None, :, None, None]
-        np.add.at(gx, (nn, cc, iy * w + ix), grad)
+        # flat input index of each window's argmax: with arg = ky * window
+        # + kx, it is (oy * stride + ky) * w + ox * stride + kx
+        # = corner[oy, ox] + ky * (w - window) + arg
+        corner = (np.arange(oh)[:, None] * w + np.arange(ow)) * stride
+        src = np.empty((n, c, oh, ow), dtype=np.intp)
+        cc = np.arange(c)[:, None, None]
+
+        def scatter(a: int, b: int) -> None:
+            np.floor_divide(arg[a:b], window, out=src[a:b])
+            src[a:b] *= w - window
+            src[a:b] += arg[a:b]
+            src[a:b] += corner
+            nn = np.arange(b - a)[:, None, None, None]
+            np.add.at(gx[a:b], (nn, cc, src[a:b]), grad[a:b])
+
+        _split_images(scatter, n, shares)
         x._accumulate(gx.reshape(n, c, h, w))
 
     return _node(out, (x,), backward)

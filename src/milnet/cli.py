@@ -80,6 +80,16 @@ def _cmd_train(args) -> int:
     cfg, raw = _load_config(args.config)
     if args.select_k:
         check_select_k(cfg)
+    resume_state = None
+    if args.resume:
+        resume_state, ckpt_cfg = load_checkpoint(args.resume)
+        if ckpt_cfg.backbone.describe() != cfg.backbone.describe():
+            raise ValueError(
+                "checkpoint backbone does not match the configured backbone"
+            )
+        if "lr" not in raw:
+            cfg = dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
+        _log(f"resuming from {args.resume} at step {resume_state.step}")
     dataset = load_dataset(load_manifest(args.data))
     if args.val_data:
         val_set = load_dataset(load_manifest(args.val_data))
@@ -95,16 +105,6 @@ def _cmd_train(args) -> int:
         va_imgs = [dataset.images[i] for i in val_idx]
         va_labels = dataset.labels[val_idx]
         _log(f"holding out {len(va_imgs)} of {len(dataset)} images for validation")
-    resume_state = None
-    if args.resume:
-        resume_state, ckpt_cfg = load_checkpoint(args.resume)
-        if ckpt_cfg.backbone.describe() != cfg.backbone.describe():
-            raise ValueError(
-                "checkpoint backbone does not match the configured backbone"
-            )
-        if "lr" not in raw:
-            cfg = dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
-        _log(f"resuming from {args.resume} at step {resume_state.step}")
     if args.select_k:
         chosen_k, result = select_k(tr_imgs, tr_labels, va_imgs, va_labels, cfg, log=_log)
         _log(f"selected k = {chosen_k}")
@@ -189,11 +189,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bag(args) -> int:
+    models = [load_checkpoint(ckpt_path) for ckpt_path in args.ckpts]
     dataset = load_dataset(load_manifest(args.data))
-    per_model = []
-    for ckpt_path in args.ckpts:
-        state, cfg = load_checkpoint(ckpt_path)
-        per_model.append(bag_scores(state.params, prepare_inputs(dataset.images, cfg)))
+    per_model = [
+        bag_scores(state.params, prepare_inputs(dataset.images, cfg))
+        for state, cfg in models
+    ]
     combined = bagging(per_model, mode=args.mode)
     names = [os.path.basename(p) for p in dataset.paths]
     _eval_outputs(args.out, names, dataset.labels, combined)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 
 import numpy as np
 
@@ -31,6 +32,12 @@ def write_pgm(path: str, pixels: np.ndarray) -> None:
 # bytes per read while parsing a header; a plain header fits in one read
 _HEADER_CHUNK = 64
 
+# runs scanned in a header: whitespace, the rest of a '#' comment line, and
+# one token (bytes.isspace and regex \s agree on the whitespace bytes)
+_SPACES = re.compile(rb"\s*")
+_COMMENT = re.compile(rb"[^\n]*")
+_TOKEN = re.compile(rb"\S*")
+
 
 def _read_pgm_header(f, path: str = "<stream>") -> tuple[int, int, int, int]:
     """Parse a P5 header; returns (width, height, maxval, data offset).
@@ -41,45 +48,47 @@ def _read_pgm_header(f, path: str = "<stream>") -> tuple[int, int, int, int]:
     """
     data = bytearray()
 
-    def byte_at(pos: int) -> bytes:
-        # the byte at pos, or b"" past the end of the file
-        while pos >= len(data):
+    def scan(run: re.Pattern, pos: int) -> int:
+        # end of the run starting at pos, reading on while it reaches the
+        # end of what has been read
+        while True:
+            pos = run.match(data, pos).end()
+            if pos < len(data):
+                return pos
             more = f.read(_HEADER_CHUNK)
             if not more:
-                return b""
+                return pos
             data.extend(more)
-        return bytes(data[pos:pos + 1])
 
-    if byte_at(0) + byte_at(1) != b"P5":
+    while len(data) < 2:
+        more = f.read(_HEADER_CHUNK)
+        if not more:
+            break
+        data.extend(more)
+    if data[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (missing P5 magic)")
     # header tokens may be separated by any whitespace and '#' comments
     tokens: list[int] = []
     pos = 2
     while len(tokens) < 3:
-        while byte_at(pos).isspace():
-            pos += 1
-        if byte_at(pos) == b"#":
-            while byte_at(pos) not in (b"\n", b""):
-                pos += 1
+        pos = scan(_SPACES, pos)
+        if data[pos:pos + 1] == b"#":
+            pos = scan(_COMMENT, pos)
             continue
-        start = pos
-        while byte_at(pos) and not byte_at(pos).isspace():
-            pos += 1
-        token = bytes(data[start:pos])
+        end = scan(_TOKEN, pos)
+        token = bytes(data[pos:end])
         if not token:
             raise ValueError(f"{path}: truncated PGM header")
         if not token.isdigit():
             raise ValueError(f"{path}: PGM header field {token!r} is not an integer")
         tokens.append(int(token))
+        pos = end
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = tokens
     return w, h, maxval, pos
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Read a binary (P5) PGM into a 2-D uint8 array."""
-    with open(path, "rb") as f:
-        raw = f.read()
+def _decode_pgm(raw: bytes, path: str) -> np.ndarray:
     w, h, maxval, offset = _read_pgm_header(io.BytesIO(raw), path)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
@@ -87,6 +96,12 @@ def read_pgm(path: str) -> np.ndarray:
         raise ValueError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=offset)
     return pixels.reshape(h, w).copy()
+
+
+def read_pgm(path: str) -> np.ndarray:
+    """Read a binary (P5) PGM into a 2-D uint8 array."""
+    with open(path, "rb") as f:
+        return _decode_pgm(f.read(), path)
 
 
 def _read_dims(path: str) -> tuple[int, int]:
@@ -103,23 +118,18 @@ def _read_dims(path: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _read_raw(path: str) -> np.ndarray:
-    w, h = _read_dims(path)
-    pixels = np.fromfile(path, dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(
-            f"{path}: raw file holds {pixels.size} bytes, dimensions say {w * h}"
-        )
-    return pixels.reshape(h, w)
-
-
 def load_gray_image(path: str) -> np.ndarray:
     """Load a grayscale image (PGM or raw+sidecar) as a 2-D uint8 array."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-    if magic == b"P5":
-        return read_pgm(path)
-    return _read_raw(path)
+        raw = f.read()
+    if raw[:2] == b"P5":
+        return _decode_pgm(raw, path)
+    w, h = _read_dims(path)
+    if len(raw) != w * h:
+        raise ValueError(
+            f"{path}: raw file holds {len(raw)} bytes, dimensions say {w * h}"
+        )
+    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
 
 
 def read_image_size(path: str) -> tuple[int, int]:

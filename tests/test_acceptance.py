@@ -3,8 +3,9 @@
 Every test here re-derives its expected values from scratch (exhaustive
 scans, pair counting, hand arithmetic) rather than trusting the library,
 then prints one PASS/FAIL line straight to the terminal so a full run ends
-with visible verdicts for all eight guarantees (determinism prints three:
-across reruns, across fold-worker counts and across BLAS thread counts).
+with visible verdicts for all eight guarantees (determinism prints four:
+across reruns, across fold-worker counts, across BLAS thread counts and
+across CPU counts).
 Tests run in file order; the expensive cross-validation runs happen once in
 a shared fixture.
 """
@@ -386,53 +387,88 @@ class TestDeterminism:
         assert ok
 
     def test_checkpoints_match_across_blas_threads(self, tmp_path, capsys):
-        # each run is a fresh process, because BLAS reads its thread count
-        # from the environment once, when numpy is loaded
-        spec = tmp_path / "synth.cfg"
-        spec.write_text("image_size = 224\nn_pos = 5\nn_neg = 5\nseed = 4\n")
-        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
-        src = str(Path(milnet.__file__).resolve().parents[1])
-        runs = {
-            "paper": "preset = paper\nhead = sparse\nepochs = 1\nbatch = 8\nseed = 6\n",
-            "desk": "epochs = 2\nbatch = 4\nseed = 6\n",
-        }
-        digests = {}
-        for name, text in runs.items():
-            cfg = tmp_path / f"{name}.cfg"
-            cfg.write_text(text)
-            for threads in ("1", "2"):
-                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                           OMP_NUM_THREADS=threads)
-                env["PYTHONPATH"] = os.pathsep.join(
-                    filter(None, [src, os.environ.get("PYTHONPATH")]))
-                out = tmp_path / f"{name}_{threads}.miln"
-                scored = tmp_path / f"{name}_{threads}_eval"
-                manifest = str(tmp_path / "d" / "manifest.csv")
-                for argv in (
-                    ["train", "--config", str(cfg), "--data", manifest,
-                     "--out", str(out)],
-                    # inference forwards batches of images through stacked
-                    # GEMMs, so its scores are checked too
-                    ["eval", "--ckpt", str(out), "--data", manifest,
-                     "--out", str(scored)],
-                ):
-                    proc = subprocess.run(
-                        [sys.executable, "-m", "milnet.cli", *argv],
-                        env=env, capture_output=True, text=True, timeout=600,
-                    )
-                    assert proc.returncode == 0, proc.stderr
-                digests[name, threads] = (
-                    hashlib.sha256(out.read_bytes()).hexdigest(),
-                    hashlib.sha256((scored / "scores.csv").read_bytes()).hexdigest(),
-                )
-        same = [name for name in runs if digests[name, "1"] == digests[name, "2"]]
-        ok = len(same) == len(runs)
+        all_cpus = sorted(os.sched_getaffinity(0))
+        digests = _train_eval_digests(tmp_path, {"1": ("1", all_cpus), "2": ("2", all_cpus)})
+        same = [name for name in _PRESET_RUNS if digests[name, "1"] == digests[name, "2"]]
+        ok = len(same) == len(_PRESET_RUNS)
         _verdict(
             capsys, "7 determinism", ok,
             f"train checkpoints and eval scores at 1 and 2 BLAS threads "
-            f"bitwise identical for presets {same} of {list(runs)}",
+            f"bitwise identical for presets {same} of {list(_PRESET_RUNS)}",
         )
         assert ok
+
+    def test_checkpoints_match_across_cpu_counts(self, tmp_path, capsys):
+        # conv2d and maxpool2d share large batches with one pool thread per
+        # CPU beyond the first; pinned to one CPU, they run unsplit
+        all_cpus = sorted(os.sched_getaffinity(0))
+        if len(all_cpus) < 2:
+            pytest.skip("needs at least 2 usable CPUs")
+        digests = _train_eval_digests(
+            tmp_path, {"one": ("1", all_cpus[:1]), "all": ("1", all_cpus)})
+        same = [name for name in _PRESET_RUNS if digests[name, "one"] == digests[name, "all"]]
+        ok = len(same) == len(_PRESET_RUNS)
+        _verdict(
+            capsys, "7 determinism", ok,
+            f"train checkpoints and eval scores on 1 and {len(all_cpus)} CPUs "
+            f"bitwise identical for presets {same} of {list(_PRESET_RUNS)}",
+        )
+        assert ok
+
+
+# the runs of _train_eval_digests: the paper preset at its own batch size,
+# so its conv and pool layers are large enough to be split, and the desk one
+_PRESET_RUNS = {
+    "paper": "preset = paper\nhead = sparse\nepochs = 1\nbatch = 8\nseed = 6\n",
+    "desk": "epochs = 2\nbatch = 4\nseed = 6\n",
+}
+
+# runs the command line on the CPUs listed in argv[1]
+_PINNED_CLI = (
+    "import os, sys\n"
+    "os.sched_setaffinity(0, [int(cpu) for cpu in sys.argv[1].split(',')])\n"
+    "from milnet.cli import main\n"
+    "sys.exit(main(sys.argv[2:]))\n"
+)
+
+
+def _train_eval_digests(tmp_path, variants: dict[str, tuple[str, list[int]]]) -> dict:
+    """Train and evaluate each of _PRESET_RUNS once per variant, a
+    (BLAS threads, CPUs) pair; returns the SHA-256 of the checkpoint and of
+    the eval scores per (preset, variant).  Each run is a fresh process,
+    because BLAS reads its thread count from the environment once, when
+    numpy is loaded."""
+    spec = tmp_path / "synth.cfg"
+    spec.write_text("image_size = 224\nn_pos = 5\nn_neg = 5\nseed = 4\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+    src = str(Path(milnet.__file__).resolve().parents[1])
+    manifest = str(tmp_path / "d" / "manifest.csv")
+    digests = {}
+    for name, text in _PRESET_RUNS.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        for variant, (threads, cpus) in variants.items():
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))
+            out = tmp_path / f"{name}_{variant}.miln"
+            scored = tmp_path / f"{name}_{variant}_eval"
+            for argv in (
+                ["train", "--config", str(cfg), "--data", manifest, "--out", str(out)],
+                # inference forwards batches of images through stacked
+                # GEMMs, so its scores are checked too
+                ["eval", "--ckpt", str(out), "--data", manifest, "--out", str(scored)],
+            ):
+                proc = subprocess.run(
+                    [sys.executable, "-c", _PINNED_CLI, ",".join(map(str, cpus)), *argv],
+                    env=env, capture_output=True, text=True, timeout=600,
+                )
+                assert proc.returncode == 0, proc.stderr
+            digests[name, variant] = (
+                hashlib.sha256(out.read_bytes()).hexdigest(),
+                hashlib.sha256((scored / "scores.csv").read_bytes()).hexdigest(),
+            )
+    return digests
 
 
 class TestOverfitSanity:

@@ -1,6 +1,10 @@
 """Finite-difference and oracle checks for every autodiff op."""
 
+import contextlib
+import hashlib
 import math
+import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -492,6 +496,21 @@ def conv_layers():
                 size = (size - window) // stride + 1
 
 
+def pool_layers():
+    """(input CHW, window, stride) of every pool layer of every backbone
+    preset, as test parameters."""
+    for preset, spec in sorted(PRESETS.items()):
+        c, size, i = 1, spec.input_size, 0
+        for layer in spec.layers:
+            if layer[0] == "conv":
+                _, c, k, stride, padding = layer
+                size = (size + 2 * padding - k) // stride + 1
+            elif layer[0] == "pool":
+                _, window, stride = layer
+                yield pytest.param((c, size, size), window, stride, id=f"{preset}-p{i}")
+                size, i = (size - window) // stride + 1, i + 1
+
+
 def conv_runs_float32() -> bool:
     # 1 + 2**-30 rounds to 1 in float32 and is exact in float64
     probe = ad.conv2d(Tensor(np.full((1, 1, 1, 1), 1.0 + 2.0**-30)),
@@ -566,3 +585,132 @@ class TestGemmPrecision:
             cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"),
                            workers=2)
         assert seen == [(False, True)] * 5
+
+
+def conv_bytes(x, w, b, stride, padding) -> list[np.ndarray]:
+    """Output and input, kernel and bias gradients of one conv2d."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = ad.conv2d(xt, wt, stride=stride, padding=padding, bias=bt)
+    ad.l2_norm_sq(out).backward()
+    return [out.data, xt.grad, wt.grad, bt.grad]
+
+
+def conv_layer_inputs(in_chw, k_shape, n=3):
+    rng = np.random.default_rng(41)
+    x = rng.uniform(0.0, 1.0, size=(n, *in_chw))
+    w = rng.normal(size=k_shape) / math.sqrt(k_shape[1] * k_shape[2] * k_shape[3])
+    return x, w, rng.normal(size=k_shape[0])
+
+
+class TestSplitOps:
+    """conv2d and maxpool2d split by image over a thread pool give the bytes
+    of the unsplit op, at any worker count.  Three images make uneven
+    groups for two shares and one image per share for three."""
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_conv_bytes_do_not_depend_on_workers(
+        self, split_ops, in_chw, k_shape, stride, padding, gemms
+    ):
+        x, w, b = conv_layer_inputs(in_chw, k_shape)
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        runs = {}
+        with scope:
+            for workers in (0, 1, 2):
+                split_ops(workers)
+                runs[workers] = conv_bytes(x, w, b, stride, padding)
+        for workers in (1, 2):
+            for what, got, want in zip(("output", "input grad", "kernel grad", "bias grad"),
+                                       runs[workers], runs[0]):
+                assert got.dtype == want.dtype and np.array_equal(got, want), (workers, what)
+
+    @pytest.mark.parametrize("in_chw, window, stride", list(pool_layers()))
+    def test_maxpool_bytes_do_not_depend_on_workers(
+        self, split_ops, in_chw, window, stride
+    ):
+        # values on a coarse grid, so many windows hold ties
+        x = np.round(np.random.default_rng(43).normal(size=(3, *in_chw)) * 2) / 2
+        runs = {}
+        for workers in (0, 1, 2):
+            split_ops(workers)
+            xt = Tensor(x, requires_grad=True)
+            out = ad.maxpool2d(xt, window, stride)
+            ad.l2_norm_sq(out).backward()
+            runs[workers] = (out.data, xt.grad)
+        for workers in (1, 2):
+            assert np.array_equal(runs[workers][0], runs[0][0]), workers
+            assert np.array_equal(runs[workers][1], runs[0][1]), workers
+
+    @pytest.mark.usefixtures("float64_gemms")
+    def test_split_shares_run_float64(self, split_ops):
+        # the scope is read on the calling thread and handed to the pool
+        # threads, so split outputs meet the float64 oracle's tolerance
+        split_ops(2)
+        rng = np.random.default_rng(45)
+        for stride, padding in [(1, 1), (2, 0), (3, 2)]:
+            x = rng.normal(size=(3, 3, 9, 9))
+            w = rng.normal(size=(4, 3, 3, 3))
+            out = ad.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+            assert_allclose(
+                out.data, conv2d_oracle(x, w, stride, padding),
+                rtol=1e-12, atol=1e-12,
+            )
+        assert ad._pool is not None
+
+    def test_concurrent_callers_share_the_pool(self, split_ops):
+        # more callers and pool threads than cores, switching often, as
+        # cross_validate's fold threads would at the paper preset
+        x, w, b = conv_layer_inputs((8, 16, 16), (16, 8, 3, 3), n=4)
+        split_ops(0)
+        want = conv_bytes(x, w, b, 1, 1)
+        split_ops(3)
+        results = [None] * 4
+
+        def caller(i: int) -> None:
+            results[i] = conv_bytes(x, w, b, 1, 1)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert got is not None
+            assert all(np.array_equal(g, e) for g, e in zip(got, want))
+
+    def test_forked_child_starts_its_own_pool(self, split_ops):
+        split_ops(1)
+        x, w, b = conv_layer_inputs((8, 16, 16), (16, 8, 3, 3))
+
+        def digest() -> str:
+            return hashlib.sha256(
+                b"".join(a.tobytes() for a in conv_bytes(x, w, b, 1, 1))
+            ).hexdigest()
+
+        want = digest()  # starts the pool in this process
+        assert ad._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def child() -> None:
+            send.send((digest(), ad._pool is not None))
+
+        proc = ctx.Process(target=child)
+        proc.start()
+        try:
+            # without a fresh pool the child waits forever on the first split
+            assert receive.poll(60), "forked child did not finish a conv2d in 60 s"
+            got, child_pool = receive.recv()
+        finally:
+            proc.kill()
+            proc.join(10)
+            receive.close()
+            send.close()
+        assert got == want
+        assert child_pool

@@ -130,16 +130,26 @@ class TestTrain:
         assert f"resuming from {ckpt_path} at step {start_step}" in capsys.readouterr().err
         assert load_checkpoint(str(out))[0].step > start_step
 
-    def test_resume_backbone_mismatch(self, data_dir, ckpt_path, tmp_path, capsys):
+    def test_resume_backbone_mismatch(
+        self, data_dir, ckpt_path, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the checkpoint check")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("preset = paper\nepochs = 1\n")
+        out = tmp_path / "m.miln"
         rc = main([
             "train", "--config", str(cfg),
             "--data", str(data_dir / "manifest.csv"),
-            "--resume", str(ckpt_path), "--out", str(tmp_path / "m.miln"),
+            "--resume", str(ckpt_path), "--out", str(out),
         ])
         assert rc == 2
         assert "backbone does not match" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_select_k(self, data_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -297,6 +307,26 @@ class TestBag:
         ])
         assert rc == 0
         assert (out_b / "scores.csv").read_text() == (out_e / "scores.csv").read_text()
+
+    def test_corrupt_second_checkpoint_exits_2_before_loading(
+        self, data_dir, ckpt_path, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before every checkpoint was read")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        corrupt = tmp_path / "corrupt.miln"
+        corrupt.write_bytes(ckpt_path.read_bytes()[:200])
+        out = tmp_path / "bag"
+        rc = main([
+            "bag", "--ckpts", str(ckpt_path), str(corrupt),
+            "--data", str(data_dir / "manifest.csv"), "--out", str(out),
+        ])
+        assert rc == 2
+        assert "truncated checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vote_mode(self, data_dir, ckpt_path, tmp_path):
         out = tmp_path / "bag"

@@ -35,6 +35,21 @@ every image goes through the same BLAS calls and the same sums as it would
 unsplit; the kernel gradient's chunk products are computed on several
 threads but summed in ascending order on the calling thread.
 
+Forward-only branches: when no operand of conv2d or maxpool2d requires a
+gradient, as in ``model.response_grids``, the op builds no graph state and
+gives the same bytes by a cheaper route.  conv2d lays its float32 im2col
+columns out channel-major, (n, c*kh*kw, oh*ow), so the kernel matrix times
+the columns lands in NCHW order with no transpose; with OpenBLAS 0.3.31,
+sgemm rounds each output as it does from the graph path's row-major
+columns.  dgemm does not (paper layers c0 and c1), so float64 operands keep
+the graph's layout.  maxpool2d takes np.maximum tap by tap in row-major
+window order with the running max as the second argument, which numpy
+returns on a tie (-0.0 against +0.0 too), so the earlier tap wins as in
+argmax.  Inside ``_forward_buffers()``, which response_grids opens for its
+whole call, conv2d takes its padded input, columns and GEMM product from
+one buffer per role on the calling thread, grown when too small and dropped
+when the block exits or raises; output arrays are always fresh.
+
 Subgradient conventions: relu'(0) = 0, and max pooling breaks ties toward
 the smallest original index.
 """
@@ -255,6 +270,36 @@ def _split_images(fn, n: int, shares: int) -> None:
     _run_shares([partial(fn, a, b) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
+# This thread's forward-only buffers by role, while _forward_buffers() is open
+_scratch = threading.local()
+
+
+@contextlib.contextmanager
+def _forward_buffers():
+    """Let forward-only ops on this thread take their scratch arrays from
+    one buffer per role, kept until the block exits or raises."""
+    outer = getattr(_scratch, "buffers", None)
+    _scratch.buffers = {}
+    try:
+        yield
+    finally:
+        _scratch.buffers = outer
+
+
+def _scratch_array(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array for a forward-only temporary: a view of this
+    thread's ``role`` buffer inside :func:`_forward_buffers`, grown when too
+    small, and a fresh array outside it."""
+    buffers = getattr(_scratch, "buffers", None)
+    if buffers is None:
+        return np.empty(shape, dtype=dtype)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    buf = buffers.get(role)
+    if buf is None or buf.size < nbytes:
+        buf = buffers[role] = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def conv2d(
     x: Tensor,
     kernel: Tensor,
@@ -270,7 +315,8 @@ def conv2d(
     float64.  Backward gives the gradients with respect to the input, the
     kernel and the bias, with the same GEMM operand precision.  Large
     batches are split by image over the calling thread and the thread pool
-    (see the module docstring).
+    (see the module docstring).  When no operand requires a gradient, the
+    forward-only branch gives the same bytes with channel-major columns.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(
@@ -300,24 +346,48 @@ def conv2d(
     p, k = oh * ow, c * kh * kw
     shares = _shares(n * p * o * k, _SPLIT_MIN_MACS)
     ph, pw = h + 2 * padding, w + 2 * padding
-    padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
-    # cols[n, p, c*kh*kw] holds the receptive field of output position p
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    graph = any(t.requires_grad for t in parents)
+    # A graph keeps cols[n, p, c*kh*kw], the receptive field of each output
+    # position p, as the rows its kernel gradient reduces over.  Forward-only
+    # float32 columns are channel-major, cols[n, c*kh*kw, p], so that
+    # wmat @ cols lands in NCHW; float64 ones are not, as dgemm would round
+    # paper c0 and c1 differently from the graph (module docstring).
+    channel_major = not graph and dtype == np.float32
+    if channel_major:
+        cols_shape, prod_shape, axes = (n, k, p), (n, o, p), (0, 1, 4, 5, 2, 3)
+    else:
+        cols_shape, prod_shape, axes = (n, p, k), (n, p, o), (0, 2, 3, 1, 4, 5)
+    if graph:
+        padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
+        cols = np.empty(cols_shape, dtype=dtype)
+        prod = np.empty(prod_shape, dtype=dtype)
+    else:
+        padded = _scratch_array("padded", (n, c, ph, pw), dtype)
+        if padding:
+            padded.fill(0)
+        cols = _scratch_array("cols", cols_shape, dtype)
+        prod = _scratch_array("prod", prod_shape, dtype)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
-    cols = np.empty((n, p, k), dtype=dtype)
+    windows = windows[:, :, ::stride, ::stride].transpose(axes)
     wmat = kernel.data.reshape(o, k).astype(dtype)
-    prod = np.empty((n, p, o), dtype=dtype)
     out = np.empty((n, o, oh, ow))
 
     def forward(a: int, b: int) -> None:
         padded[a:b, :, padding:padding + h, padding:padding + w] = x.data[a:b]
-        cols[a:b].reshape(b - a, oh, ow, c, kh, kw)[...] = windows[a:b]
-        np.matmul(cols[a:b], wmat.T, out=prod[a:b])
-        out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
+        cols[a:b].reshape(windows[a:b].shape)[...] = windows[a:b]
+        if channel_major:
+            np.matmul(wmat, cols[a:b], out=prod[a:b])
+            out[a:b].reshape(b - a, o, p)[...] = prod[a:b]
+        else:
+            np.matmul(cols[a:b], wmat.T, out=prod[a:b])
+            out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
         if bias is not None:
             out[a:b] += bias.data[None, :, None, None]
 
     _split_images(forward, n, shares)
+    if not graph:
+        return Tensor(out)
 
     def backward(grad: np.ndarray) -> None:
         if bias is not None and bias.requires_grad:
@@ -352,7 +422,6 @@ def conv2d(
             crop = gpad[:, padding:padding + h, padding:padding + w]
             x._accumulate(crop.transpose(0, 3, 1, 2))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     return _node(out, parents, backward)
 
 
@@ -389,7 +458,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
     Gradient is routed only to the argmax element of each window; ties go to
     the first element in row-major window order (the smallest original
-    index).  Large batches are split by image like :func:`conv2d`.
+    index).  Large batches are split by image like :func:`conv2d`.  When
+    ``x`` requires no gradient, the forward-only branch takes the max tap by
+    tap, with the same ties, and keeps no argmax.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d expects 4-D input, got {x.shape}")
@@ -403,9 +474,20 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
     shares = _shares(n * c * oh * ow * window * window, _SPLIT_MIN_POOL_READS)
     view = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(2, 3))
     view = view[:, :, ::stride, ::stride]
+    out = np.empty((n, c, oh, ow))
+    if not x.requires_grad:
+        def forward_only(a: int, b: int) -> None:
+            # np.maximum returns its second argument on a tie, -0.0 against
+            # +0.0 included, so the earlier tap wins, as in argmax
+            out[a:b] = view[a:b, ..., 0, 0]
+            for tap in range(1, window * window):
+                np.maximum(view[a:b, ..., tap // window, tap % window], out[a:b],
+                           out=out[a:b])
+
+        _split_images(forward_only, n, shares)
+        return Tensor(out)
     flat = np.empty((n, c, oh, ow, window * window))
     arg = np.empty((n, c, oh, ow), dtype=np.intp)
-    out = np.empty((n, c, oh, ow))
 
     def forward(a: int, b: int) -> None:
         flat[a:b].reshape(b - a, c, oh, ow, window, window)[...] = view[a:b]

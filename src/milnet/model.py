@@ -266,11 +266,16 @@ def response_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
     leaves = params_to_leaves(params, requires_grad=False)
     _, grid_h, grid_w = output_geometry(params.spec)
     grids = np.empty((len(images), grid_h, grid_w))
-    for start in range(0, len(images), INFER_BATCH):
-        batch = np.stack(images[start:start + INFER_BATCH])[:, None, :, :]
-        fmap = forward_backbone(Tensor(batch), params.spec, leaves)
-        logits = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
-        grids[start:start + len(batch)] = ad.sigmoid(logits).data.reshape(-1, grid_h, grid_w)
+    # no leaf requires a gradient, so conv2d and maxpool2d take their
+    # forward-only branches, which reuse these buffers from batch to batch
+    with ad._forward_buffers():
+        for start in range(0, len(images), INFER_BATCH):
+            batch = np.stack(images[start:start + INFER_BATCH])[:, None, :, :]
+            fmap = forward_backbone(Tensor(batch), params.spec, leaves)
+            logits = instance_responses(fmap, leaves["response.weight"],
+                                        leaves["response.bias"])
+            grids[start:start + len(batch)] = ad.sigmoid(logits).data.reshape(
+                -1, grid_h, grid_w)
     return grids
 
 

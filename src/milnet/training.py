@@ -363,7 +363,7 @@ def save_checkpoint(path: str, state: TrainState, cfg: TrainConfig) -> None:
 def _read_exact(f, count: int, what: str) -> bytes:
     data = f.read(count)
     if len(data) != count:
-        raise ValueError(f"truncated checkpoint while reading {what}")
+        raise ValueError(f"{f.name}: truncated checkpoint while reading {what}")
     return data
 
 
@@ -418,7 +418,7 @@ def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
             if not head:
                 break
             if len(head) != 4:
-                raise ValueError("truncated checkpoint while reading name length")
+                raise ValueError(f"{path}: truncated checkpoint while reading name length")
             (name_len,) = struct.unpack("<I", head)
             name = _read_exact(f, name_len, "tensor name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(f, 4, f"{name} rank"))

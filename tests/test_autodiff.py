@@ -1,11 +1,13 @@
 """Finite-difference and oracle checks for every autodiff op."""
 
 import contextlib
+import gc
 import hashlib
 import math
 import multiprocessing
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
 from milnet.evaluation import cross_validate
-from milnet.model import PRESETS, BackboneSpec
+from milnet.model import PRESETS, BackboneSpec, init_params, response_grids
 
 
 def central_diff(f, arr, idx, step=1e-6):
@@ -714,3 +716,108 @@ class TestSplitOps:
             send.close()
         assert got == want
         assert child_pool
+
+
+class TestForwardOnly:
+    """conv2d and maxpool2d without any operand that requires a gradient take
+    a forward-only branch; it gives the bytes of the graph path, at any
+    worker count, and inside response_grids reuses one buffer per role."""
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_conv_bytes_match_graph(
+        self, split_ops, in_chw, k_shape, stride, padding, gemms
+    ):
+        x, w, b = conv_layer_inputs(in_chw, k_shape)
+        (o, c, k, _), (_, size, _) = k_shape, in_chw
+        cells = ((size + 2 * padding - k) // stride + 1) ** 2
+        # bytes of the largest temporary of this layer
+        stale = 8 * len(x) * max(c * (size + 2 * padding) ** 2, c * k * k * cells, o * cells)
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        with scope:
+            want = conv_bytes(x, w, b, stride, padding)[0]
+            for workers in (0, 1, 2):
+                split_ops(workers)
+                with ad._forward_buffers():
+                    # stale values in every buffer, as an earlier layer leaves them
+                    for role in ("padded", "cols", "prod"):
+                        ad._scratch_array(role, (stale,), np.uint8).fill(0xFF)
+                    got = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b))
+                assert got._backward_fn is None and not got.requires_grad
+                assert got.data.dtype == want.dtype, workers
+                assert got.data.tobytes() == want.tobytes(), workers
+
+    @pytest.mark.parametrize("in_chw, window, stride", list(pool_layers()))
+    def test_maxpool_bytes_match_graph(self, split_ops, in_chw, window, stride):
+        # mostly signed zeros, so many windows tie at 0 with -0.0 before +0.0
+        # or after it; argmax keeps the first of a tie, and so must the
+        # tap-wise max
+        rng = np.random.default_rng(47)
+        x = rng.choice(np.array([-0.0, 0.0, 0.0, -0.0, -1.0, 0.5]), size=(3, *in_chw))
+        xt = Tensor(x, requires_grad=True)
+        want = ad.maxpool2d(xt, window, stride).data
+        zeros = want[want == 0.0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        for workers in (0, 1, 2):
+            split_ops(workers)
+            got = ad.maxpool2d(Tensor(x), window, stride)
+            assert got._backward_fn is None and not got.requires_grad
+            assert got.data.tobytes() == want.tobytes(), workers
+
+    def test_response_grids_hold_no_buffer_after_return_or_raise(self, monkeypatch):
+        params = init_params(PRESETS["desk"], seed=5)
+        rng = np.random.default_rng(48)
+        images = [rng.uniform(0, 1, size=(64, 64)) for _ in range(9)]
+        held = []
+        real_conv2d = ad.conv2d
+
+        def recording(*args, **kwargs):
+            out = real_conv2d(*args, **kwargs)
+            held.extend(weakref.ref(buf) for buf in ad._scratch.buffers.values())
+            return out
+
+        monkeypatch.setattr(ad, "conv2d", recording)
+        response_grids(params, images)
+        assert len(held) == 3 * 2 * 3  # three roles, three layers, two batches
+        assert getattr(ad._scratch, "buffers", None) is None
+        gc.collect()
+        assert all(ref() is None for ref in held)
+
+        # the second batch fails in forward_backbone, after the first has
+        # filled the buffers
+        held.clear()
+        with pytest.raises(ValueError, match="does not match backbone input size"):
+            response_grids(params, images[:8] + [np.zeros((32, 32))])
+        assert held
+        assert getattr(ad._scratch, "buffers", None) is None
+        gc.collect()
+        assert all(ref() is None for ref in held)
+
+    def test_concurrent_response_grids_give_serial_bytes(self, split_ops):
+        # each caller's forward-only ops use that caller's buffers, also in
+        # the shares pool threads run for them
+        params = init_params(PRESETS["desk"], seed=6)
+        rng = np.random.default_rng(49)
+        images = [[rng.uniform(0, 1, size=(64, 64)) for _ in range(11)] for _ in range(2)]
+        split_ops(0)
+        want = [response_grids(params, batch).tobytes() for batch in images]
+        split_ops(1)
+        results = [None, None]
+
+        def caller(i: int) -> None:
+            for _ in range(3):
+                got = response_grids(params, images[i]).tobytes()
+                results[i] = got if results[i] in (None, got) else b"differs"
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == want

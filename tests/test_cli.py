@@ -325,7 +325,7 @@ class TestBag:
             "--data", str(data_dir / "manifest.csv"), "--out", str(out),
         ])
         assert rc == 2
-        assert "truncated checkpoint" in capsys.readouterr().err
+        assert f"{corrupt}: truncated checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
     def test_vote_mode(self, data_dir, ckpt_path, tmp_path):

@@ -1,5 +1,7 @@
 """Backbone geometry, parameter init, and response-layer checks."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -17,6 +19,7 @@ from milnet.model import (
     output_geometry,
     params_to_leaves,
     response_grid,
+    response_grids,
 )
 
 
@@ -242,17 +245,26 @@ class TestInstanceResponses:
 
 class TestResponseGrid:
     def test_matches_graph_pipeline(self):
-        params = init_params(PRESETS["desk"], seed=13)
-        rng = np.random.default_rng(14)
-        img = rng.uniform(0, 1, size=(64, 64))
-        grid = response_grid(params, img)
-        assert grid.shape == (4, 4)
-
-        leaves = params_to_leaves(params, requires_grad=False)
-        fmap = forward_backbone(Tensor(img[None, None]), params.spec, leaves)
-        logits = instance_responses(fmap, leaves["response.weight"],
-                                    leaves["response.bias"])
-        assert_allclose(grid.reshape(-1), ad.sigmoid(logits).data[0], rtol=0, atol=0)
+        # response_grids' forward-only ops against the training forward:
+        # leaves that require a gradient make conv2d and maxpool2d build the
+        # graph.  Nine images make one full inference batch and one partial.
+        for preset in ("desk", "paper"):
+            params = init_params(PRESETS[preset], seed=13)
+            size = params.spec.input_size
+            rng = np.random.default_rng(14)
+            images = [rng.uniform(0, 1, size=(size, size)) for _ in range(9)]
+            leaves = params_to_leaves(params, requires_grad=True)
+            for scope in (contextlib.nullcontext(), ad.float64_gemms()):
+                with scope:
+                    grids = response_grids(params, images)
+                    fmap = forward_backbone(Tensor(np.stack(images)[:, None]),
+                                            params.spec, leaves)
+                    logits = instance_responses(fmap, leaves["response.weight"],
+                                                leaves["response.bias"])
+                assert grids.shape == (9, *output_geometry(params.spec)[1:])
+                want = ad.sigmoid(logits).data.reshape(grids.shape)
+                assert_allclose(grids, want, rtol=0, atol=0, err_msg=preset)
+                assert grids.tobytes() == want.tobytes(), preset
 
     def test_zeroed_params_give_half(self):
         params = init_params(PRESETS["desk"], seed=0)

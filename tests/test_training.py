@@ -446,6 +446,28 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(cut)
 
+    def test_truncated_payload_names_file_and_tensor(self, tmp_path):
+        path = str(tmp_path / "full.miln")
+        save_checkpoint(path, self.state, self.cfg)
+        with open(path, "rb") as f:
+            raw = f.read()
+        # the first tensor's record: name length, name, rank, dims, dtype tag,
+        # then its float64 payload
+        (blob_len,) = struct.unpack("<Q", raw[8:16])
+        name = b"conv0.kernel"
+        record = 16 + blob_len
+        assert raw[record + 4:record + 4 + len(name)] == name
+        rank = 4
+        payload = record + 4 + len(name) + 4 + 8 * rank + 1
+        cut = str(tmp_path / "cut.miln")
+        with open(cut, "wb") as f:
+            f.write(raw[:payload + 12])
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(cut)
+        assert str(err.value) == (
+            f"{cut}: truncated checkpoint while reading conv0.kernel payload"
+        )
+
     def test_missing_moments_detected(self, tmp_path):
         # a file holding only the parameter tensors, no adam.* entries
         from milnet.config import run_config_text

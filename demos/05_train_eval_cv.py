@@ -25,8 +25,13 @@ from milnet import (
 )
 from milnet.evaluation import accuracy, auc, roc_curve
 from milnet.heads import MilConfig
-from milnet.preprocessing import to_network_input
-from milnet.training import bag_scores, load_checkpoint, save_checkpoint, train
+from milnet.training import (
+    bag_scores,
+    load_checkpoint,
+    prepare_inputs,
+    save_checkpoint,
+    train,
+)
 
 work_dir = tempfile.TemporaryDirectory(prefix="milnet_demo_train_")
 work = work_dir.name
@@ -43,17 +48,19 @@ train_idx = pos[:7] + neg[:21]
 val_idx = pos[7:] + neg[21:]
 
 cfg = TrainConfig(epochs=15, batch_size=8, seed=1, mil=MilConfig(head="max_pool"))
+# train takes network inputs: each raw image resized to 64x64 and scaled to
+# [0, 1] by the config's preprocessing, once, however many passes read it
+inputs = prepare_inputs(ds.images, cfg)
 result = train(
-    [ds.images[i] for i in train_idx], ds.labels[train_idx],
-    [ds.images[i] for i in val_idx], ds.labels[val_idx],
+    [inputs[i] for i in train_idx], ds.labels[train_idx],
+    [inputs[i] for i in val_idx], ds.labels[val_idx],
     cfg, log=print,
 )
 print("best epoch:", result.best_epoch, " best val auc:", f"{result.best_val_auc:.4f}")
 
 # ---------------------------------------------------------------------------
 # scoring: a bag's prediction is its largest patch response
-val_inputs = [to_network_input(ds.images[i], 64, mode="resize") for i in val_idx]
-scores = bag_scores(result.state.params, val_inputs)
+scores = bag_scores(result.state.params, [inputs[i] for i in val_idx])
 y = ds.labels[val_idx]
 print("\nval scores  :", np.array2string(scores, precision=3))
 print("val labels  :", y)

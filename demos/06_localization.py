@@ -16,8 +16,7 @@ import numpy as np
 from milnet import SynthSpec, TrainConfig, generate_synthetic, load_dataset, load_manifest
 from milnet.heads import MilConfig
 from milnet.model import response_grid
-from milnet.preprocessing import to_network_input
-from milnet.training import init_state, train
+from milnet.training import init_state, prepare_inputs, train
 
 work = tempfile.TemporaryDirectory(prefix="milnet_demo_loc_")
 spec = SynthSpec(n_pos=16, n_neg=64, intensity_lift=0.12, seed=11)
@@ -27,11 +26,13 @@ pos = [i for i, y in enumerate(ds.labels) if y == 1]
 neg = [i for i, y in enumerate(ds.labels) if y == 0]
 train_idx = pos[:12] + neg[:48]
 val_idx = pos[12:] + neg[48:]
-tr_imgs = [ds.images[i] for i in train_idx]
-va_imgs = [ds.images[i] for i in val_idx]
 
 cfg = TrainConfig(epochs=15, batch_size=8, seed=11, mil=MilConfig(head="sparse", mu=1e-5))
-result = train(tr_imgs, ds.labels[train_idx], va_imgs, ds.labels[val_idx], cfg)
+# every run below reads the same network inputs, prepared once
+inputs = prepare_inputs(ds.images, cfg)
+tr_inputs = [inputs[i] for i in train_idx]
+va_inputs = [inputs[i] for i in val_idx]
+result = train(tr_inputs, ds.labels[train_idx], va_inputs, ds.labels[val_idx], cfg)
 print(f"sparse head: best epoch {result.best_epoch}, "
       f"val auc {result.best_val_auc:.4f}")
 
@@ -46,8 +47,7 @@ def shade(v):
 hits = 0
 positives = [i for i in val_idx if ds.labels[i] == 1]
 for i in positives:
-    x = to_network_input(ds.images[i], 64, mode="resize")
-    grid = response_grid(result.state.params, x)
+    grid = response_grid(result.state.params, inputs[i])
     ci, cj = np.unravel_index(int(np.argmax(grid)), grid.shape)
     bx, by, bw, bh = ds.boxes[i]
     hit = (cj * 16 < bx + bw and bx < (cj + 1) * 16
@@ -61,7 +61,7 @@ print(f"localization: {hits}/{len(positives)} held-out positives")
 # levels sit in a narrow band, it is the relative bump that localizes.
 # dark to bright = ' .:-=+*#%@', the brightest cell marked with its value
 i = positives[0]
-x = to_network_input(ds.images[i], 64, mode="resize")
+x = inputs[i]
 grid = response_grid(result.state.params, x)
 bx, by, bw, bh = ds.boxes[i]
 lo, hi = grid.min(), grid.max()
@@ -77,7 +77,7 @@ for ri, row in enumerate(norm):
 # dark before the top-k assignment finds the mass
 la_cfg = TrainConfig(epochs=12, batch_size=8, seed=11,
                      mil=MilConfig(head="label_assign", k=4))
-scratch = train(tr_imgs, ds.labels[train_idx], va_imgs, ds.labels[val_idx], la_cfg)
+scratch = train(tr_inputs, ds.labels[train_idx], va_inputs, ds.labels[val_idx], la_cfg)
 g = response_grid(scratch.state.params, x)
 print(f"\nlabel_assign from scratch: best val auc {scratch.best_val_auc:.4f}, "
       f"grid max {g.max():.4f} (collapsed)")
@@ -87,11 +87,11 @@ print(f"\nlabel_assign from scratch: best val auc {scratch.best_val_auc:.4f}, "
 # fresh optimizer moments.  cross_validate(..., pretrain=cfg) and the cv
 # command's --pretrain-epochs flag run exactly this recipe per fold.
 pre_cfg = TrainConfig(epochs=10, batch_size=8, seed=11, mil=MilConfig(head="max_pool"))
-pre = train(tr_imgs, ds.labels[train_idx], va_imgs, ds.labels[val_idx], pre_cfg)
+pre = train(tr_inputs, ds.labels[train_idx], va_inputs, ds.labels[val_idx], pre_cfg)
 ft_cfg = TrainConfig(epochs=5, batch_size=8, seed=11,
                      learning_rate=TrainConfig().finetune_learning_rate,
                      mil=MilConfig(head="label_assign", k=4))
-warm = train(tr_imgs, ds.labels[train_idx], va_imgs, ds.labels[val_idx], ft_cfg,
+warm = train(tr_inputs, ds.labels[train_idx], va_inputs, ds.labels[val_idx], ft_cfg,
              init_state_override=init_state(pre.state.params.copy()))
 g = response_grid(warm.state.params, x)
 print(f"pretrained max_pool:       best val auc {pre.best_val_auc:.4f}")

@@ -51,6 +51,7 @@ from .training import (
     batch_objective,
     init_state,
     load_checkpoint,
+    prepare_inputs,
     save_checkpoint,
     select_k,
     train,
@@ -97,6 +98,7 @@ __all__ = [
     "batch_objective",
     "init_state",
     "load_checkpoint",
+    "prepare_inputs",
     "save_checkpoint",
     "select_k",
     "train",

@@ -91,26 +91,29 @@ def _cmd_train(args) -> int:
             cfg = dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
         _log(f"resuming from {args.resume} at step {resume_state.step}")
     dataset = load_dataset(load_manifest(args.data))
+    inputs = prepare_inputs(dataset.images, cfg)
     if args.val_data:
         val_set = load_dataset(load_manifest(args.val_data))
-        tr_imgs, tr_labels = dataset.images, dataset.labels
-        va_imgs, va_labels = val_set.images, val_set.labels
+        tr_inputs, tr_labels = inputs, dataset.labels
+        va_inputs, va_labels = prepare_inputs(val_set.images, cfg), val_set.labels
     else:
         # hold out one stratified fifth for best-epoch selection
         plan = make_folds(dataset.labels, n_folds=5, seed=cfg.seed)
         val_idx = np.flatnonzero(plan.assignments == 0)
         tr_idx = np.flatnonzero(plan.assignments != 0)
-        tr_imgs = [dataset.images[i] for i in tr_idx]
+        tr_inputs = [inputs[i] for i in tr_idx]
         tr_labels = dataset.labels[tr_idx]
-        va_imgs = [dataset.images[i] for i in val_idx]
+        va_inputs = [inputs[i] for i in val_idx]
         va_labels = dataset.labels[val_idx]
-        _log(f"holding out {len(va_imgs)} of {len(dataset)} images for validation")
+        _log(f"holding out {len(va_inputs)} of {len(dataset)} images for validation")
     if args.select_k:
-        chosen_k, result = select_k(tr_imgs, tr_labels, va_imgs, va_labels, cfg, log=_log)
+        chosen_k, result = select_k(
+            tr_inputs, tr_labels, va_inputs, va_labels, cfg, log=_log
+        )
         _log(f"selected k = {chosen_k}")
     else:
         result = train(
-            tr_imgs, tr_labels, va_imgs, va_labels, cfg,
+            tr_inputs, tr_labels, va_inputs, va_labels, cfg,
             log=_log, init_state_override=resume_state,
         )
     parent = os.path.dirname(args.out)
@@ -191,10 +194,16 @@ def _cmd_eval(args) -> int:
 def _cmd_bag(args) -> int:
     models = [load_checkpoint(ckpt_path) for ckpt_path in args.ckpts]
     dataset = load_dataset(load_manifest(args.data))
-    per_model = [
-        bag_scores(state.params, prepare_inputs(dataset.images, cfg))
-        for state, cfg in models
-    ]
+    # models that agree on input size and preprocessing read the same inputs,
+    # prepared once for the group and dropped before the next group's
+    groups: dict[tuple[int, str], list[int]] = {}
+    for i, (_, cfg) in enumerate(models):
+        groups.setdefault((cfg.backbone.input_size, cfg.preprocess), []).append(i)
+    per_model = [None] * len(models)
+    for members in groups.values():
+        inputs = prepare_inputs(dataset.images, models[members[0]][1])
+        for i in members:
+            per_model[i] = bag_scores(models[i][0].params, inputs)
     combined = bagging(per_model, mode=args.mode)
     names = [os.path.basename(p) for p in dataset.paths]
     _eval_outputs(args.out, names, dataset.labels, combined)

@@ -356,7 +356,12 @@ def check_cv_options(
     pretrain: "TrainConfig | None",
 ) -> None:
     """Raise on a cross_validate option set that cannot run, before any
-    data or compute is spent on it."""
+    data or compute is spent on it.
+
+    A pretrain config must name cfg's backbone, since its parameters start
+    the main pass, and cfg's preprocessing, since both passes read the
+    same prepared inputs.
+    """
     from .training import check_select_k
 
     if workers < 1:
@@ -365,6 +370,17 @@ def check_cv_options(
         check_select_k(cfg)
         if pretrain is not None:
             raise ValueError("use_select_k and pretrain cannot be combined")
+    if pretrain is not None:
+        if pretrain.backbone.describe() != cfg.backbone.describe():
+            raise ValueError(
+                f"pretrain backbone {pretrain.backbone.describe()} differs from "
+                f"the configured backbone {cfg.backbone.describe()}"
+            )
+        if pretrain.preprocess != cfg.preprocess:
+            raise ValueError(
+                f"pretrain preprocess {pretrain.preprocess!r} differs from the "
+                f"configured preprocess {cfg.preprocess!r}"
+            )
 
 
 def cross_validate(
@@ -393,13 +409,16 @@ def cross_validate(
     Writes, per fold f: fold{f}_metrics.csv, fold{f}_ckpt.miln,
     fold{f}_roc.csv, fold{f}_scores.csv; plus summary.csv with one row per
     fold and a trailing mean±std row (sample standard deviation).
-    Fold runs are independent and may execute on worker threads.
+    Every image is prepared once, before the first fold; fold runs share
+    those inputs read-only, are independent, and may execute on worker
+    threads.
     """
     from .training import bag_scores, init_state, metrics_csv, prepare_inputs
     from .training import save_checkpoint, select_k, train
 
     check_cv_options(cfg, workers, use_select_k, pretrain)
     labels = np.asarray(labels, dtype=np.int64)
+    inputs = prepare_inputs(images, cfg)
     os.makedirs(out_dir, exist_ok=True)
     plan = make_folds(labels, n_folds=n_folds, seed=cfg.seed)
     if names is None:
@@ -410,30 +429,29 @@ def cross_validate(
         fold_seed = derive_seed(cfg.seed, "fold", f)
         fold_cfg = dc_replace(cfg, seed=fold_seed)
         fold_log = (lambda msg: log(f"[fold {f}] {msg}")) if log else None
-        tr_imgs = [images[i] for i in train_idx]
-        va_imgs = [images[i] for i in val_idx]
+        tr_inputs = [inputs[i] for i in train_idx]
+        va_inputs = [inputs[i] for i in val_idx]
         warm_state = None
         if pretrain is not None:
             pre_cfg = dc_replace(pretrain, seed=fold_seed)
             pre_log = (lambda msg: log(f"[fold {f}] pretrain {msg}")) if log else None
             pre = train(
-                tr_imgs, labels[train_idx], va_imgs, labels[val_idx],
+                tr_inputs, labels[train_idx], va_inputs, labels[val_idx],
                 pre_cfg, log=pre_log,
             )
             warm_state = init_state(pre.state.params.copy())
         chosen_k = None
         if use_select_k:
             chosen_k, result = select_k(
-                tr_imgs, labels[train_idx], va_imgs, labels[val_idx],
+                tr_inputs, labels[train_idx], va_inputs, labels[val_idx],
                 fold_cfg, log=fold_log,
             )
         else:
             result = train(
-                tr_imgs, labels[train_idx], va_imgs, labels[val_idx],
+                tr_inputs, labels[train_idx], va_inputs, labels[val_idx],
                 fold_cfg, log=fold_log, init_state_override=warm_state,
             )
-        test_inputs = prepare_inputs([images[i] for i in test_idx], cfg)
-        scores = bag_scores(result.state.params, test_inputs)
+        scores = bag_scores(result.state.params, [inputs[i] for i in test_idx])
         fold_acc = accuracy(scores, labels[test_idx])
         fold_auc = auc(scores, labels[test_idx])
         with open(os.path.join(out_dir, f"fold{f}_metrics.csv"), "w",

@@ -6,6 +6,25 @@ bilinear resize.  Augmentation applies, in this fixed order: horizontal flip,
 integer shift, rotation about the center, and one zeroed square (cutout).
 Vacated regions are zero-filled, matching the dark background the images
 carry naturally.
+
+Two shortcuts skip work without changing a byte of output:
+
+- Rotation reads its four bilinear taps from a copy of the image with a
+  2-pixel zero border, by ``take`` on flat indices, instead of masking out
+  the taps that leave the frame.  A tap reads row y0 or y0 + 1 and column
+  x0 or x0 + 1 of the floors (y0, x0), which are clipped to [-2, h] and
+  [-2, w].  A floor inside that range is left alone, so its taps land on
+  the same pixels, with a tap outside the frame on the border; a floor
+  outside it has both of its taps outside the frame, and after clipping
+  both still land on the border.  Every border pixel is zero, which is
+  what a masked read gives a tap outside the frame.  The weights come from
+  the unclipped floors and the blend is unchanged.
+- ``resize_bilinear`` returns an integer image already at the target size
+  as a float64 copy.  The corner-aligned grid then lands on every pixel
+  with weight 0, so each output is ``v*1 + u*0`` for finite integers v and
+  u, which is v: the products are exact, and v is never -0.0, so adding a
+  signed zero leaves it as it is.  Float inputs keep the interpolating
+  path, since for them a -0.0, inf or nan could make the two differ.
 """
 
 from __future__ import annotations
@@ -25,6 +44,7 @@ __all__ = [
 ]
 
 CUTOUT_REFERENCE_FRACTION = 50.0 / 224.0
+_ROTATE_BORDER = 2  # zero pixels around the image that rotation reads from
 
 
 @dataclass(frozen=True)
@@ -79,30 +99,6 @@ def crop_foreground(image: np.ndarray, threshold: int) -> np.ndarray:
     return img[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
 
 
-def _bilinear_sample(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample a float image at fractional (ys, xs); coordinates outside the
-    frame read as zero."""
-    h, w = image.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    wy = ys - y0
-    wx = xs - x0
-
-    def read(yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = np.zeros(yy.shape, dtype=np.float64)
-        vals[inside] = image[yy[inside], xx[inside]]
-        return vals
-
-    v00 = read(y0, x0)
-    v01 = read(y0, x0 + 1)
-    v10 = read(y0 + 1, x0)
-    v11 = read(y0 + 1, x0 + 1)
-    top = v00 * (1 - wx) + v01 * wx
-    bot = v10 * (1 - wx) + v11 * wx
-    return top * (1 - wy) + bot * wy
-
-
 def resize_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """Corner-aligned bilinear resize; returns float64.
 
@@ -111,15 +107,18 @@ def resize_bilinear(image: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     """
     if out_w < 1 or out_h < 1:
         raise ValueError(f"output dims must be positive, got {out_w}x{out_h}")
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(image)
+    if img.shape == (out_h, out_w) and np.issubdtype(img.dtype, np.integer):
+        return img.astype(np.float64)  # exact, see the module docstring
+    img = np.asarray(img, dtype=np.float64)
     h, w = img.shape
     ys = np.zeros(out_h) if out_h == 1 else np.arange(out_h) * ((h - 1) / (out_h - 1))
     xs = np.zeros(out_w) if out_w == 1 else np.arange(out_w) * ((w - 1) / (out_w - 1))
     # The grid is separable: taps and weights are per row and per column.
     # Only the second tap of the last row or column can leave the frame; it
-    # reads the appended zero row or column, as _bilinear_sample reads zero
-    # outside the frame.  The arithmetic is _bilinear_sample's, in the same
-    # order, so the bytes match.
+    # reads the appended zero row or column, as rotation reads zero outside
+    # the frame.  The blend is rotation's, term for term, so the bytes match
+    # a dense-grid bilinear sampler, which the tests check.
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
     wy = (ys - y0)[:, None]
@@ -161,20 +160,42 @@ class AugmentConfig:
 
 
 def _rotate_bilinear(image: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate about the image center, bilinear resampling, zero fill."""
+    """Rotate about the image center, bilinear resampling, zero fill.
+
+    Always returns a new array.
+    """
     if degrees == 0.0:
         return image.copy()
     h, w = image.shape
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    yg, xg = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    # inverse mapping: source coordinates that land on each output pixel
-    dy, dx = yg - cy, xg - cx
+    # inverse mapping: source coordinates that land on each output pixel.
+    # A pixel's offset from the center is its row's dy and its column's dx;
+    # broadcasting the two vectors gives every pixel the products and sums
+    # a full (h, w) offset grid would.
+    dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
+    dx = np.arange(w, dtype=np.float64) - cx
     src_y = cos_t * dy + sin_t * dx + cy
     src_x = -sin_t * dy + cos_t * dx + cx
-    return _bilinear_sample(image, src_y, src_x)
+    y0 = np.floor(src_y).astype(np.int64)
+    x0 = np.floor(src_x).astype(np.int64)
+    wy = src_y - y0
+    wx = src_x - x0
+    # bordered gather, exact as the module docstring explains
+    b = _ROTATE_BORDER
+    stride = w + 2 * b
+    bordered = np.zeros((h + 2 * b, stride))
+    bordered[b:b + h, b:b + w] = image
+    flat = bordered.ravel()
+    tap = (np.clip(y0, -b, h) + b) * stride + (np.clip(x0, -b, w) + b)
+    v00 = flat.take(tap)
+    v01 = flat.take(tap + 1)
+    v10 = flat.take(tap + stride)
+    v11 = flat.take(tap + stride + 1)
+    top = v00 * (1 - wx) + v01 * wx
+    bot = v10 * (1 - wx) + v11 * wx
+    return top * (1 - wy) + bot * wy
 
 
 def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -207,9 +228,8 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
         dst_x = slice(max(0, dx), min(w, w + dx))
         shifted[dst_y, dst_x] = img[src_y, src_x]
         img = shifted
-    img = _rotate_bilinear(img, angle)
+    img = _rotate_bilinear(img, angle)  # a new array, never the input
     if side > 0:
-        img = img.copy()
         img[cut_y:cut_y + side, cut_x:cut_x + side] = 0.0
     return img
 

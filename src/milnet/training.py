@@ -138,9 +138,29 @@ def metrics_csv(metrics: list[EpochMetrics]) -> str:
 
 
 def prepare_inputs(images: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarray]:
-    """Each raw image as the network input the config's preprocessing makes."""
+    """Each raw image as the network input the config's preprocessing makes.
+
+    The arrays are read-only: one prepared set is shared by every training
+    pass, validation and test scoring that uses it, fold threads included.
+    """
     size = cfg.backbone.input_size
-    return [to_network_input(img, size, mode=cfg.preprocess) for img in images]
+    inputs = [to_network_input(img, size, mode=cfg.preprocess) for img in images]
+    for x in inputs:
+        x.flags.writeable = False
+    return inputs
+
+
+def _check_network_inputs(inputs: list[np.ndarray], size: int, which: str) -> None:
+    """Raise naming the first input that is not a 2-D float array of side
+    size, such as a raw image that was never prepared."""
+    for i, x in enumerate(inputs):
+        x = np.asarray(x)
+        if x.shape != (size, size) or not np.issubdtype(x.dtype, np.floating):
+            raise ValueError(
+                f"{which} input {i} is a {x.dtype} array of shape {x.shape}, not "
+                f"a network input (2-D float, side {size}); prepare raw images "
+                "with prepare_inputs"
+            )
 
 
 def bag_scores(params: ModelParams, inputs: list[np.ndarray]) -> np.ndarray:
@@ -166,9 +186,9 @@ def batch_objective(
 
 
 def train(
-    train_images: list[np.ndarray],
+    train_inputs: list[np.ndarray],
     train_labels: np.ndarray,
-    val_images: list[np.ndarray],
+    val_inputs: list[np.ndarray],
     val_labels: np.ndarray,
     cfg: TrainConfig,
     log: Callable[[str], None] | None = None,
@@ -176,17 +196,18 @@ def train(
 ) -> TrainResult:
     """Full training run; returns the best-validation-AUC snapshot.
 
-    Images are raw 8-bit arrays; preprocessing and per-epoch augmentation
-    happen inside.  Ties on validation AUC keep the earlier epoch.  A
-    non-finite loss aborts with the offending epoch and step named.
+    Inputs are network inputs, as ``prepare_inputs`` makes them from raw
+    images with cfg's preprocessing; they are only read, and per-epoch
+    augmentation works on copies.  Ties on validation AUC keep the earlier
+    epoch.  A non-finite loss aborts with the offending epoch and step named.
     """
     train_labels = np.asarray(train_labels, dtype=np.int64)
     val_labels = np.asarray(val_labels, dtype=np.int64)
-    n = len(train_images)
-    if n == 0 or len(val_images) == 0:
+    n = len(train_inputs)
+    if n == 0 or len(val_inputs) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    if n != len(train_labels) or len(val_images) != len(val_labels):
-        raise ValueError("images and labels must align")
+    if n != len(train_labels) or len(val_inputs) != len(val_labels):
+        raise ValueError("inputs and labels must align")
     n_pos = int(train_labels.sum())
     if n_pos == 0 or n_pos == n:
         raise ValueError(
@@ -199,13 +220,20 @@ def train(
             f"validation set has a single class ({n_val_pos} positives of "
             f"{len(val_labels)}); both classes are required for its AUC"
         )
+    size = cfg.backbone.input_size
+    _check_network_inputs(train_inputs, size, "training")
+    _check_network_inputs(val_inputs, size, "validation")
     weights = bag_weights(
         n_pos, n, cfg.mil.k, cfg.mil.m, mode=cfg.mil.weight_mode
     )
-    base_train = prepare_inputs(train_images, cfg)
-    base_val = prepare_inputs(val_images, cfg)
 
     if init_state_override is not None:
+        warm = init_state_override.params.spec.describe()
+        if warm != cfg.backbone.describe():
+            raise ValueError(
+                f"warm-start parameters are for backbone {warm}, but the config "
+                f"trains {cfg.backbone.describe()}"
+            )
         state = init_state_override
     else:
         state = init_state(init_params(cfg.backbone, cfg.seed))
@@ -219,11 +247,9 @@ def train(
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             chunk = order[start : start + cfg.batch_size]
-            xs = np.empty(
-                (len(chunk), 1, cfg.backbone.input_size, cfg.backbone.input_size)
-            )
+            xs = np.empty((len(chunk), 1, size, size))
             for row, idx in enumerate(chunk):
-                img = base_train[idx]
+                img = train_inputs[idx]
                 if cfg.augment_enabled:
                     rng = derive_rng(cfg.seed, "aug", epoch, int(idx))
                     img = augment(img, cfg.aug, rng)
@@ -239,7 +265,7 @@ def train(
             total.backward()
             grads = {name: leaf.grad for name, leaf in leaves.items()}
             adam_step(state, grads, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
-        scores = bag_scores(state.params, base_val)
+        scores = bag_scores(state.params, val_inputs)
         val_auc = auc(scores, val_labels)
         val_acc = accuracy(scores, val_labels)
         row = EpochMetrics(
@@ -277,15 +303,16 @@ def check_select_k(cfg: TrainConfig) -> None:
 
 
 def select_k(
-    train_images: list[np.ndarray],
+    train_inputs: list[np.ndarray],
     train_labels: np.ndarray,
-    val_images: list[np.ndarray],
+    val_inputs: list[np.ndarray],
     val_labels: np.ndarray,
     cfg: TrainConfig,
     log: Callable[[str], None] | None = None,
 ) -> tuple[int, TrainResult]:
-    """Train one label_assign model per k in the grid; best validation AUC
-    wins, ties going to the smaller k (the grid is kept sorted)."""
+    """Train one label_assign model per k in the grid, all on the same
+    network inputs; best validation AUC wins, ties going to the smaller k
+    (the grid is kept sorted)."""
     check_select_k(cfg)
     m = cfg.mil.m
     for k in cfg.k_grid:
@@ -297,7 +324,7 @@ def select_k(
         run_cfg = replace(cfg, mil=replace(cfg.mil, k=k))
         if log is not None:
             log(f"k = {k}")
-        result = train(train_images, train_labels, val_images, val_labels,
+        result = train(train_inputs, train_labels, val_inputs, val_labels,
                        run_cfg, log=log)
         if best_result is None or result.best_val_auc > best_result.best_val_auc:
             best_k = k

@@ -33,7 +33,7 @@ from milnet.gradcheck import check_full_gradients
 from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
 from milnet.model import response_grid
 from milnet.preprocessing import otsu_threshold, to_network_input
-from milnet.training import train
+from milnet.training import prepare_inputs, train
 
 
 def _verdict(capsys, tag: str, ok: bool, detail: str) -> bool:
@@ -491,6 +491,7 @@ class TestOverfitSanity:
         labels = np.array([1, 1, 0, 0])
 
         base = TrainConfig(epochs=500, batch_size=4, seed=1, augment_enabled=False)
+        inputs = prepare_inputs(images, base)
         results = {}
         for mil in (
             MilConfig(head="max_pool", lam=0.0),
@@ -498,7 +499,7 @@ class TestOverfitSanity:
             MilConfig(head="sparse", mu=1e-5, lam=0.0),
         ):
             cfg = dataclasses.replace(base, mil=mil)
-            res = train(images, labels, images, labels, cfg)
+            res = train(inputs, labels, inputs, labels, cfg)
             # batch 4 on 4 images: one optimizer step per epoch
             below = [m.epoch for m in res.metrics if m.train_loss < 0.01]
             results[mil.head] = below[0] if below else None

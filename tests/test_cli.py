@@ -328,6 +328,46 @@ class TestBag:
         assert f"{corrupt}: truncated checkpoint" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_inputs_prepared_once_per_preprocessing(
+        self, data_dir, ckpt_path, tmp_path, monkeypatch
+    ):
+        import milnet.training as training
+        from milnet.data import load_dataset, load_manifest
+        from milnet.evaluation import bagging, scores_csv
+        from milnet.model import init_params
+        from milnet.preprocessing import to_network_input
+        from milnet.training import bag_scores, init_state, save_checkpoint
+
+        state, cfg = load_checkpoint(str(ckpt_path))
+        other = tmp_path / "other.miln"
+        save_checkpoint(str(other), init_state(init_params(cfg.backbone, seed=8)), cfg)
+        dataset = load_dataset(load_manifest(str(data_dir / "manifest.csv")))
+        # the reference: each model scores its own preparation of the images
+        expected = []
+        for path in (ckpt_path, other):
+            st, c = load_checkpoint(str(path))
+            x = [to_network_input(img, c.backbone.input_size, mode=c.preprocess)
+                 for img in dataset.images]
+            expected.append(bag_scores(st.params, x))
+        names = [os.path.basename(p) for p in dataset.paths]
+        want = scores_csv(names, dataset.labels, bagging(expected))
+
+        calls = []
+
+        def counting(image, *args, **kwargs):
+            calls.append(1)
+            return to_network_input(image, *args, **kwargs)
+
+        monkeypatch.setattr(training, "to_network_input", counting)
+        out = tmp_path / "bag"
+        rc = main([
+            "bag", "--ckpts", str(ckpt_path), str(other),
+            "--data", str(data_dir / "manifest.csv"), "--out", str(out),
+        ])
+        assert rc == 0
+        assert len(calls) == len(dataset)  # two desk models, one preparation
+        assert (out / "scores.csv").read_text() == want
+
     def test_vote_mode(self, data_dir, ckpt_path, tmp_path):
         out = tmp_path / "bag"
         rc = main([

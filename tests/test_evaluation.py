@@ -388,3 +388,67 @@ class TestCrossValidateOptions:
             cross_validate(images, np.array([0, 1] * 5), TrainConfig(), str(out),
                            workers=workers)
         assert not out.exists()
+
+    @pytest.mark.parametrize("pretrain_change, message", [
+        (dict(backbone="input:64,conv:4:5:2:2,relu,pool:2:2"),
+         "pretrain backbone input:64,conv:4:5:2:2,relu,pool:2:2 differs"),
+        (dict(preprocess="full"), "pretrain preprocess 'full' differs"),
+    ], ids=["backbone", "preprocess"])
+    def test_pretrain_that_cannot_warm_start_rejected_before_any_fold(
+        self, pretrain_change, message, tmp_path, monkeypatch
+    ):
+        from milnet.config import TrainConfig
+        from milnet.evaluation import cross_validate
+        from milnet.model import BackboneSpec
+
+        images = self._no_training(monkeypatch)
+        cfg = TrainConfig()
+        if "backbone" in pretrain_change:
+            pretrain_change = dict(
+                backbone=BackboneSpec.parse(pretrain_change["backbone"]))
+        pretrain = TrainConfig(**pretrain_change)
+        out = tmp_path / "cv"
+        with pytest.raises(ValueError, match=message):
+            cross_validate(images, np.array([0, 1] * 5), cfg, str(out),
+                           pretrain=pretrain)
+        assert not out.exists()
+
+
+class TestCrossValidateInputs:
+    """Every image is prepared once per run, whatever the fold options."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", ["plain", "pretrain", "select_k"])
+    def test_one_preparation_per_image(self, mode, workers, tmp_path, monkeypatch):
+        import dataclasses
+
+        import milnet.training as training
+        from milnet.config import TrainConfig
+        from milnet.evaluation import cross_validate
+        from milnet.heads import MilConfig
+        from milnet.model import BackboneSpec
+
+        calls = []
+        real = training.to_network_input
+
+        def counting(image, *args, **kwargs):
+            calls.append(id(image))
+            return real(image, *args, **kwargs)
+
+        monkeypatch.setattr(training, "to_network_input", counting)
+        rng = np.random.default_rng(0)
+        images = [rng.integers(0, 256, (16, 16)).astype(np.uint8) for _ in range(10)]
+        spec = BackboneSpec.parse("input:16,conv:2:3:2:1,relu")
+        cfg = TrainConfig(backbone=spec, epochs=1, batch_size=4, seed=3,
+                          augment_enabled=False)
+        pretrain = None
+        if mode == "select_k":
+            cfg = dataclasses.replace(cfg, k_grid=(1, 2),
+                                      mil=MilConfig(head="label_assign", k=1))
+        if mode == "pretrain":
+            pretrain = cfg
+            cfg = dataclasses.replace(cfg, mil=MilConfig(head="label_assign", k=2))
+        cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"),
+                       workers=workers, use_select_k=mode == "select_k",
+                       pretrain=pretrain)
+        assert sorted(calls) == sorted(id(img) for img in images)

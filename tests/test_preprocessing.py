@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from milnet.preprocessing import (
     AugmentConfig,
-    _bilinear_sample,
+    _rotate_bilinear,
     augment,
     crop_foreground,
     otsu_threshold,
@@ -14,6 +14,48 @@ from milnet.preprocessing import (
     to_network_input,
 )
 from milnet.rng import derive_rng
+
+
+def masked_bilinear_sample(image, ys, xs):
+    """Sample a float image at fractional (ys, xs), reading each of the four
+    taps through a boolean mask so that coordinates outside the frame read
+    as zero: the plain bilinear sampler that rotation and resize must match
+    byte for byte."""
+    h, w = image.shape
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    wy = ys - y0
+    wx = xs - x0
+
+    def read(yy, xx):
+        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        vals = np.zeros(yy.shape, dtype=np.float64)
+        vals[inside] = image[yy[inside], xx[inside]]
+        return vals
+
+    v00 = read(y0, x0)
+    v01 = read(y0, x0 + 1)
+    v10 = read(y0 + 1, x0)
+    v11 = read(y0 + 1, x0 + 1)
+    top = v00 * (1 - wx) + v01 * wx
+    bot = v10 * (1 - wx) + v11 * wx
+    return top * (1 - wy) + bot * wy
+
+
+def masked_rotation(image, degrees):
+    """Rotation about the center through the masked sampler."""
+    if degrees == 0.0:
+        return image.copy()
+    h, w = image.shape
+    theta = np.deg2rad(degrees)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yg, xg = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    dy, dx = yg - cy, xg - cx
+    src_y = cos_t * dy + sin_t * dx + cy
+    src_x = -sin_t * dy + cos_t * dx + cx
+    return masked_bilinear_sample(image, src_y, src_x)
 
 
 def otsu_oracle(image):
@@ -171,10 +213,52 @@ class TestResizeBilinear:
         ys = np.zeros(out_h) if out_h == 1 else np.arange(out_h) * ((h - 1) / (out_h - 1))
         xs = np.zeros(out_w) if out_w == 1 else np.arange(out_w) * ((w - 1) / (out_w - 1))
         yg, xg = np.meshgrid(ys, xs, indexing="ij")
-        ref = _bilinear_sample(img, yg, xg)
+        ref = masked_bilinear_sample(img, yg, xg)
         out = resize_bilinear(img.astype(np.uint8), out_w, out_h)
         assert out.shape == (out_h, out_w)
         assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("dtype, low", [(np.uint8, 0), (np.int16, -300)])
+    @pytest.mark.parametrize("h, w", [(64, 64), (17, 31), (1, 1), (1, 5)])
+    def test_same_size_integer_copy_matches_interpolation(self, dtype, low, h, w):
+        rng = np.random.default_rng(h * 100 + w)
+        img = rng.integers(low, 256, size=(h, w)).astype(dtype)
+        img.flat[::3] = 0
+        out = resize_bilinear(img, w, h)
+        ref = resize_bilinear(img.astype(np.float64), w, h)  # interpolating path
+        assert out.dtype == np.float64
+        assert out.tobytes() == ref.tobytes()
+        assert not np.shares_memory(out, img)
+
+
+def _rotation_image(rng, h, w):
+    """Random values with runs of exact zeros and of -0.0."""
+    img = rng.uniform(-1.0, 1.0, size=(h, w))
+    img[rng.random((h, w)) < 0.3] = 0.0
+    img[rng.random((h, w)) < 0.2] = -0.0
+    return img
+
+
+class TestRotateBilinear:
+    SHAPES = [(64, 64), (224, 224), (17, 31), (2, 2), (1, 1)]
+    ANGLES = [0.0, 45.0, -45.0, 90.0, 180.0, -180.0, 1e-9]
+
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_bytes_match_masked_oracle(self, h, w):
+        rng = np.random.default_rng(h * 1000 + w)
+        angles = self.ANGLES + list(rng.uniform(-180.0, 180.0, size=6))
+        for degrees in angles:
+            img = _rotation_image(rng, h, w)
+            out = _rotate_bilinear(img, degrees)
+            ref = masked_rotation(img, degrees)
+            assert out.tobytes() == ref.tobytes(), (h, w, degrees)
+
+    def test_returns_a_new_array(self):
+        img = np.ones((8, 8))
+        img.flags.writeable = False
+        for degrees in (0.0, 30.0):
+            out = _rotate_bilinear(img, degrees)
+            assert out.flags.writeable and not np.shares_memory(out, img)
 
 
 class TestAugmentConfig:

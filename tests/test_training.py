@@ -22,6 +22,7 @@ from milnet.training import (
     init_state,
     load_checkpoint,
     metrics_csv,
+    prepare_inputs,
     save_checkpoint,
     select_k,
     train,
@@ -38,12 +39,18 @@ def tiny_config(**kw):
     return TrainConfig(**defaults)
 
 
-def tiny_dataset(n=8, seed=0):
+def tiny_images(n=8, seed=0):
     rng = np.random.default_rng(seed)
     images = [rng.integers(0, 256, size=(16, 16)).astype(np.uint8)
               for _ in range(n)]
     labels = np.array([i % 2 for i in range(n)])
     return images, labels
+
+
+def tiny_inputs(n=8, seed=0):
+    """tiny_images as the network inputs train takes, with their labels."""
+    images, labels = tiny_images(n, seed)
+    return prepare_inputs(images, tiny_config()), labels
 
 
 def adam_oracle(arrays, grad_seq, lr, beta1, beta2, eps):
@@ -138,9 +145,9 @@ class TestAdamStep:
 
 class TestTrainLoop:
     def test_runs_and_logs_every_epoch(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         cfg = tiny_config(epochs=3)
-        result = train(images, labels, images, labels, cfg)
+        result = train(inputs, labels, inputs, labels, cfg)
         assert len(result.metrics) == 3
         assert [m.epoch for m in result.metrics] == [1, 2, 3]
         for m in result.metrics:
@@ -153,29 +160,29 @@ class TestTrainLoop:
         )
 
     def test_bitwise_deterministic(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         cfg = tiny_config(epochs=2, augment_enabled=True)
-        a = train(images, labels, images, labels, cfg)
-        b = train(images, labels, images, labels, cfg)
+        a = train(inputs, labels, inputs, labels, cfg)
+        b = train(inputs, labels, inputs, labels, cfg)
         for name in a.state.params.names():
             assert_array_equal(a.state.params.arrays[name],
                                b.state.params.arrays[name])
         assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
 
     def test_seed_changes_the_run(self):
-        images, labels = tiny_dataset()
-        a = train(images, labels, images, labels, tiny_config(seed=1))
-        b = train(images, labels, images, labels, tiny_config(seed=2))
+        inputs, labels = tiny_inputs()
+        a = train(inputs, labels, inputs, labels, tiny_config(seed=1))
+        b = train(inputs, labels, inputs, labels, tiny_config(seed=2))
         assert any(
             not np.array_equal(a.state.params.arrays[n], b.state.params.arrays[n])
             for n in a.state.params.names()
         )
 
     def test_single_class_training_set_rejected(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         with pytest.raises(ValueError, match="single class"):
-            train(images, np.zeros(len(images), dtype=int),
-                  images, labels, tiny_config())
+            train(inputs, np.zeros(len(inputs), dtype=int),
+                  inputs, labels, tiny_config())
 
     def test_single_class_validation_set_rejected_before_compute(self, monkeypatch):
         import milnet.model as model
@@ -185,29 +192,29 @@ class TestTrainLoop:
 
         monkeypatch.setattr(training, "forward_backbone", no_forward)
         monkeypatch.setattr(model, "forward_backbone", no_forward)
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         with pytest.raises(ValueError, match="validation set has a single class"):
-            train(images, labels, images, np.ones(len(images), dtype=int),
+            train(inputs, labels, inputs, np.ones(len(inputs), dtype=int),
                   tiny_config())
 
     def test_empty_sets_rejected(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         with pytest.raises(ValueError):
-            train([], np.array([]), images, labels, tiny_config())
+            train([], np.array([]), inputs, labels, tiny_config())
         with pytest.raises(ValueError):
-            train(images, labels, [], np.array([]), tiny_config())
+            train(inputs, labels, [], np.array([]), tiny_config())
 
     def test_misaligned_labels_rejected(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         with pytest.raises(ValueError):
-            train(images, labels[:-1], images, labels, tiny_config())
+            train(inputs, labels[:-1], inputs, labels, tiny_config())
 
     def test_warm_start_override_is_used(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         cfg = tiny_config(epochs=1, learning_rate=1e-30)
         params = init_params(TINY, seed=99)
         marker = params.copy()
-        result = train(images, labels, images, labels, cfg,
+        result = train(inputs, labels, inputs, labels, cfg,
                        init_state_override=init_state(params))
         # a vanishing lr pins the run to the warm-start parameters, which
         # are nowhere near what cfg.seed would have initialized
@@ -220,6 +227,61 @@ class TestTrainLoop:
             for n in marker.names()
         )
 
+    def test_warm_start_for_another_backbone_rejected_before_compute(
+        self, monkeypatch
+    ):
+        def no_objective(*args, **kwargs):
+            raise AssertionError("a training step ran before the backbone check")
+
+        monkeypatch.setattr(training, "batch_objective", no_objective)
+        inputs, labels = tiny_inputs()
+        wider = BackboneSpec(input_size=16, layers=(
+            ("conv", 8, 3, 2, 1), ("relu",), ("pool", 2, 2)))
+        warm = init_state(init_params(wider, seed=0))
+        with pytest.raises(ValueError, match="warm-start parameters are for backbone "
+                           "input:16,conv:8:3:2:1"):
+            train(inputs, labels, inputs, labels, tiny_config(),
+                  init_state_override=warm)
+
+    def test_raw_images_rejected_naming_the_index(self, monkeypatch):
+        def no_objective(*args, **kwargs):
+            raise AssertionError("a training step ran before the input check")
+
+        monkeypatch.setattr(training, "batch_objective", no_objective)
+        images, labels = tiny_images()
+        inputs = prepare_inputs(images, tiny_config())
+        # raw uint8 images at the right size: a caller of the old signature
+        with pytest.raises(ValueError, match=r"training input 0 is a uint8 array "
+                           r"of shape \(16, 16\)"):
+            train(images, labels, inputs, labels, tiny_config())
+        mixed = list(inputs)
+        mixed[3] = images[3]
+        with pytest.raises(ValueError, match="validation input 3 is a uint8"):
+            train(inputs, labels, mixed, labels, tiny_config())
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((16, 15)), np.zeros((8, 8)), np.zeros((1, 16, 16)),
+        np.zeros((16, 16), dtype=np.int64),
+    ], ids=["not_square", "wrong_side", "three_d", "integer"])
+    def test_malformed_inputs_rejected_naming_the_index(self, bad, monkeypatch):
+        def no_objective(*args, **kwargs):
+            raise AssertionError("a training step ran before the input check")
+
+        monkeypatch.setattr(training, "batch_objective", no_objective)
+        inputs, labels = tiny_inputs()
+        inputs[5] = bad
+        with pytest.raises(ValueError, match="training input 5 .*side 16"):
+            train(inputs, labels, inputs[:4], labels[:4], tiny_config())
+
+    def test_prepared_inputs_are_read_only_and_left_unchanged(self):
+        inputs, labels = tiny_inputs()
+        assert not any(x.flags.writeable for x in inputs)
+        before = [x.copy() for x in inputs]
+        train(inputs, labels, inputs, labels,
+              tiny_config(epochs=1, augment_enabled=True))
+        for x, y in zip(inputs, before):
+            assert x.tobytes() == y.tobytes()
+
     def test_loss_decreases_on_easy_data(self):
         rng = np.random.default_rng(7)
         images = []
@@ -231,22 +293,23 @@ class TestTrainLoop:
             images.append(img)
             labels.append(i % 2)
         cfg = tiny_config(epochs=12, seed=5)
-        result = train(images, np.array(labels), images, np.array(labels), cfg)
+        inputs = prepare_inputs(images, cfg)
+        result = train(inputs, np.array(labels), inputs, np.array(labels), cfg)
         assert result.metrics[-1].train_loss < result.metrics[0].train_loss
 
 
 class TestSelectK:
     def test_requires_label_assign(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         with pytest.raises(ValueError, match="label_assign"):
-            select_k(images, labels, images, labels, tiny_config())
+            select_k(inputs, labels, inputs, labels, tiny_config())
 
     def test_grid_k_must_fit_m(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         cfg = tiny_config(mil=MilConfig(head="label_assign", k=2),
                           k_grid=(2, 64))
         with pytest.raises(ValueError, match="exceeds"):
-            select_k(images, labels, images, labels, cfg)
+            select_k(inputs, labels, inputs, labels, cfg)
 
     def test_best_val_auc_wins_ties_to_smaller_k(self, monkeypatch):
         cfg = tiny_config(mil=MilConfig(head="label_assign", k=2),
@@ -266,18 +329,18 @@ class TestSelectK:
             )
 
         monkeypatch.setattr(training, "train", fake_train)
-        images, labels = tiny_dataset()
-        best_k, result = select_k(images, labels, images, labels, cfg)
+        inputs, labels = tiny_inputs()
+        best_k, result = select_k(inputs, labels, inputs, labels, cfg)
         assert seen == [2, 4, 8]
         assert best_k == 4  # 8 only matches, never beats
         assert result.best_val_auc == 0.9
         assert result.config.mil.k == 4
 
     def test_real_grid_run(self):
-        images, labels = tiny_dataset()
+        inputs, labels = tiny_inputs()
         cfg = tiny_config(epochs=1, k_grid=(1, 4),
                           mil=MilConfig(head="label_assign", k=1))
-        best_k, result = select_k(images, labels, images, labels, cfg)
+        best_k, result = select_k(inputs, labels, inputs, labels, cfg)
         assert best_k in (1, 4)
         assert result.config.mil.k == best_k
 
@@ -311,12 +374,13 @@ class TestGraphSize:
         monkeypatch.setattr(training.Tensor, "backward", counting_backward)
         rng = np.random.default_rng(7)
         images = [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(8)]
+        inputs = prepare_inputs(images, TrainConfig())
         labels = np.array([1, 0] * 4)
         for batch in (2, 8):
             cfg = TrainConfig(epochs=1, batch_size=batch, seed=1,
                               augment_enabled=False,
                               mil=MilConfig(head=head, k=2, mu=1e-3))
-            train(images, labels, images[:4], labels[:4], cfg)
+            train(inputs, labels, inputs[:4], labels[:4], cfg)
         assert len(counts) == 4 + 1  # four steps at batch 2, one at batch 8
         assert len(set(counts)) == 1, counts
         assert counts[-1] <= 29, counts

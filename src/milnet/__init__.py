@@ -11,12 +11,12 @@ generator for end-to-end verification.
 
 from .autodiff import Tensor
 from .config import TrainConfig, parse_config_file
+from .cv import cross_validate
 from .data import Manifest, SynthSpec, generate_synthetic, load_dataset, load_manifest
 from .evaluation import (
     accuracy,
     auc,
     bagging,
-    cross_validate,
     make_folds,
     roc_curve,
 )

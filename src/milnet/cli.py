@@ -21,13 +21,12 @@ from .config import (
     synth_help,
     TrainConfig,
 )
+from .cv import check_cv_options, cross_validate
 from .data import SynthSpec, generate_synthetic, load_dataset, load_manifest
 from .evaluation import (
     accuracy,
     auc,
     bagging,
-    check_cv_options,
-    cross_validate,
     dataset_stats,
     export_response_map,
     make_folds,
@@ -53,7 +52,9 @@ __all__ = ["main"]
 
 
 def _log(msg: str) -> None:
-    print(msg, file=sys.stderr)
+    # one write per line: stderr flushes at each newline, so lines from
+    # concurrent fold processes never interleave mid-line
+    sys.stderr.write(msg + "\n")
 
 
 def _load_config(path: str | None) -> tuple[TrainConfig, dict[str, str]]:
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="manifest CSV")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument(
-        "--workers", type=_int_at_least(1), default=1, help="parallel fold workers",
+        "--workers", type=_int_at_least(1), default=1, help="parallel fold processes",
     )
     p.add_argument(
         "--select-k", action="store_true", help="per-fold k selection (label_assign)",

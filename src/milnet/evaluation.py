@@ -1,4 +1,4 @@
-"""Metrics, the 5-fold protocol, bagging, dataset statistics, map export.
+"""Metrics, fold plans, bagging, dataset statistics, map export.
 
 Scores are bag-level positive probabilities throughout.  AUC uses the
 rank-based Mann-Whitney statistic with half credit for ties, which equals
@@ -8,9 +8,9 @@ the trapezoidal area under the ROC curve produced here.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
-from typing import TYPE_CHECKING, Callable
+# only reader: perfbench/tracing.py, which patches this name on traced runs
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,7 @@ from .data import Manifest
 from .model import ModelParams, response_grid
 from .pgm import read_image_size, write_pgm
 from .preprocessing import to_network_input
-from .rng import derive_rng, derive_seed
-
-if TYPE_CHECKING:
-    from .config import TrainConfig
-    from .training import TrainState
+from .rng import derive_rng
 
 __all__ = [
     "accuracy",
@@ -37,10 +33,6 @@ __all__ = [
     "dataset_stats",
     "write_dataset_stats",
     "export_response_map",
-    "FoldOutcome",
-    "CvSummary",
-    "check_cv_options",
-    "cross_validate",
     "scores_csv",
 ]
 
@@ -315,188 +307,3 @@ def scores_csv(names, labels, scores) -> str:
     for name, label, score in zip(names, labels, scores):
         lines.append(f"{name},{int(label)},{score:.10f}")
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class FoldOutcome:
-    fold: int
-    accuracy: float
-    auc: float
-    best_epoch: int
-    chosen_k: int | None
-    test_indices: np.ndarray
-    test_scores: np.ndarray
-    state: "TrainState"
-
-
-@dataclass
-class CvSummary:
-    outcomes: list[FoldOutcome]
-    accuracy_mean: float
-    accuracy_std: float
-    auc_mean: float
-    auc_std: float
-
-
-def _summary_csv(summary: CvSummary) -> str:
-    lines = ["fold,accuracy,auc"]
-    for o in summary.outcomes:
-        lines.append(f"{o.fold},{o.accuracy:.10f},{o.auc:.10f}")
-    lines.append(
-        f"mean±std,{summary.accuracy_mean:.10f}±{summary.accuracy_std:.10f},"
-        f"{summary.auc_mean:.10f}±{summary.auc_std:.10f}"
-    )
-    return "\n".join(lines) + "\n"
-
-
-def check_cv_options(
-    cfg: "TrainConfig",
-    workers: int,
-    use_select_k: bool,
-    pretrain: "TrainConfig | None",
-) -> None:
-    """Raise on a cross_validate option set that cannot run, before any
-    data or compute is spent on it.
-
-    A pretrain config must name cfg's backbone, since its parameters start
-    the main pass, and cfg's preprocessing, since both passes read the
-    same prepared inputs.
-    """
-    from .training import check_select_k
-
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if use_select_k:
-        check_select_k(cfg)
-        if pretrain is not None:
-            raise ValueError("use_select_k and pretrain cannot be combined")
-    if pretrain is not None:
-        if pretrain.backbone.describe() != cfg.backbone.describe():
-            raise ValueError(
-                f"pretrain backbone {pretrain.backbone.describe()} differs from "
-                f"the configured backbone {cfg.backbone.describe()}"
-            )
-        if pretrain.preprocess != cfg.preprocess:
-            raise ValueError(
-                f"pretrain preprocess {pretrain.preprocess!r} differs from the "
-                f"configured preprocess {cfg.preprocess!r}"
-            )
-
-
-def cross_validate(
-    images: list[np.ndarray],
-    labels,
-    cfg: "TrainConfig",
-    out_dir: str,
-    n_folds: int = 5,
-    workers: int = 1,
-    use_select_k: bool = False,
-    pretrain: "TrainConfig | None" = None,
-    names: list[str] | None = None,
-    log: Callable[[str], None] | None = None,
-) -> CvSummary:
-    """Run the full rotation: for each test fold, train on three folds with
-    the next fold as validation, then score the held-out test fold.
-
-    When pretrain is given, each fold first runs a full training pass with
-    that config (on the same fold's training data, so nothing leaks across
-    folds), then the main config starts from the best pretrained parameters
-    with fresh optimizer moments.  This is how the label-assignment head is
-    meant to be trained: warmed up by the max-pooling head rather than from
-    random weights, where its heavy negative patch weighting erases the
-    feature map before the top-k pull can find the target.
-
-    Writes, per fold f: fold{f}_metrics.csv, fold{f}_ckpt.miln,
-    fold{f}_roc.csv, fold{f}_scores.csv; plus summary.csv with one row per
-    fold and a trailing mean±std row (sample standard deviation).
-    Every image is prepared once, before the first fold; fold runs share
-    those inputs read-only, are independent, and may execute on worker
-    threads.
-    """
-    from .training import bag_scores, init_state, metrics_csv, prepare_inputs
-    from .training import save_checkpoint, select_k, train
-
-    check_cv_options(cfg, workers, use_select_k, pretrain)
-    labels = np.asarray(labels, dtype=np.int64)
-    inputs = prepare_inputs(images, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    plan = make_folds(labels, n_folds=n_folds, seed=cfg.seed)
-    if names is None:
-        names = [str(i) for i in range(len(images))]
-
-    def run_fold(f: int) -> FoldOutcome:
-        train_idx, val_idx, test_idx = plan.split(f)
-        fold_seed = derive_seed(cfg.seed, "fold", f)
-        fold_cfg = dc_replace(cfg, seed=fold_seed)
-        fold_log = (lambda msg: log(f"[fold {f}] {msg}")) if log else None
-        tr_inputs = [inputs[i] for i in train_idx]
-        va_inputs = [inputs[i] for i in val_idx]
-        warm_state = None
-        if pretrain is not None:
-            pre_cfg = dc_replace(pretrain, seed=fold_seed)
-            pre_log = (lambda msg: log(f"[fold {f}] pretrain {msg}")) if log else None
-            pre = train(
-                tr_inputs, labels[train_idx], va_inputs, labels[val_idx],
-                pre_cfg, log=pre_log,
-            )
-            warm_state = init_state(pre.state.params.copy())
-        chosen_k = None
-        if use_select_k:
-            chosen_k, result = select_k(
-                tr_inputs, labels[train_idx], va_inputs, labels[val_idx],
-                fold_cfg, log=fold_log,
-            )
-        else:
-            result = train(
-                tr_inputs, labels[train_idx], va_inputs, labels[val_idx],
-                fold_cfg, log=fold_log, init_state_override=warm_state,
-            )
-        scores = bag_scores(result.state.params, [inputs[i] for i in test_idx])
-        fold_acc = accuracy(scores, labels[test_idx])
-        fold_auc = auc(scores, labels[test_idx])
-        with open(os.path.join(out_dir, f"fold{f}_metrics.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(metrics_csv(result.metrics))
-        save_checkpoint(
-            os.path.join(out_dir, f"fold{f}_ckpt.miln"), result.state, result.config
-        )
-        with open(os.path.join(out_dir, f"fold{f}_roc.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(roc_csv(roc_curve(scores, labels[test_idx])))
-        with open(os.path.join(out_dir, f"fold{f}_scores.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(scores_csv([names[i] for i in test_idx],
-                                labels[test_idx], scores))
-        return FoldOutcome(
-            fold=f,
-            accuracy=fold_acc,
-            auc=fold_auc,
-            best_epoch=result.best_epoch,
-            chosen_k=chosen_k,
-            test_indices=test_idx,
-            test_scores=scores,
-            state=result.state,
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_fold, range(n_folds)))
-    else:
-        outcomes = [run_fold(f) for f in range(n_folds)]
-    accs = np.array([o.accuracy for o in outcomes])
-    aucs = np.array([o.auc for o in outcomes])
-    summary = CvSummary(
-        outcomes=outcomes,
-        accuracy_mean=float(accs.mean()),
-        accuracy_std=float(accs.std(ddof=1)) if accs.size > 1 else 0.0,
-        auc_mean=float(aucs.mean()),
-        auc_std=float(aucs.std(ddof=1)) if aucs.size > 1 else 0.0,
-    )
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8") as fh:
-        fh.write(_summary_csv(summary))
-    if log is not None:
-        log(
-            f"cv done: accuracy {summary.accuracy_mean:.4f}±{summary.accuracy_std:.4f}, "
-            f"auc {summary.auc_mean:.4f}±{summary.auc_std:.4f}"
-        )
-    return summary

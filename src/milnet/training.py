@@ -141,7 +141,7 @@ def prepare_inputs(images: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarra
     """Each raw image as the network input the config's preprocessing makes.
 
     The arrays are read-only: one prepared set is shared by every training
-    pass, validation and test scoring that uses it, fold threads included.
+    pass, validation and test scoring that uses it, fold processes included.
     """
     size = cfg.backbone.input_size
     inputs = [to_network_input(img, size, mode=cfg.preprocess) for img in images]

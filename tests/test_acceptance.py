@@ -3,9 +3,9 @@
 Every test here re-derives its expected values from scratch (exhaustive
 scans, pair counting, hand arithmetic) rather than trusting the library,
 then prints one PASS/FAIL line straight to the terminal so a full run ends
-with visible verdicts for all eight guarantees (determinism prints four:
-across reruns, across fold-worker counts, across BLAS thread counts and
-across CPU counts).
+with visible verdicts for all eight guarantees (determinism prints five:
+across reruns, across fold-worker counts, across BLAS thread counts for
+fold processes and for train and eval, and across CPU counts).
 Tests run in file order; the expensive cross-validation runs happen once in
 a shared fixture.
 """
@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -28,7 +29,8 @@ from milnet.autodiff import Tensor
 from milnet.cli import main
 from milnet.config import TrainConfig
 from milnet.data import SynthSpec, generate_synthetic, load_dataset, load_manifest
-from milnet.evaluation import auc, cross_validate
+from milnet.cv import cross_validate
+from milnet.evaluation import auc
 from milnet.gradcheck import check_full_gradients
 from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
 from milnet.model import response_grid
@@ -385,6 +387,50 @@ class TestDeterminism:
             else f"cv at 1 and 2 fold workers differs in {diffs}",
         )
         assert ok
+
+    def test_cv_fold_processes_match_across_blas_threads(self, tmp_path, capsys):
+        # fold processes are forked after numpy has loaded BLAS and started
+        # its threads; each run is a fresh process, as in _train_eval_digests
+        spec = tmp_path / "synth.cfg"
+        spec.write_text("image_size = 64\nn_pos = 6\nn_neg = 14\nseed = 3\n")
+        assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 2\nbatch = 4\nseed = 9\n")
+        src = str(Path(milnet.__file__).resolve().parents[1])
+        cpus = ",".join(map(str, sorted(os.sched_getaffinity(0))))
+        logs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _PINNED_CLI, cpus, "cv", "--config", str(cfg),
+                 "--data", str(tmp_path / "d" / "manifest.csv"),
+                 "--out", str(tmp_path / f"cv_{threads}"), "--workers", "2"],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            logs[threads] = [line for line in proc.stderr.splitlines() if "[fold " in line]
+        names = sorted(os.listdir(tmp_path / "cv_1"))
+        diffs = [name for name in names
+                 if (tmp_path / "cv_1" / name).read_bytes()
+                 != (tmp_path / "cv_2" / name).read_bytes()]
+        ok = not diffs and names == sorted(os.listdir(tmp_path / "cv_2")) and len(names) == 21
+        _verdict(
+            capsys, "7 determinism", ok,
+            f"cv in 2 fold processes at 1 and 2 BLAS threads: {len(names)} output "
+            f"files all bitwise identical" if not diffs
+            else f"cv fold processes at 1 and 2 BLAS threads differ in {diffs}",
+        )
+        assert ok
+        # every fold's epoch lines reach stderr whole and once, whichever
+        # process wrote them
+        line = re.compile(r"\[fold (\d)\] epoch (\d)/2  train_loss \S+  val_auc \S+  val_acc \S+")
+        want = sorted((str(f), str(e)) for f in range(5) for e in (1, 2))
+        for threads, lines in logs.items():
+            matches = [line.fullmatch(text) for text in lines]
+            assert all(matches), (threads, lines)
+            assert sorted(m.groups() for m in matches) == want, threads
 
     def test_checkpoints_match_across_blas_threads(self, tmp_path, capsys):
         all_cpus = sorted(os.sched_getaffinity(0))

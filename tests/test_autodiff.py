@@ -5,6 +5,7 @@ import gc
 import hashlib
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import weakref
@@ -13,12 +14,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import milnet.cv as cv
 import milnet.gradcheck as gradcheck
-import milnet.training as training
 from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
-from milnet.evaluation import cross_validate
+from milnet.cv import cross_validate
 from milnet.model import PRESETS, BackboneSpec, init_params, response_grids
 
 
@@ -567,26 +568,37 @@ class TestGemmPrecision:
         assert seen and not any(seen)
         assert conv_runs_float32()
 
-    def test_cv_fold_threads_start_float32(self, tmp_path, monkeypatch):
-        seen = []
-        real_train = training.train
+    def test_cv_folds_follow_the_callers_scope(self, tmp_path, monkeypatch):
+        # fold processes run in the caller's scope, so inside it a cv writes
+        # the same bytes at 1 and 2 workers; each fold reports where it ran
+        # and its precision through a file
+        real_train = cv.train
 
-        def recording(*args, **kwargs):
-            seen.append((threading.current_thread() is threading.main_thread(),
-                         conv_runs_float32()))
+        def reporting(*args, **kwargs):
+            where = "child" if os.getpid() != parent else "caller"
+            precision = "float32" if conv_runs_float32() else "float64"
+            (tmp_path / f"{workers}_{args[4].seed}").write_text(f"{where} {precision}")
             return real_train(*args, **kwargs)
 
-        monkeypatch.setattr(training, "train", recording)
+        monkeypatch.setattr(cv, "train", reporting)
+        parent = os.getpid()
         rng = np.random.default_rng(0)
         images = [rng.integers(0, 256, (16, 16)).astype(np.uint8) for _ in range(10)]
         spec = BackboneSpec(input_size=16, layers=(("conv", 2, 3, 2, 1), ("relu",)))
         cfg = TrainConfig(backbone=spec, epochs=1, batch_size=4, seed=3,
                           augment_enabled=False)
-        # the scope covers this thread only; the fold workers keep the default
         with ad.float64_gemms():
-            cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"),
-                           workers=2)
-        assert seen == [(False, True)] * 5
+            for workers in (1, 2):
+                cross_validate(images, np.array([0, 1] * 5), cfg,
+                               str(tmp_path / f"cv{workers}"), workers=workers)
+        for workers, where in ((1, "caller"), (2, "child")):
+            reports = [p.read_text() for p in tmp_path.glob(f"{workers}_*")]
+            assert reports == [f"{where} float64"] * 5, workers
+        names = sorted(os.listdir(tmp_path / "cv1"))
+        assert len(names) == 21 and names == sorted(os.listdir(tmp_path / "cv2"))
+        for name in names:
+            assert ((tmp_path / "cv1" / name).read_bytes()
+                    == (tmp_path / "cv2" / name).read_bytes()), name
 
 
 def conv_bytes(x, w, b, stride, padding) -> list[np.ndarray]:
@@ -661,7 +673,7 @@ class TestSplitOps:
 
     def test_concurrent_callers_share_the_pool(self, split_ops):
         # more callers and pool threads than cores, switching often, as
-        # cross_validate's fold threads would at the paper preset
+        # concurrent training threads would at the paper preset
         x, w, b = conv_layer_inputs((8, 16, 16), (16, 8, 3, 3), n=4)
         split_ops(0)
         want = conv_bytes(x, w, b, 1, 1)

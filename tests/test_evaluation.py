@@ -1,4 +1,5 @@
-"""Metrics against pair-counting oracles, fold plans, bagging, stats, maps."""
+"""Metrics against pair-counting oracles, fold plans, bagging, stats, maps,
+and the cross-validation run."""
 
 import itertools
 import os
@@ -329,16 +330,16 @@ class TestScoresCsv:
 
 class TestCrossValidateOptions:
     def test_select_k_with_pretrain_rejected_before_any_fold(self, tmp_path, monkeypatch):
-        import milnet.training as training
+        import milnet.cv as cv
         from milnet.config import TrainConfig
-        from milnet.evaluation import cross_validate
+        from milnet.cv import cross_validate
         from milnet.heads import MilConfig
 
         def no_train(*args, **kwargs):
             raise AssertionError("a fold started training")
 
-        monkeypatch.setattr(training, "train", no_train)
-        monkeypatch.setattr(training, "select_k", no_train)
+        monkeypatch.setattr(cv, "train", no_train)
+        monkeypatch.setattr(cv, "select_k", no_train)
         cfg = TrainConfig(mil=MilConfig(head="label_assign"))
         rng = np.random.default_rng(0)
         images = [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(10)]
@@ -349,13 +350,13 @@ class TestCrossValidateOptions:
         assert not out.exists()
 
     def _no_training(self, monkeypatch):
-        import milnet.training as training
+        import milnet.cv as cv
 
         def no_train(*args, **kwargs):
             raise AssertionError("a fold started training")
 
-        monkeypatch.setattr(training, "train", no_train)
-        monkeypatch.setattr(training, "select_k", no_train)
+        monkeypatch.setattr(cv, "train", no_train)
+        monkeypatch.setattr(cv, "select_k", no_train)
         rng = np.random.default_rng(0)
         return [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(10)]
 
@@ -364,7 +365,7 @@ class TestCrossValidateOptions:
         self, head, tmp_path, monkeypatch
     ):
         from milnet.config import TrainConfig
-        from milnet.evaluation import cross_validate
+        from milnet.cv import cross_validate
         from milnet.heads import MilConfig
 
         images = self._no_training(monkeypatch)
@@ -380,7 +381,7 @@ class TestCrossValidateOptions:
         self, workers, tmp_path, monkeypatch
     ):
         from milnet.config import TrainConfig
-        from milnet.evaluation import cross_validate
+        from milnet.cv import cross_validate
 
         images = self._no_training(monkeypatch)
         out = tmp_path / "cv"
@@ -398,7 +399,7 @@ class TestCrossValidateOptions:
         self, pretrain_change, message, tmp_path, monkeypatch
     ):
         from milnet.config import TrainConfig
-        from milnet.evaluation import cross_validate
+        from milnet.cv import cross_validate
         from milnet.model import BackboneSpec
 
         images = self._no_training(monkeypatch)
@@ -424,7 +425,7 @@ class TestCrossValidateInputs:
 
         import milnet.training as training
         from milnet.config import TrainConfig
-        from milnet.evaluation import cross_validate
+        from milnet.cv import cross_validate
         from milnet.heads import MilConfig
         from milnet.model import BackboneSpec
 
@@ -452,3 +453,113 @@ class TestCrossValidateInputs:
                        workers=workers, use_select_k=mode == "select_k",
                        pretrain=pretrain)
         assert sorted(calls) == sorted(id(img) for img in images)
+
+
+# a 10-image cv small enough to run in a second: 16 px inputs, one conv layer
+_TINY_CV = '''
+import numpy as np
+from milnet.config import TrainConfig
+from milnet.model import BackboneSpec
+
+rng = np.random.default_rng(0)
+images = [rng.integers(0, 256, (16, 16)).astype(np.uint8) for _ in range(10)]
+labels = np.array([0, 1] * 5)
+cfg = TrainConfig(backbone=BackboneSpec.parse("input:16,conv:2:3:2:1,relu"),
+                  epochs=1, batch_size=4, seed=3, augment_enabled=False)
+'''
+
+# fold 3's process exits at once, without raising
+_KILLED_FOLD_CV = _TINY_CV + '''
+import multiprocessing, os, sys
+import milnet.cv as cv
+from milnet.rng import derive_seed
+
+real_train = cv.train
+
+def dying(*args, **kwargs):
+    if args[4].seed == derive_seed(cfg.seed, "fold", 3):
+        os._exit(1)
+    return real_train(*args, **kwargs)
+
+cv.train = dying
+try:
+    cv.cross_validate(images, labels, cfg, sys.argv[1], workers=2)
+except RuntimeError as exc:
+    print("raised:", exc)
+print("children left:", len(multiprocessing.active_children()))
+'''
+
+
+class TestCrossValidateProcesses:
+    """Folds at workers > 1 run in forked processes: failures surface in the
+    caller naming the fold, no process outlives the call, and each process
+    leaves the op pool its share of the CPUs."""
+
+    def _tiny_cv(self):
+        scope = {}
+        exec(_TINY_CV, scope)
+        return scope["images"], scope["labels"], scope["cfg"]
+
+    def test_failing_fold_raises_naming_it(self, tmp_path, monkeypatch):
+        import multiprocessing
+
+        import milnet.cv as cv
+        from milnet.rng import derive_seed
+
+        images, labels, cfg = self._tiny_cv()
+        real_train = cv.train
+
+        def failing(*args, **kwargs):
+            if args[4].seed == derive_seed(cfg.seed, "fold", 3):
+                raise ValueError("planted failure")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "train", failing)
+        with pytest.raises(RuntimeError, match="fold 3 failed: planted failure"):
+            cv.cross_validate(images, labels, cfg, str(tmp_path / "cv"), workers=2)
+        assert multiprocessing.active_children() == []
+        assert cv._fold_job is None
+
+    def test_killed_fold_process_raises_instead_of_hanging(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import milnet
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(milnet.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_FOLD_CV, str(tmp_path / "cv")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised, left = proc.stdout.splitlines()
+        assert raised.startswith("raised: fold ") and "terminated abruptly" in raised
+        assert left == "children left: 0"
+
+    def test_fold_processes_share_the_cpus_with_op_threads(self, tmp_path, monkeypatch):
+        import milnet.autodiff as ad
+        import milnet.cv as cv
+
+        images, labels, cfg = self._tiny_cv()
+        real_train = cv.train
+
+        def reporting(*args, **kwargs):
+            (tmp_path / f"pool_workers_{args[4].seed}").write_text(
+                f"{os.getpid()} {ad._pool_workers}")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cv, "train", reporting)
+        parent_setting = ad._pool_workers
+        cv.cross_validate(images, labels, cfg, str(tmp_path / "cv"), workers=2)
+        reports = [p.read_text().split() for p in tmp_path.glob("pool_workers_*")]
+        assert len(reports) == 5
+        assert all(int(pid) != os.getpid() for pid, _ in reports)
+        cpus = len(os.sched_getaffinity(0))
+        for _, threads in reports:
+            assert int(threads) == max(0, cpus // 2 - 1)
+            # two fold processes, each with its calling thread and pool threads
+            assert 2 * (1 + int(threads)) <= max(cpus, 2)
+        assert ad._pool_workers == parent_setting

@@ -7,8 +7,16 @@ built from), a shared channel contraction, and scalar reductions (sum,
 weighted sum with constant coefficients, squared L2 norm).  The sum and the
 weighted sum are correctly rounded (math.fsum), so a bag loss does not
 change by one bit when the patches or the bags are reordered.  A fresh
-graph is built for every batch and discarded after the backward pass.
-Tensors are treated as immutable once they enter a graph.
+graph is built for every batch.  Tensors are treated as immutable once they
+enter a graph.
+
+Memory: backward releases the graph as it runs it.  Each interior node
+loses its closure, its parents and its gradient before its closure runs, so
+every activation, every kept im2col matrix and every interior gradient is
+freed once the last closure that reads it has returned; conv2d's backward
+also frees its im2col matrix before it allocates the input gradient's
+columns of the same size.  Leaves keep their ``.grad``.  A second backward
+through a released node raises RuntimeError.
 
 Precision: tensor values and gradients are float64, and so are the
 parameters, optimizer moments and checkpoints built on them.  The only
@@ -128,8 +136,13 @@ class Tensor:
         """Run reverse-mode accumulation from this scalar node.
 
         Visits every reachable node exactly once, in reverse topological
-        order.  Gradients accumulate into ``.grad`` of every tensor on the
-        path that has ``requires_grad`` set.
+        order.  Gradients accumulate into ``.grad`` of every leaf on the
+        path that has ``requires_grad`` set.  The graph is released as it
+        goes: each interior node, this one included, drops its closure, its
+        parents and its ``.grad`` (None afterwards) when it is visited, and
+        leaves keep their ``.grad``.  Raises RuntimeError, before any
+        gradient is touched, when the graph reaches a node that a previous
+        backward() has released.
         """
         if self.data.shape != ():
             raise ValueError(
@@ -145,15 +158,33 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward_fn is _released:
+                raise RuntimeError(_RELEASED)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.asarray(1.0)
-        for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+        while topo:
+            node = topo.pop()
+            backward_fn, grad = node._backward_fn, node.grad
+            if backward_fn is None:
+                continue  # a leaf keeps its gradient
+            node._backward_fn, node._parents, node.grad = _released, (), None
+            if grad is not None:
+                backward_fn(grad)
+
+
+_RELEASED = (
+    "this graph was already released by a previous backward(); build it "
+    "again to differentiate it again"
+)
+
+
+def _released(grad: np.ndarray) -> None:
+    """The closure of a node that backward() has released."""
+    raise RuntimeError(_RELEASED)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -390,19 +421,29 @@ def conv2d(
         return Tensor(out)
 
     def backward(grad: np.ndarray) -> None:
+        nonlocal cols
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if not (kernel.requires_grad or x.requires_grad):
             return
         g = np.empty((n, p, o), dtype=dtype)
-        if x.requires_grad:
-            gcols = np.empty((n, p, k), dtype=dtype)
-            gpad = np.zeros((n, ph, pw, c))
+
+        def upstream(a: int, b: int) -> None:
+            g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
+
+        _split_images(upstream, n, shares)
+        if kernel.requires_grad:
+            gw = _chunked_product_sum(g.reshape(n * p, o), cols.reshape(n * p, k))
+            kernel._accumulate(gw.reshape(o, c, kh, kw))
+        # the columns are not read again: free them before gcols, which has
+        # their size, is allocated
+        cols = None
+        if not x.requires_grad:
+            return
+        gcols = np.empty((n, p, k), dtype=dtype)
+        gpad = np.zeros((n, ph, pw, c))
 
         def input_grad(a: int, b: int) -> None:
-            g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
-            if not x.requires_grad:
-                return
             # col2im in NHWC layout: one strided add per kernel tap.  Taps go
             # in reverse row-major order, so each input cell receives its
             # terms in ascending output-position order, one at a time.
@@ -415,12 +456,8 @@ def conv2d(
                     gpad[a:b, ys, xs] += taps[..., i, j]
 
         _split_images(input_grad, n, shares)
-        if kernel.requires_grad:
-            gw = _chunked_product_sum(g.reshape(n * p, o), cols.reshape(n * p, k))
-            kernel._accumulate(gw.reshape(o, c, kh, kw))
-        if x.requires_grad:
-            crop = gpad[:, padding:padding + h, padding:padding + w]
-            x._accumulate(crop.transpose(0, 3, 1, 2))
+        crop = gpad[:, padding:padding + h, padding:padding + w]
+        x._accumulate(crop.transpose(0, 3, 1, 2))
 
     return _node(out, parents, backward)
 

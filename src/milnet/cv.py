@@ -24,7 +24,6 @@ from .config import TrainConfig
 from .evaluation import accuracy, auc, make_folds, roc_csv, roc_curve, scores_csv
 from .rng import derive_seed
 from .training import (
-    TrainState,
     bag_scores,
     check_select_k,
     init_state,
@@ -45,6 +44,9 @@ __all__ = [
 
 @dataclass
 class FoldOutcome:
+    """One fold's test scores and metrics; its trained parameters are in
+    the fold's checkpoint, fold{f}_ckpt.miln."""
+
     fold: int
     accuracy: float
     auc: float
@@ -52,7 +54,6 @@ class FoldOutcome:
     chosen_k: int | None
     test_indices: np.ndarray
     test_scores: np.ndarray
-    state: TrainState
 
 
 @dataclass
@@ -244,7 +245,6 @@ def cross_validate(
             chosen_k=chosen_k,
             test_indices=test_idx,
             test_scores=scores,
-            state=result.state,
         )
 
     if workers > 1:

@@ -35,7 +35,7 @@ from milnet.gradcheck import check_full_gradients
 from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
 from milnet.model import response_grid
 from milnet.preprocessing import otsu_threshold, to_network_input
-from milnet.training import prepare_inputs, train
+from milnet.training import load_checkpoint, prepare_inputs, train
 
 
 def _verdict(capsys, tag: str, ok: bool, detail: str) -> bool:
@@ -239,17 +239,20 @@ class TestOracleEquivalence:
         assert ok
 
 
-def _locate_hits(summary, images, boxes, cfg) -> tuple[int, int]:
-    """Count positive test bags whose argmax response cell overlaps the box."""
+def _locate_hits(summary, out_dir, images, boxes, cfg) -> tuple[int, int]:
+    """Count positive test bags whose argmax response cell overlaps the box,
+    scoring each fold with the parameters of its checkpoint."""
     size = cfg.backbone.input_size
     hits = total = 0
     for outcome in summary.outcomes:
+        ckpt = os.path.join(out_dir, f"fold{outcome.fold}_ckpt.miln")
+        state, _ = load_checkpoint(ckpt)
         for i in outcome.test_indices:
             box = boxes[i]
             if box is None:
                 continue
             x = to_network_input(images[i], size, mode=cfg.preprocess)
-            grid = response_grid(outcome.state.params, x)
+            grid = response_grid(state.params, x)
             gh, gw = grid.shape
             ci, cj = np.unravel_index(int(np.argmax(grid)), grid.shape)
             ch, cw = size // gh, size // gw
@@ -263,7 +266,8 @@ def _locate_hits(summary, images, boxes, cfg) -> tuple[int, int]:
 
 @pytest.fixture(scope="module")
 def synth_runs(tmp_path_factory):
-    """The default synthetic set plus one 5-fold run per head.
+    """The default synthetic set plus one 5-fold run per head, each written
+    to root / f"cv_{head}".
 
     label_assign cannot train from random weights here (its weighting of
     negative patches flattens the feature map before the top-k pull finds
@@ -300,12 +304,12 @@ def synth_runs(tmp_path_factory):
             workers=5, pretrain=warmup,
         ),
     )
-    return ds, runs, time.monotonic() - start
+    return ds, runs, time.monotonic() - start, root
 
 
 class TestSyntheticEndToEnd:
     def test_auc_per_head(self, synth_runs, capsys):
-        _, runs, elapsed = synth_runs
+        _, runs, elapsed, _ = synth_runs
         means = {head: summary.auc_mean for head, (_, summary) in runs.items()}
         ordering_holds = (
             means["sparse"] >= means["label_assign"] >= means["max_pool"]
@@ -327,9 +331,10 @@ class TestSyntheticEndToEnd:
 
 class TestLocalization:
     def test_argmax_cell_overlaps_mass(self, synth_runs, capsys):
-        ds, runs, _ = synth_runs
+        ds, runs, _, root = synth_runs
         cfg, summary = runs["sparse"]
-        hits, total = _locate_hits(summary, ds.images, ds.boxes, cfg)
+        hits, total = _locate_hits(summary, str(root / "cv_sparse"), ds.images,
+                                   ds.boxes, cfg)
         ok = hits >= 0.90 * total
         _verdict(
             capsys, "6 localization", ok,

@@ -3,11 +3,13 @@
 import contextlib
 import gc
 import hashlib
+import inspect
 import math
 import multiprocessing
 import os
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -481,6 +483,79 @@ class TestDeterminism:
         assert l1 == l2
         assert_array_equal(gx1, gx2)
         assert_array_equal(gw1, gw2)
+
+
+class TestRelease:
+    """backward() frees each interior node's closure, parents and gradient
+    once it has run the node; leaves keep their gradients."""
+
+    @staticmethod
+    def small_graph():
+        """(leaves, interior tensors, root) of sum(pool(relu(conv(x))))."""
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.normal(size=(2, 3, 9, 9)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        y = ad.conv2d(x, w, stride=1, padding=1, bias=b)
+        r = ad.relu(y)
+        p = ad.maxpool2d(r, 3, 2)
+        return (x, w, b), [y, r, p], ad.reduce_sum(p)
+
+    def test_interior_state_is_freed_and_leaf_grads_match(self):
+        # reference: the same graph's closures called by hand, root first
+        leaves, interior, root = self.small_graph()
+        root.grad = np.asarray(1.0)
+        for node in [root, *reversed(interior)]:
+            node._backward_fn(node.grad)
+        want = [leaf.grad for leaf in leaves]
+
+        leaves, interior, root = self.small_graph()
+        cols = inspect.getclosurevars(interior[0]._backward_fn).nonlocals["cols"]
+        held = [weakref.ref(cols)] + [weakref.ref(t.data) for t in interior]
+        del cols, interior
+        root.backward()
+        assert all(ref() is None for ref in held)
+        assert root.grad is None
+        for leaf, grad in zip(leaves, want):
+            assert leaf.grad.dtype == grad.dtype and np.array_equal(leaf.grad, grad)
+
+    def test_released_graph_cannot_run_backward_again(self):
+        (x, w, b), interior, root = self.small_graph()
+        root.backward()
+        grads = [x.grad.copy(), w.grad.copy(), b.grad.copy()]
+        with pytest.raises(RuntimeError, match="already released by a previous backward"):
+            root.backward()
+        # a new graph on a released interior tensor hits the same error
+        with pytest.raises(RuntimeError, match="already released by a previous backward"):
+            ad.reduce_sum(interior[1]).backward()
+        for leaf, grad in zip((x, w, b), grads):
+            assert_array_equal(leaf.grad, grad)
+        # the leaves themselves start new graphs as before
+        ad.reduce_sum(x).backward()
+        assert_array_equal(x.grad, grads[0] + 1.0)
+
+    def test_conv_backward_frees_columns_before_input_gradient(self):
+        # paper layer c1 at batch 8, as in training: the float32 columns kept
+        # for backward and the input-gradient columns take 37 MB each.
+        # Backward frees the first before it allocates the second, so its
+        # peak stays below what the forward left held (the columns
+        # included) plus the input-gradient columns.
+        n, c, size, o, k, padding = 8, 64, 27, 192, 5, 2
+        gcols_bytes = n * size * size * c * k * k * np.dtype(np.float32).itemsize
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.uniform(size=(n, c, size, size)), requires_grad=True)
+        w = Tensor(rng.normal(size=(o, c, k, k)) * 0.01, requires_grad=True)
+        tracemalloc.start()
+        try:
+            root = ad.l2_norm_sq(ad.conv2d(x, w, stride=1, padding=padding))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            root.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held > gcols_bytes  # the columns were traced
+        assert peak < held + gcols_bytes, (peak, held, gcols_bytes)
 
 
 def conv_layers():

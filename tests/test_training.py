@@ -3,15 +3,23 @@
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import milnet.training as training
+from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
-from milnet.heads import MilConfig
-from milnet.model import BackboneSpec, ModelParams, init_params
+from milnet.heads import MilConfig, bag_weights
+from milnet.model import (
+    BackboneSpec,
+    ModelParams,
+    backbone_preset,
+    init_params,
+    params_to_leaves,
+)
 from milnet.training import (
     CHECKPOINT_MAGIC,
     EpochMetrics,
@@ -384,6 +392,28 @@ class TestGraphSize:
         assert len(counts) == 4 + 1  # four steps at batch 2, one at batch 8
         assert len(set(counts)) == 1, counts
         assert counts[-1] <= 29, counts
+
+
+class TestStepMemory:
+    def test_paper_step_holds_only_leaf_gradients_after_backward(self):
+        # backward releases the graph as it goes: of all a paper-preset step
+        # allocates, only the parameter gradients outlive it
+        cfg = TrainConfig(backbone=backbone_preset("paper"))
+        leaves = params_to_leaves(init_params(cfg.backbone, seed=2))
+        rng = np.random.default_rng(8)
+        x = Tensor(rng.uniform(size=(cfg.batch_size, 1, 224, 224)))
+        labels = np.arange(cfg.batch_size) % 2
+        weights = bag_weights(cfg.batch_size // 2, cfg.batch_size, cfg.mil.k,
+                              cfg.mil.m, mode=cfg.mil.weight_mode)
+        tracemalloc.start()
+        try:
+            total = training.batch_objective(cfg, weights, leaves, x, labels)
+            total.backward()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grads = sum(leaf.grad.nbytes for leaf in leaves.values())
+        assert held <= grads + 2**20, (held, grads)
 
 
 class TestBagScores:

@@ -679,14 +679,21 @@ def weighted_sum(x: Tensor, coeff: np.ndarray) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def l2_norm_sq(x: Tensor) -> Tensor:
-    out = np.asarray((x.data * x.data).sum())
+def l2_norm_sq(*tensors: Tensor) -> Tensor:
+    """Sum of squares over every element of one or more tensors, as one
+    node: each tensor's sum of squares, added left to right."""
+    if not tensors:
+        raise ValueError("l2_norm_sq requires at least one tensor")
+    out = np.asarray((tensors[0].data * tensors[0].data).sum())
+    for x in tensors[1:]:
+        out = out + (x.data * x.data).sum()
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(2.0 * float(grad) * x.data)
+        for x in tensors:
+            if x.requires_grad:
+                x._accumulate(2.0 * float(grad) * x.data)
 
-    return _node(out, (x,), backward)
+    return _node(out, tensors, backward)
 
 
 def scale(x: Tensor, c: float) -> Tensor:

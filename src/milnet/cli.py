@@ -99,7 +99,7 @@ def _cmd_train(args) -> int:
         va_inputs, va_labels = prepare_inputs(val_set.images, cfg), val_set.labels
     else:
         # hold out one stratified fifth for best-epoch selection
-        plan = make_folds(dataset.labels, n_folds=5, seed=cfg.seed)
+        plan = make_folds(dataset.labels, seed=cfg.seed)
         val_idx = np.flatnonzero(plan.assignments == 0)
         tr_idx = np.flatnonzero(plan.assignments != 0)
         tr_inputs = [inputs[i] for i in tr_idx]
@@ -182,19 +182,11 @@ def _eval_outputs(out_dir, names, labels, scores) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def _cmd_eval(args) -> int:
-    state, cfg = load_checkpoint(args.ckpt)
-    dataset = load_dataset(load_manifest(args.data))
-    scores = bag_scores(state.params, prepare_inputs(dataset.images, cfg))
-    names = [os.path.basename(p) for p in dataset.paths]
-    _eval_outputs(args.out, names, dataset.labels, scores)
-    _log(f"evaluated {len(dataset)} images; wrote {args.out}/scores.csv")
-    return 0
-
-
-def _cmd_bag(args) -> int:
-    models = [load_checkpoint(ckpt_path) for ckpt_path in args.ckpts]
-    dataset = load_dataset(load_manifest(args.data))
+def _score_manifest(ckpt_paths, data, mode, out_dir) -> int:
+    """Score a manifest with the checkpoints' models combined by mode and
+    write the outputs; returns the number of images scored."""
+    models = [load_checkpoint(ckpt_path) for ckpt_path in ckpt_paths]
+    dataset = load_dataset(load_manifest(data))
     # models that agree on input size and preprocessing read the same inputs,
     # prepared once for the group and dropped before the next group's
     groups: dict[tuple[int, str], list[int]] = {}
@@ -205,9 +197,20 @@ def _cmd_bag(args) -> int:
         inputs = prepare_inputs(dataset.images, models[members[0]][1])
         for i in members:
             per_model[i] = bag_scores(models[i][0].params, inputs)
-    combined = bagging(per_model, mode=args.mode)
+    combined = bagging(per_model, mode=mode)
     names = [os.path.basename(p) for p in dataset.paths]
-    _eval_outputs(args.out, names, dataset.labels, combined)
+    _eval_outputs(out_dir, names, dataset.labels, combined)
+    return len(dataset)
+
+
+def _cmd_eval(args) -> int:
+    n_images = _score_manifest([args.ckpt], args.data, "average", args.out)
+    _log(f"evaluated {n_images} images; wrote {args.out}/scores.csv")
+    return 0
+
+
+def _cmd_bag(args) -> int:
+    _score_manifest(args.ckpts, args.data, args.mode, args.out)
     _log(f"bagged {len(args.ckpts)} models ({args.mode}); wrote {args.out}/scores.csv")
     return 0
 

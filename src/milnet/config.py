@@ -13,7 +13,7 @@ are written with repr() and therefore round-trip exactly.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
 
@@ -81,13 +81,8 @@ class TrainConfig:
                 f"preprocess must be 'resize' or 'full', got {self.preprocess!r}"
             )
         _, gh, gw = output_geometry(self.backbone)
-        m = gh * gw
-        if self.mil.m is None:
-            object.__setattr__(self, "mil", replace(self.mil, m=m))
-        elif self.mil.m != m:
-            raise ValueError(
-                f"mil.m={self.mil.m} does not match backbone patch count {m}"
-            )
+        if self.mil.head == "label_assign" and self.mil.k > gh * gw:
+            raise ValueError(f"k={self.mil.k} exceeds instances per bag m={gh * gw}")
 
 
 @dataclass(frozen=True)
@@ -191,9 +186,8 @@ def _parse(name: str, parse: Callable[[str], Any], text: str, source: str):
 
 
 def _construct(default, values: dict[str, Any]):
-    """A new object of default's class with each dotted path set.  A nested
-    config object is built afresh from its class, so its derived fields
-    (mil.m) are derived again."""
+    """A new object of default's class with each dotted path set; a nested
+    config object is built afresh from its class."""
     kwargs: dict[str, Any] = {}
     nested: dict[str, dict[str, Any]] = {}
     for path, value in values.items():

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextvars
 import multiprocessing
 import os
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
@@ -109,47 +108,50 @@ def check_cv_options(
 
 
 # What a fold process runs: the caller's context (so float64_gemms() carries
-# over), the fold function and the autodiff op-pool threads for each process.
-# Set while a cross_validate call's process pool is open, and read only in
-# the processes forked from it; the lock keeps concurrent callers apart.
-_fold_job: tuple[contextvars.Context, Callable[[int], FoldOutcome], int] | None = None
-_fold_job_lock = threading.Lock()
+# over) and the fold function.  Set by _start_fold_process in each fold
+# process, never in the caller.
+_fold_job: tuple[contextvars.Context, Callable[[int], FoldOutcome]] | None = None
+
+
+def _start_fold_process(
+    context: contextvars.Context, run_fold: Callable[[int], FoldOutcome], op_threads: int
+) -> None:
+    global _fold_job
+    _fold_job = (context, run_fold)
+    autodiff._pool_workers = op_threads
 
 
 def _run_forked_fold(f: int) -> FoldOutcome:
     """Process-pool entry point: fold f of the parent's cross_validate call."""
-    context, run_fold, op_threads = _fold_job
-    autodiff._pool_workers = op_threads
+    context, run_fold = _fold_job
     return context.run(run_fold, f)
 
 
 def _run_folds_forked(
     run_fold: Callable[[int], FoldOutcome], n_folds: int, workers: int
 ) -> list[FoldOutcome]:
-    global _fold_job
     processes = min(workers, n_folds)
-    # pinned: the default start method differs between Python versions, and
-    # only a fork child inherits _fold_job; processes start at the first submit
-    pool = ProcessPoolExecutor(
-        max_workers=processes, mp_context=multiprocessing.get_context("fork"),
-    )
     # fold processes and their autodiff op threads use no more CPUs than
     # this process may
     op_threads = max(0, len(os.sched_getaffinity(0)) // processes - 1)
-    with _fold_job_lock:
-        _fold_job = (contextvars.copy_context(), run_fold, op_threads)
-        try:
-            futures = [pool.submit(_run_forked_fold, f) for f in range(n_folds)]
-            outcomes = []
-            for f, future in enumerate(futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:
-                    raise RuntimeError(f"fold {f} failed: {exc}") from exc
-            return outcomes
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            _fold_job = None
+    # pinned: the default start method differs between Python versions, and
+    # only a fork child receives the closure run_fold without pickling it
+    pool = ProcessPoolExecutor(
+        max_workers=processes, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_fold_process,
+        initargs=(contextvars.copy_context(), run_fold, op_threads),
+    )
+    try:
+        futures = [pool.submit(_run_forked_fold, f) for f in range(n_folds)]
+        outcomes = []
+        for f, future in enumerate(futures):
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:
+                raise RuntimeError(f"fold {f} failed: {exc}") from exc
+        return outcomes
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cross_validate(
@@ -157,7 +159,6 @@ def cross_validate(
     labels,
     cfg: TrainConfig,
     out_dir: str,
-    n_folds: int = 5,
     workers: int = 1,
     use_select_k: bool = False,
     pretrain: TrainConfig | None = None,
@@ -178,21 +179,26 @@ def cross_validate(
     Writes, per fold f: fold{f}_metrics.csv, fold{f}_ckpt.miln,
     fold{f}_roc.csv, fold{f}_scores.csv; plus summary.csv with one row per
     fold and a trailing mean±std row (sample standard deviation).
-    Every image is prepared once, before the first fold; fold runs share
-    those inputs read-only and are independent.  With workers > 1 they run
-    in min(workers, n_folds) forked processes, which call ``log`` for their
-    own fold's lines, in the caller's float64_gemms() scope, and split the
-    CPUs with their autodiff op threads; a fold that fails or whose process
-    dies raises RuntimeError naming the fold, after every fold process has
-    ended.  The outputs are byte-identical at any worker count.
+    Labels, names and the fold plan are checked before any image is
+    prepared or any file written.  Every image is prepared once, before the
+    first fold; fold runs share those inputs read-only and are independent.
+    With workers > 1 they run in min(workers, 5) forked processes, which
+    call ``log`` for their own fold's lines, in the caller's float64_gemms()
+    scope, and split the CPUs with their autodiff op threads; a fold that
+    fails or whose process dies raises RuntimeError naming the fold, after
+    every fold process has ended.  The outputs are byte-identical at any
+    worker count.
     """
     check_cv_options(cfg, workers, use_select_k, pretrain)
     labels = np.asarray(labels, dtype=np.int64)
-    inputs = prepare_inputs(images, cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    plan = make_folds(labels, n_folds=n_folds, seed=cfg.seed)
     if names is None:
         names = [str(i) for i in range(len(images))]
+    for what, values in (("labels", labels), ("names", names)):
+        if len(values) != len(images):
+            raise ValueError(f"{len(values)} {what} for {len(images)} images")
+    plan = make_folds(labels, seed=cfg.seed)
+    inputs = prepare_inputs(images, cfg)
+    os.makedirs(out_dir, exist_ok=True)
 
     def run_fold(f: int) -> FoldOutcome:
         train_idx, val_idx, test_idx = plan.split(f)
@@ -248,9 +254,9 @@ def cross_validate(
         )
 
     if workers > 1:
-        outcomes = _run_folds_forked(run_fold, n_folds, workers)
+        outcomes = _run_folds_forked(run_fold, plan.n_folds, workers)
     else:
-        outcomes = [run_fold(f) for f in range(n_folds)]
+        outcomes = [run_fold(f) for f in range(plan.n_folds)]
     accs = np.array([o.accuracy for o in outcomes])
     aucs = np.array([o.auc for o in outcomes])
     summary = CvSummary(

@@ -175,7 +175,9 @@ class FoldPlan:
 
 def make_folds(labels, n_folds: int = 5, seed: int = 0) -> FoldPlan:
     """Stratified shuffle-split: within each class, a seeded shuffle then
-    round-robin assignment, so per-fold class counts differ by at most 1."""
+    round-robin assignment, so per-fold class counts differ by at most 1.
+    The default fold count is the one `cv` runs and whose first fold is the
+    validation set `train` holds out."""
     labels = np.asarray(labels, dtype=np.int64)
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")

@@ -28,7 +28,7 @@ import numpy as np
 from .autodiff import Tensor, float64_gemms
 from .config import TrainConfig
 from .heads import MilConfig, bag_loss, bag_weights
-from .model import backbone_preset, init_params, output_geometry
+from .model import backbone_preset, init_params, output_geometry, params_to_leaves
 from .rng import derive_rng
 from .training import batch_objective
 
@@ -110,13 +110,13 @@ def _pick_coords(grad: np.ndarray, rng: np.random.Generator, extra: int = 3):
 def _draw_mil(rng: np.random.Generator, head: str, m: int) -> MilConfig:
     k = int(rng.integers(1, m + 1))
     mu = float(10.0 ** rng.uniform(-5.0, -1.0))
-    return MilConfig(head=head, k=k, mu=mu, lam=1e-5, m=m)
+    return MilConfig(head=head, k=k, mu=mu, lam=1e-5)
 
 
-def check_head_gradients(
-    head: str, n_draws: int = 20, seed: int = 2024, m: int = 16
-) -> GradReport:
-    """Differentiate one head with respect to a raw logit row."""
+def check_head_gradients(head: str, n_draws: int = 20, seed: int = 2024) -> GradReport:
+    """Differentiate one head with respect to a raw logit row of 16
+    instances, the desk preset's cell count."""
+    m = 16
     report = GradReport(suite="heads", head=head, n_draws=n_draws)
     start = time.monotonic()
     for draw in range(n_draws):
@@ -142,20 +142,14 @@ def check_head_gradients(
 
 
 @float64_gemms()
-def check_full_gradients(
-    head: str,
-    n_draws: int = 20,
-    seed: int = 2024,
-    preset: str = "desk",
-    coords_per_tensor: int = 2,
-) -> GradReport:
-    """Differentiate the training objective end to end against every
-    parameter tensor and the input image.
+def check_full_gradients(head: str, n_draws: int = 20, seed: int = 2024) -> GradReport:
+    """Differentiate the desk preset's training objective end to end against
+    every parameter tensor and the input image.
 
     The conv GEMMs run on float64 operands here: central differences at
     FD_STEP need the objective to full float64 precision.
     """
-    spec = backbone_preset(preset)
+    spec = backbone_preset("desk")
     _, gh, gw = output_geometry(spec)
     m = gh * gw
     report = GradReport(suite="backbone", head=head, n_draws=n_draws)
@@ -172,10 +166,7 @@ def check_full_gradients(
         x = rng.uniform(0.0, 1.0, size=(1, 1, spec.input_size, spec.input_size))
 
         def objective(want_grads: bool = False):
-            leaves = {
-                name: Tensor(arr, requires_grad=want_grads, name=name)
-                for name, arr in params.arrays.items()
-            }
+            leaves = params_to_leaves(params, requires_grad=want_grads)
             xt = Tensor(x, requires_grad=want_grads, name="input")
             return batch_objective(cfg, weights, leaves, xt, labels), leaves, xt
 
@@ -186,7 +177,7 @@ def check_full_gradients(
             return float(objective(want_grads=False)[0].data)
 
         for name, leaf in leaves.items():
-            for idx in _pick_coords(leaf.grad, rng, extra=coords_per_tensor - 1):
+            for idx in _pick_coords(leaf.grad, rng, extra=1):
                 _fd_compare(
                     report, f"draw {draw} {name}[{idx}]",
                     loss_value, params.arrays[name], idx, float(leaf.grad[idx]),

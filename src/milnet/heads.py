@@ -20,13 +20,13 @@ rather than none.
 
 bag_loss sums the bag terms over the batch (no mean); the training objective
 adds the L2 penalty (lam / 2) * ||theta||^2 once per step, over all
-trainable parameters including biases.
+trainable parameters including biases.  The number of instances per bag, m,
+is the backbone's cell count; bag_loss reads it from the logits it is given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "BagWeights",
     "bag_weights",
     "bag_loss",
-    "l2_penalty",
 ]
 
 HEADS = ("max_pool", "label_assign", "sparse")
@@ -49,9 +48,8 @@ HEADS = ("max_pool", "label_assign", "sparse")
 class MilConfig:
     """Head selection and its hyperparameters.
 
-    k applies to label_assign only, mu to sparse only; both are validated
-    against the head at construction.  m (instances per bag) is fixed by the
-    backbone and checked against k when known.
+    k applies to label_assign only, mu to sparse only.  k is checked
+    against the backbone's cell count by ``TrainConfig``, which knows both.
     """
 
     head: str = "max_pool"
@@ -59,7 +57,6 @@ class MilConfig:
     mu: float = 1e-5
     lam: float = 1e-5
     weight_mode: str = "balanced"
-    m: int | None = None
 
     def __post_init__(self):
         if self.head not in HEADS:
@@ -74,8 +71,6 @@ class MilConfig:
             raise ValueError(
                 f"weight_mode must be 'balanced' or 'literal', got {self.weight_mode!r}"
             )
-        if self.m is not None and self.head == "label_assign" and self.k > self.m:
-            raise ValueError(f"k={self.k} exceeds instances per bag m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -97,7 +92,7 @@ def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced"
     """Empirical class weights from training-set counts.
 
     Patch level is always w1_patch = k * n_pos / (m * n_total) and
-    w0_patch = 1 - w1_patch.  Bag level depends on mode: 'literal' uses the
+    w0_patch = 1 - w1_patch, for a k in [1, m].  Bag level depends on mode: 'literal' uses the
     raw positive prevalence as w1; 'balanced' (default) swaps the two so the
     minority class is up-weighted, which is what a weighted loss on an
     imbalanced set is for.
@@ -106,8 +101,6 @@ def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced"
         raise ValueError(
             f"need both classes present: n_pos={n_pos} of n_total={n_total}"
         )
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} must be in [1, m={m}]")
     prevalence = n_pos / n_total
     w1_patch = k * n_pos / (m * n_total)
     if mode == "literal":
@@ -117,11 +110,6 @@ def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced"
     else:
         raise ValueError(f"unknown weight mode {mode!r}")
     return BagWeights(w1=w1, w0=w0, w1_patch=w1_patch, w0_patch=1.0 - w1_patch)
-
-
-def l2_penalty(params: Sequence[Tensor]) -> Tensor:
-    """||theta||^2 over all given parameter tensors."""
-    return ad.add_n([ad.l2_norm_sq(p) for p in params])
 
 
 def bag_loss(

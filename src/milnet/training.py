@@ -20,12 +20,13 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, parse_run_config, run_config_text
 from .evaluation import accuracy, auc
-from .heads import BagWeights, bag_loss, bag_weights, l2_penalty
+from .heads import BagWeights, bag_loss, bag_weights
 from .model import (
     ModelParams,
     forward_backbone,
     init_params,
     instance_responses,
+    output_geometry,
     param_shapes,
     params_to_leaves,
     response_grids,
@@ -181,7 +182,7 @@ def batch_objective(
     logits = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
     total = bag_loss(cfg.mil, logits, labels, weights)
     if cfg.mil.lam > 0.0:
-        total = ad.add(total, ad.scale(l2_penalty(list(leaves.values())), cfg.mil.lam / 2.0))
+        total = ad.add(total, ad.scale(ad.l2_norm_sq(*leaves.values()), cfg.mil.lam / 2.0))
     return total
 
 
@@ -223,9 +224,10 @@ def train(
     size = cfg.backbone.input_size
     _check_network_inputs(train_inputs, size, "training")
     _check_network_inputs(val_inputs, size, "validation")
-    weights = bag_weights(
-        n_pos, n, cfg.mil.k, cfg.mil.m, mode=cfg.mil.weight_mode
-    )
+    _, gh, gw = output_geometry(cfg.backbone)
+    # the patch weights serve label_assign alone; the other heads have no k
+    k = cfg.mil.k if cfg.mil.head == "label_assign" else 1
+    weights = bag_weights(n_pos, n, k, gh * gw, mode=cfg.mil.weight_mode)
 
     if init_state_override is not None:
         warm = init_state_override.params.spec.describe()
@@ -295,10 +297,16 @@ def train(
 
 
 def check_select_k(cfg: TrainConfig) -> None:
-    """Raise unless k selection applies to cfg's head (label_assign only)."""
+    """Raise unless k selection applies to cfg's head (label_assign only)
+    and every k in the grid fits the backbone's cell count."""
     if cfg.mil.head != "label_assign":
         raise ValueError(
             f"k selection applies to the label_assign head, not {cfg.mil.head!r}"
+        )
+    _, gh, gw = output_geometry(cfg.backbone)
+    if cfg.k_grid[-1] > gh * gw:
+        raise ValueError(
+            f"k={cfg.k_grid[-1]} in k_grid exceeds instances per bag m={gh * gw}"
         )
 
 
@@ -314,10 +322,6 @@ def select_k(
     network inputs; best validation AUC wins, ties going to the smaller k
     (the grid is kept sorted)."""
     check_select_k(cfg)
-    m = cfg.mil.m
-    for k in cfg.k_grid:
-        if k > m:
-            raise ValueError(f"k={k} in k_grid exceeds instances per bag m={m}")
     best_k = None
     best_result: TrainResult | None = None
     for k in cfg.k_grid:

@@ -92,8 +92,8 @@ class TestHeadDegeneracies:
             label = int(rng.integers(0, 2))
             n_pos = int(rng.integers(1, 20))
             w = bag_weights(n_pos, 20, k=int(rng.integers(1, m + 1)), m=m)
-            a = _loss(MilConfig(head="sparse", mu=0.0, m=m), values, label, w)
-            b = _loss(MilConfig(head="max_pool", m=m), values, label, w)
+            a = _loss(MilConfig(head="sparse", mu=0.0), values, label, w)
+            b = _loss(MilConfig(head="max_pool"), values, label, w)
             worst_sparse = max(worst_sparse, abs(a - b))
 
         # k = m with a positive bag: every patch inherits the label, so the
@@ -105,7 +105,7 @@ class TestHeadDegeneracies:
                 n_pos = int(rng.integers(1, 10))
                 w = bag_weights(n_pos, 10, k=m_small, m=m_small)
                 got = _loss(
-                    MilConfig(head="label_assign", k=m_small, m=m_small),
+                    MilConfig(head="label_assign", k=m_small),
                     values, 1, w,
                 )
                 oracle = w.w1_patch * sum(-math.log(v) for v in values)
@@ -126,14 +126,14 @@ class TestHandValues:
         r = (0.2, 0.8, 0.5, 0.1)
         unit = BagWeights(1.0, 1.0, 0.25, 0.75)
 
-        got_max = _loss(MilConfig(head="max_pool", m=4), r, 1, unit)
+        got_max = _loss(MilConfig(head="max_pool"), r, 1, unit)
         want_max = -math.log(0.8)  # 0.22314355...
 
-        got_la = _loss(MilConfig(head="label_assign", k=2, m=4), r, 1, unit)
+        got_la = _loss(MilConfig(head="label_assign", k=2), r, 1, unit)
         want_la = 0.25 * (-math.log(0.8) - math.log(0.5)) \
             + 0.75 * (-math.log(0.8) - math.log(0.9))  # 0.47545073...
 
-        got_sp = _loss(MilConfig(head="sparse", mu=0.01, m=4), r, 1, unit)
+        got_sp = _loss(MilConfig(head="sparse", mu=0.01), r, 1, unit)
         want_sp = -math.log(0.8) + 0.01 * 1.6  # 0.23914355...
 
         ok = (

@@ -204,6 +204,28 @@ class TestTrain:
         assert "label_assign head, not 'sparse'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_select_k_grid_above_cell_count_exits_2_before_loading(
+        self, data_dir, tmp_path, capsys, monkeypatch
+    ):
+        import milnet.cli as cli
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("data loaded before the option check")
+
+        monkeypatch.setattr(cli, "load_dataset", no_load)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("head = label_assign\nk_grid = 4,20\nepochs = 1\n")
+        out_dir = tmp_path / "runs"
+        rc = main([
+            "train", "--config", str(cfg), "--select-k",
+            "--data", str(data_dir / "manifest.csv"),
+            "--out", str(out_dir / "m.miln"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "k=20 in k_grid exceeds instances per bag m=16" in err
+        assert not out_dir.exists()
+
     def test_malformed_backbone_exits_2_before_loading(
         self, data_dir, tmp_path, capsys, monkeypatch
     ):
@@ -475,7 +497,9 @@ class TestCv:
         ("epochs = 1\n", ["--select-k"], "label_assign head, not 'max_pool'"),
         ("head = label_assign\nepochs = 1\n", ["--select-k", "--pretrain-epochs", "1"],
          "cannot be combined"),
-    ], ids=["select_k_other_head", "select_k_with_pretrain"])
+        ("head = label_assign\nk_grid = 4,20\nepochs = 1\n", ["--select-k"],
+         "k=20 in k_grid exceeds instances per bag m=16"),
+    ], ids=["select_k_other_head", "select_k_with_pretrain", "select_k_grid_above_cells"])
     def test_incompatible_options_exit_2_before_loading(
         self, config, flags, message, data_dir, tmp_path, capsys, monkeypatch
     ):

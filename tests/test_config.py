@@ -63,7 +63,8 @@ class TestUserConfig:
         assert cfg.epochs == 50
         assert cfg.batch_size == 8
         assert cfg.mil.head == "max_pool"
-        assert cfg.mil.m == 16  # desk preset: 4x4 grid
+        _, gh, gw = output_geometry(cfg.backbone)
+        assert gh * gw == 16  # desk preset: 4x4 grid
         assert cfg.preprocess == "resize"
         assert cfg.augment_enabled is True
 
@@ -112,7 +113,6 @@ class TestUserConfig:
     def test_paper_preset_geometry(self):
         cfg = train_config_from_items({"preset": "paper"})
         assert output_geometry(cfg.backbone) == (256, 6, 6)
-        assert cfg.mil.m == 36
 
     def test_explicit_backbone_string(self):
         desc = backbone_preset("desk").describe()
@@ -173,10 +173,6 @@ class TestUserConfig:
     def test_k_grid_sorted_deduped(self):
         cfg = train_config_from_items({"head": "label_assign", "k_grid": "8,2,8,4"})
         assert cfg.k_grid == (2, 4, 8)
-
-    def test_mismatched_m_rejected(self):
-        with pytest.raises(ValueError, match="does not match backbone patch count"):
-            TrainConfig(mil=MilConfig(m=9))
 
     def test_bad_preprocess(self):
         with pytest.raises(ValueError, match="preprocess must be"):
@@ -320,7 +316,7 @@ class TestSynthSpecFile:
 class TestKeyTables:
     def test_every_train_config_field_has_one_written_key(self):
         leaves = [f.name for f in fields(TrainConfig) if f.name not in ("mil", "aug")]
-        leaves += [f"mil.{f.name}" for f in fields(MilConfig) if f.name != "m"]
+        leaves += [f"mil.{f.name}" for f in fields(MilConfig)]
         leaves += [f"aug.{f.name}" for f in fields(AugmentConfig)]
         written = [key.path for key in USER_KEYS.values() if key.fmt is not None]
         assert sorted(written) == sorted(leaves)

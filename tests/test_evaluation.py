@@ -414,6 +414,29 @@ class TestCrossValidateOptions:
                            pretrain=pretrain)
         assert not out.exists()
 
+    @pytest.mark.parametrize("labels, names, message", [
+        ([0, 1] * 4 + [0], None, "9 labels for 10 images"),
+        ([0, 1] * 5, [str(i) for i in range(9)], "9 names for 10 images"),
+        ([0] * 6 + [1] * 4, None, "class 1 has 4 samples, fewer than 5 folds"),
+    ], ids=["labels_short", "names_short", "class_below_fold_count"])
+    def test_bad_data_rejected_before_any_image_is_prepared(
+        self, labels, names, message, tmp_path, monkeypatch
+    ):
+        import milnet.training as training
+        from milnet.config import TrainConfig
+        from milnet.cv import cross_validate
+
+        def no_prepare(*args, **kwargs):
+            raise AssertionError("an image was prepared")
+
+        images = self._no_training(monkeypatch)
+        monkeypatch.setattr(training, "to_network_input", no_prepare)
+        out = tmp_path / "cv"
+        with pytest.raises(ValueError, match=message):
+            cross_validate(images, np.array(labels), TrainConfig(), str(out),
+                           names=names)
+        assert not out.exists()
+
 
 class TestCrossValidateInputs:
     """Every image is prepared once per run, whatever the fold options."""

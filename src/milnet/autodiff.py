@@ -13,10 +13,12 @@ enter a graph.
 Memory: backward releases the graph as it runs it.  Each interior node
 loses its closure, its parents and its gradient before its closure runs, so
 every activation, every kept im2col matrix and every interior gradient is
-freed once the last closure that reads it has returned; conv2d's backward
-also frees its im2col matrix before it allocates the input gradient's
-columns of the same size.  Leaves keep their ``.grad``.  A second backward
-through a released node raises RuntimeError.
+freed once the last closure that reads it has returned.  conv2d's backward
+frees its im2col matrix as soon as the kernel gradient is reduced, and
+builds the input gradient one kernel row at a time, so the input
+gradient's column matrix never exists whole.  Leaves keep their
+``.grad``.  A second backward through a released node raises
+RuntimeError.
 
 Precision: tensor values and gradients are float64, and so are the
 parameters, optimizer moments and checkpoints built on them.  The only
@@ -32,7 +34,8 @@ magnitude on every preset layer with random inputs; the tests allow 1e-5.
 Determinism: the conv kernel gradient is reduced by BLAS over row chunks of
 at most ``KERNEL_GRAD_CHUNK`` rows, and the chunk products are summed in
 ascending order into a float64 accumulator; the conv input gradient adds
-the kernel taps in a fixed order.  This holds for sgemm as for dgemm, so
+the kernel taps in a fixed order, and each tap's product rounds as it
+would in one GEMM over all taps.  This holds for sgemm as for dgemm, so
 repeated runs on identical inputs produce bitwise-identical values and
 gradients, at 1 and at 2 BLAS threads alike.
 
@@ -40,8 +43,10 @@ The same holds at any core count.  A large conv2d or maxpool2d is shared
 by the calling thread and a process-wide pool with one thread per further
 CPU the process may run on.  The work splits only at image boundaries, and
 every image goes through the same BLAS calls and the same sums as it would
-unsplit; the kernel gradient's chunk products are computed on several
-threads but summed in ascending order on the calling thread.
+unsplit.  The kernel gradient splits by output channel instead: each
+thread sums the chunk products of its channels in the same ascending
+order, and the split is made only into shares of at least two channels
+whose products stay GEMMs, as gemv rounds by its row count.
 
 Forward-only branches: when no operand of conv2d or maxpool2d requires a
 gradient, as in ``model.response_grids``, the op builds no graph state and
@@ -129,8 +134,14 @@ class Tensor:
 
     def _accumulate(self, contribution: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += contribution
+            # a fresh array, never the caller's, holding what a zero-filled
+            # start plus the contribution would: IEEE addition commutes, so
+            # -0.0 becomes +0.0 here too, and a contribution that broadcasts
+            # fills the node's shape
+            self.grad = np.add(contribution, 0.0, out=np.empty_like(self.data),
+                               dtype=np.float64)
+        else:
+            self.grad += contribution
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar node.
@@ -218,8 +229,9 @@ _gemm_dtype: contextvars.ContextVar = contextvars.ContextVar(
 # pays only on large GEMMs.  Forced at batch 8, it slowed the three desk
 # layers (1.6M to 2.4M each) from 2.4-2.8 to 2.7-3.5 ms forward and from
 # 2.6-2.7 to 8.6-13.5 ms backward; every paper layer (187M and more) got
-# faster.  The kernel gradient compares one chunk product instead: paper
-# c0's (1M) ran its backward 2x slower split, c1-c4's (39M to 113M) faster.
+# faster.  The kernel gradient compares one chunk product instead: split by
+# output channel, paper c0's (1M) ran its backward slower (19.1 against
+# 16.6 ms at batch 8), c1-c4's (39M to 113M) faster.
 _SPLIT_MIN_MACS = 20_000_000
 
 # Window elements (batch x channels x output cells x window area) below which
@@ -290,10 +302,11 @@ def float64_gemms():
         _gemm_dtype.reset(token)
 
 
-def _split_images(fn, n: int, shares: int) -> None:
-    """Call fn(a, b) on contiguous, nonempty image ranges [a, b) that cover
-    range(n), at most ``shares`` of them, one per thread."""
-    shares = min(shares, n)
+def _split_range(fn, n: int, shares: int, min_size: int = 1) -> None:
+    """Call fn(a, b) on contiguous, nonempty ranges [a, b) that cover
+    range(n), at most ``shares`` of them, one per thread, each of at least
+    ``min_size`` items unless range(n) is one range."""
+    shares = max(1, min(shares, n // min_size))
     if shares == 1:
         fn(0, n)
         return
@@ -416,7 +429,7 @@ def conv2d(
         if bias is not None:
             out[a:b] += bias.data[None, :, None, None]
 
-    _split_images(forward, n, shares)
+    _split_range(forward, n, shares)
     if not graph:
         return Tensor(out)
 
@@ -431,31 +444,37 @@ def conv2d(
         def upstream(a: int, b: int) -> None:
             g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
 
-        _split_images(upstream, n, shares)
+        _split_range(upstream, n, shares)
         if kernel.requires_grad:
             gw = _chunked_product_sum(g.reshape(n * p, o), cols.reshape(n * p, k))
             kernel._accumulate(gw.reshape(o, c, kh, kw))
-        # the columns are not read again: free them before gcols, which has
-        # their size, is allocated
+        # the columns are not read again: free them before the input
+        # gradient's buffers are allocated
         cols = None
         if not x.requires_grad:
             return
-        gcols = np.empty((n, p, k), dtype=dtype)
+        # kernel row i as an (o, kw*c) matrix, its columns in (tap, channel)
+        # order, so each tap's product is a contiguous run of c values
+        wrows = wmat.reshape(o, c, kh, kw).transpose(2, 0, 3, 1).reshape(kh, o, kw * c)
+        row_prod = np.empty((n, p, kw * c), dtype=dtype)
         gpad = np.zeros((n, ph, pw, c))
 
         def input_grad(a: int, b: int) -> None:
-            # col2im in NHWC layout: one strided add per kernel tap.  Taps go
-            # in reverse row-major order, so each input cell receives its
-            # terms in ascending output-position order, one at a time.
-            np.matmul(g[a:b], wmat, out=gcols[a:b])
-            taps = gcols[a:b].reshape(b - a, oh, ow, c, kh, kw)
+            # col2im in NHWC layout: one GEMM per image and kernel row, then
+            # one strided add per tap.  With OpenBLAS 0.3.31 each product
+            # rounds as in one GEMM over all taps, in float32 and float64,
+            # at 1 and 2 threads.  Taps go in reverse row-major order, so
+            # each input cell receives its terms in ascending output-position
+            # order, one at a time.
+            taps = row_prod[a:b].reshape(b - a, oh, ow, kw, c)
             for i in range(kh - 1, -1, -1):
+                np.matmul(g[a:b], wrows[i], out=row_prod[a:b])
+                ys = slice(i, i + stride * oh, stride)
                 for j in range(kw - 1, -1, -1):
-                    ys = slice(i, i + stride * oh, stride)
                     xs = slice(j, j + stride * ow, stride)
-                    gpad[a:b, ys, xs] += taps[..., i, j]
+                    gpad[a:b, ys, xs] += taps[..., j, :]
 
-        _split_images(input_grad, n, shares)
+        _split_range(input_grad, n, shares)
         crop = gpad[:, padding:padding + h, padding:padding + w]
         x._accumulate(crop.transpose(0, 3, 1, 2))
 
@@ -464,29 +483,27 @@ def conv2d(
 
 def _chunked_product_sum(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
     """rows.T @ flat in float64, as the ascending sum of the products of
-    ``KERNEL_GRAD_CHUNK``-row chunks.  Large chunk products are computed a
-    round at a time, one per thread, each into its own slot; the calling
-    thread then adds the round's slots in order."""
+    ``KERNEL_GRAD_CHUNK``-row chunks.  When a chunk product is large, the
+    result's rows are split over threads; each adds the chunk products of
+    its rows in the same ascending order, so the split changes no byte.
+
+    numpy hands a product with one row or one column to gemv, whose
+    rounding depends on the row count, so the split is made only into
+    products that gemm computes: at least two rows each, and never when
+    ``flat`` has one column."""
     total = rows.shape[0]
     gw = np.zeros((rows.shape[1], flat.shape[1]))
-    shares = _shares(KERNEL_GRAD_CHUNK * gw.size, _SPLIT_MIN_MACS)
-    starts = range(0, total, KERNEL_GRAD_CHUNK)
-    if shares == 1:
-        # no slots or hand-offs, which cost about 7 us a chunk on desk layers
-        for r in starts:
-            gw += rows[r:r + KERNEL_GRAD_CHUNK].T @ flat[r:r + KERNEL_GRAD_CHUNK]
-        return gw
-    slots = np.empty((shares, *gw.shape), dtype=rows.dtype)
+    prod = np.empty(gw.shape, dtype=rows.dtype)
 
-    def product(r: int, slot: np.ndarray) -> None:
-        chunk = slice(r, r + KERNEL_GRAD_CHUNK)
-        np.matmul(rows[chunk].T, flat[chunk], out=slot)
+    def reduce(a: int, b: int) -> None:
+        rows_ab, prod_ab, gw_ab = rows[:, a:b], prod[a:b], gw[a:b]
+        for r in range(0, total, KERNEL_GRAD_CHUNK):
+            chunk = slice(r, r + KERNEL_GRAD_CHUNK)
+            np.matmul(rows_ab[chunk].T, flat[chunk], out=prod_ab)
+            gw_ab += prod_ab
 
-    for first in range(0, len(starts), shares):
-        batch = starts[first:first + shares]
-        _run_shares([partial(product, r, slot) for r, slot in zip(batch, slots)])
-        for slot in slots[:len(batch)]:
-            gw += slot
+    shares = _shares(KERNEL_GRAD_CHUNK * gw.size, _SPLIT_MIN_MACS) if flat.shape[1] > 1 else 1
+    _split_range(reduce, gw.shape[0], shares, min_size=2)
     return gw
 
 
@@ -521,7 +538,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
                 np.maximum(view[a:b, ..., tap // window, tap % window], out[a:b],
                            out=out[a:b])
 
-        _split_images(forward_only, n, shares)
+        _split_range(forward_only, n, shares)
         return Tensor(out)
     flat = np.empty((n, c, oh, ow, window * window))
     arg = np.empty((n, c, oh, ow), dtype=np.intp)
@@ -531,7 +548,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         np.argmax(flat[a:b], axis=-1, out=arg[a:b])
         out[a:b] = np.take_along_axis(flat[a:b], arg[a:b, ..., None], axis=-1)[..., 0]
 
-    _split_images(forward, n, shares)
+    _split_range(forward, n, shares)
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
@@ -552,7 +569,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
             nn = np.arange(b - a)[:, None, None, None]
             np.add.at(gx[a:b], (nn, cc, src[a:b]), grad[a:b])
 
-        _split_images(scatter, n, shares)
+        _split_range(scatter, n, shares)
         x._accumulate(gx.reshape(n, c, h, w))
 
     return _node(out, (x,), backward)

@@ -177,10 +177,14 @@ def make_folds(labels, n_folds: int = 5, seed: int = 0) -> FoldPlan:
     """Stratified shuffle-split: within each class, a seeded shuffle then
     round-robin assignment, so per-fold class counts differ by at most 1.
     The default fold count is the one `cv` runs and whose first fold is the
-    validation set `train` holds out."""
-    labels = np.asarray(labels, dtype=np.int64)
+    validation set `train` holds out.  Every label must be 0 or 1."""
+    labels = np.asarray(labels)
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
+    bad = np.flatnonzero(~np.isin(labels, (0, 1)))
+    if bad.size:
+        raise ValueError(f"label {labels[bad[0]].item()!r} at index {bad[0]} is not 0 or 1")
+    labels = labels.astype(np.int64)
     assignments = np.full(labels.size, -1, dtype=np.int64)
     rng = derive_rng(seed, "folds")
     for cls in (0, 1):

@@ -85,7 +85,10 @@ def adam_step(
 ) -> TrainState:
     """One bias-corrected Adam update, in place; returns the state.
 
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).  Each intermediate
+    goes into one of two scratch arrays per parameter, in the order of the
+    plain expressions ((1 - beta2) * g, then times g; lr * m_hat, then the
+    division), so the update rounds exactly as they do.
     """
     t = state.step + 1
     for name, arr in state.params.arrays.items():
@@ -99,13 +102,16 @@ def adam_step(
             )
         m = state.m[name]
         v = state.v[name]
+        s1, s2 = np.empty_like(arr), np.empty_like(arr)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(1.0 - beta1, g, out=s1)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.multiply(1.0 - beta2, g, out=s1)
+        v += np.multiply(s1, g, out=s1)
+        m_hat = np.divide(m, 1.0 - beta1**t, out=s1)
+        v_hat = np.divide(v, 1.0 - beta2**t, out=s2)
+        denom = np.add(np.sqrt(v_hat, out=s2), eps, out=s2)
+        arr -= np.divide(np.multiply(lr, m_hat, out=s1), denom, out=s1)
     state.step = t
     return state
 
@@ -200,7 +206,10 @@ def train(
     Inputs are network inputs, as ``prepare_inputs`` makes them from raw
     images with cfg's preprocessing; they are only read, and per-epoch
     augmentation works on copies.  Ties on validation AUC keep the earlier
-    epoch.  A non-finite loss aborts with the offending epoch and step named.
+    epoch.  When the last epoch is the best, ``result.state`` is the live
+    training state itself (``init_state_override`` when one is given), not
+    a copy.  A non-finite loss aborts with the offending epoch and step
+    named.
     """
     train_labels = np.asarray(train_labels, dtype=np.int64)
     val_labels = np.asarray(val_labels, dtype=np.int64)
@@ -285,7 +294,8 @@ def train(
         if val_auc > best_auc:
             best_auc = val_auc
             best_epoch = epoch
-            best = state.copy()
+            # nothing trains the last epoch's state further
+            best = state if epoch == cfg.epochs else state.copy()
     assert best is not None
     return TrainResult(
         state=best,

@@ -81,6 +81,40 @@ class TestTensorBasics:
         assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
+class TestAccumulate:
+    """A node's first gradient is 0.0 + the first contribution, in a fresh
+    array of the node's shape."""
+
+    def test_first_contribution_of_negative_zero_gives_positive_zero(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
+        ad.reduce_sum(ad.scale(x, -0.0)).backward()  # contributions 1 * -0.0
+        assert np.array_equal(x.grad, np.zeros(3))
+        assert not np.signbit(x.grad).any()
+
+    def test_add_gives_each_parent_its_own_gradient(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        c = Tensor([5.0, 6.0], requires_grad=True)
+        ad.reduce_sum(ad.add(ad.add_n([a, b]), c)).backward()
+        grads = [a.grad, b.grad, c.grad]
+        for i, g in enumerate(grads):
+            assert_array_equal(g, [1.0, 1.0])
+            for other in grads[i + 1:]:
+                assert not np.shares_memory(g, other)
+
+    def test_scalar_and_broadcast_contributions(self):
+        # a 0-d leaf gets a 0-d array, as a zero-filled start gives; a
+        # contribution that broadcasts fills the node's shape
+        s = Tensor(2.0, requires_grad=True)
+        ad.l2_norm_sq(s).backward()
+        assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 4.0
+        x = Tensor(np.zeros((1, 2, 2, 2)))
+        weight = Tensor([1.0, 1.0])
+        bias = Tensor([0.5], requires_grad=True)
+        ad.reduce_sum(ad.affine_channel(x, weight, bias)).backward()
+        assert bias.grad.shape == (1,) and bias.grad[0] == 4.0
+
+
 class TestPointwiseOps:
     def test_relu_values_and_grad(self):
         x = np.array([-2.0, 0.0, 3.0])
@@ -536,10 +570,10 @@ class TestRelease:
 
     def test_conv_backward_frees_columns_before_input_gradient(self):
         # paper layer c1 at batch 8, as in training: the float32 columns kept
-        # for backward and the input-gradient columns take 37 MB each.
-        # Backward frees the first before it allocates the second, so its
-        # peak stays below what the forward left held (the columns
-        # included) plus the input-gradient columns.
+        # for backward take 37 MB.  Backward frees them once the kernel
+        # gradient is reduced and builds the input gradient a kernel row at
+        # a time, so its peak stays below what the forward left held (the
+        # columns included) plus one more matrix of the columns' size.
         n, c, size, o, k, padding = 8, 64, 27, 192, 5, 2
         gcols_bytes = n * size * size * c * k * k * np.dtype(np.float32).itemsize
         rng = np.random.default_rng(5)
@@ -803,6 +837,130 @@ class TestSplitOps:
             send.close()
         assert got == want
         assert child_pool
+
+
+def reference_conv_grads(x, w, stride, padding, upstream):
+    """Input, kernel and bias gradients of a conv2d whose output received
+    ``upstream``, at the GEMM precision of the current scope, by the
+    full-column route: the input gradient's whole column matrix from one
+    GEMM per image, its taps added into an NHWC buffer in reverse row-major
+    order, and the kernel gradient's 128-row chunk products added one after
+    another on one thread; each gradient starts from zeros."""
+    dtype = np.float32 if conv_runs_float32() else np.float64
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    p, k = oh * ow, c * kh * kw
+    padded = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=dtype)
+    padded[:, :, padding:padding + h, padding:padding + wd] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols = np.empty((n, p, k), dtype=dtype)
+    cols.reshape(windows.shape)[...] = windows
+    wmat = w.reshape(o, k).astype(dtype)
+    g = np.empty((n, p, o), dtype=dtype)
+    g[...] = upstream.reshape(n, o, p).transpose(0, 2, 1)
+
+    gw = np.zeros((o, k))
+    rows, flat = g.reshape(n * p, o), cols.reshape(n * p, k)
+    for r in range(0, n * p, 128):
+        gw += rows[r:r + 128].T @ flat[r:r + 128]
+
+    gcols = np.matmul(g, wmat)
+    taps = gcols.reshape(n, oh, ow, c, kh, kw)
+    gpad = np.zeros((n, h + 2 * padding, wd + 2 * padding, c))
+    for i in range(kh - 1, -1, -1):
+        for j in range(kw - 1, -1, -1):
+            gpad[:, i:i + stride * oh:stride, j:j + stride * ow:stride] += taps[..., i, j]
+    crop = gpad[:, padding:padding + h, padding:padding + wd].transpose(0, 3, 1, 2)
+    return [np.zeros(x.shape) + crop, np.zeros(w.shape) + gw.reshape(w.shape),
+            np.zeros(o) + upstream.sum(axis=(0, 2, 3))]
+
+
+@pytest.fixture
+def serial_shares(split_ops, monkeypatch):
+    """split_ops with the shares of each op run on the calling thread, one
+    after another, so a test can ask for as many shares as a host with
+    hundreds of CPUs would make without starting a thread for each."""
+    def run_in_turn(tasks: list) -> None:
+        for task in tasks:
+            task()
+
+    monkeypatch.setattr(ad, "_run_shares", run_in_turn)
+    return split_ops
+
+
+def conv_param_grads(x, w, b, stride, padding, coeff) -> list[np.ndarray]:
+    """Input, kernel and bias gradients of sum(coeff * conv2d(x, w, b))."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    ad.weighted_sum(ad.conv2d(xt, wt, stride, padding, bt), coeff).backward()
+    return [xt.grad, wt.grad, bt.grad]
+
+
+class TestConvBackwardOracle:
+    """conv2d's input, kernel and bias gradients equal, bit for bit, those of
+    the full-column reference on every preset layer, at either GEMM
+    precision and any worker count."""
+
+    @staticmethod
+    def assert_reference_bytes(set_workers, worker_counts, in_chw, k_shape, stride,
+                               padding, gemms):
+        x, w, b = conv_layer_inputs(in_chw, k_shape)
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        with scope:
+            shape = ad.conv2d(Tensor(x), Tensor(w), stride, padding).shape
+            # upstream as a relu passes it on: signed zeros among the values
+            rng = np.random.default_rng(53)
+            coeff = rng.normal(size=shape) * (rng.random(size=shape) < 0.6)
+            want = reference_conv_grads(x, w, stride, padding, np.zeros(shape) + coeff)
+            for workers in worker_counts:
+                set_workers(workers)
+                got = conv_param_grads(x, w, b, stride, padding, coeff)
+                for what, grad, ref in zip(("input", "kernel", "bias"), got, want):
+                    assert grad.dtype == ref.dtype and grad.shape == ref.shape, what
+                    assert grad.tobytes() == ref.tobytes(), (workers, what)
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_gradients_match_full_column_reference(
+        self, split_ops, in_chw, k_shape, stride, padding, gemms
+    ):
+        self.assert_reference_bytes(split_ops, (0, 1, 2), in_chw, k_shape, stride,
+                                    padding, gemms)
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_shares_of_few_channels_match_reference(
+        self, serial_shares, in_chw, k_shape, stride, padding, gemms
+    ):
+        # the shares a host with one CPU per 1, 2 or 4 output channels asks
+        # for; the kernel gradient makes none of fewer than two channels
+        o = k_shape[0]
+        self.assert_reference_bytes(serial_shares, (o - 1, o // 2 - 1, o // 4 - 1),
+                                    in_chw, k_shape, stride, padding, gemms)
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    def test_gemv_products_do_not_depend_on_shares(self, serial_shares, gemms):
+        # numpy hands a product with one row or one column to gemv, which
+        # rounds by its row count: a 1x1 output gives one row per image, a
+        # one-channel 1x1 kernel a kernel gradient of one column
+        rng = np.random.default_rng(59)
+        cases = [(rng.normal(size=(5, 64, 3, 3)), rng.normal(size=(128, 64, 3, 3)) / 24),
+                 (rng.normal(size=(5, 1, 40, 40)), rng.normal(size=(16, 1, 1, 1)))]
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        with scope:
+            for case, (x, w) in enumerate(cases):
+                b = np.zeros(len(w))
+                shape = ad.conv2d(Tensor(x), Tensor(w)).shape
+                coeff = rng.normal(size=shape)
+                runs = {}
+                for workers in (0, 1, 2, 4, len(w) - 1):
+                    serial_shares(workers)
+                    runs[workers] = conv_param_grads(x, w, b, 1, 0, coeff)
+                for workers, got in runs.items():
+                    for what, grad, ref in zip(("input", "kernel", "bias"), got, runs[0]):
+                        assert grad.tobytes() == ref.tobytes(), (case, workers, what)
 
 
 class TestForwardOnly:

@@ -210,6 +210,23 @@ class TestFolds:
         with pytest.raises(ValueError):
             make_folds(np.array([0, 1]), n_folds=1)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1] * 5 + [2], "label 2 at index 10 is not 0 or 1"),
+        ([0, 1, -1, 1] * 3, "label -1 at index 2 is not 0 or 1"),
+        ([0.0, 1.0, 0.5] * 5, "label 0.5 at index 2 is not 0 or 1"),
+    ])
+    def test_labels_other_than_0_or_1_rejected_before_drawing(
+        self, labels, message, monkeypatch
+    ):
+        import milnet.evaluation as evaluation
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the fold RNG was drawn")
+
+        monkeypatch.setattr(evaluation, "derive_rng", no_draw)
+        with pytest.raises(ValueError, match=message):
+            make_folds(np.array(labels))
+
 
 class TestBagging:
     def test_average(self):
@@ -418,7 +435,8 @@ class TestCrossValidateOptions:
         ([0, 1] * 4 + [0], None, "9 labels for 10 images"),
         ([0, 1] * 5, [str(i) for i in range(9)], "9 names for 10 images"),
         ([0] * 6 + [1] * 4, None, "class 1 has 4 samples, fewer than 5 folds"),
-    ], ids=["labels_short", "names_short", "class_below_fold_count"])
+        ([0, 1] * 4 + [2, 1], None, "label 2 at index 8 is not 0 or 1"),
+    ], ids=["labels_short", "names_short", "class_below_fold_count", "label_not_0_or_1"])
     def test_bad_data_rejected_before_any_image_is_prepared(
         self, labels, names, message, tmp_path, monkeypatch
     ):

@@ -64,7 +64,7 @@ def tiny_inputs(n=8, seed=0):
 
 def adam_oracle(arrays, grad_seq, lr, beta1, beta2, eps):
     """Straight transcription of bias-corrected Adam, kept separate from the
-    implementation under test."""
+    implementation under test; returns the parameters and both moments."""
     params = {k: a.copy() for k, a in arrays.items()}
     m = {k: np.zeros_like(a) for k, a in arrays.items()}
     v = {k: np.zeros_like(a) for k, a in arrays.items()}
@@ -76,7 +76,7 @@ def adam_oracle(arrays, grad_seq, lr, beta1, beta2, eps):
             m_hat = m[k] / (1 - beta1**t)
             v_hat = v[k] / (1 - beta2**t)
             params[k] = params[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return params
+    return params, m, v
 
 
 def state_from(arrays):
@@ -107,10 +107,33 @@ class TestAdamStep:
         state = state_from(arrays)
         for grads in grad_seq:
             adam_step(state, grads, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-        expected = adam_oracle(arrays, grad_seq, lr, beta1, beta2, eps)
+        expected, _, _ = adam_oracle(arrays, grad_seq, lr, beta1, beta2, eps)
         for k in arrays:
             assert_allclose(state.params.arrays[k], expected[k], rtol=1e-12)
         assert state.step == 20
+
+    @pytest.mark.parametrize("preset", ["desk", "paper"])
+    def test_bitwise_equal_to_the_textbook_expression(self, preset):
+        # every parameter of a preset, the 0-d response bias included, with
+        # exact zeros and signed zeros among the gradients, over 3 steps
+        arrays = init_params(backbone_preset(preset), seed=4).arrays
+        rng = np.random.default_rng(51)
+        grad_seq = []
+        for _ in range(3):
+            grads = {}
+            for k, a in arrays.items():
+                g = rng.normal(size=a.shape) * 1e-3
+                g = np.where(rng.random(size=a.shape) < 0.1, 0.0, g)
+                grads[k] = np.where(rng.random(size=a.shape) < 0.1, -0.0, g)
+            grad_seq.append(grads)
+        state = state_from(arrays)
+        for grads in grad_seq:
+            adam_step(state, grads, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+        want = adam_oracle(arrays, grad_seq, 1e-4, 0.9, 0.999, 1e-8)
+        for got, expected in zip((state.params.arrays, state.m, state.v), want):
+            for k in arrays:
+                assert got[k].shape == expected[k].shape, k
+                assert got[k].tobytes() == expected[k].tobytes(), k
 
     def test_eps_sits_outside_the_sqrt(self):
         # with a tiny first gradient the denominator is |g| + eps, which is
@@ -189,6 +212,21 @@ class TestTrainLoop:
             assert_array_equal(a.state.params.arrays[name],
                                b.state.params.arrays[name])
         assert [m.train_loss for m in a.metrics] == [m.train_loss for m in b.metrics]
+
+    def test_best_epoch_before_the_last_keeps_its_parameters(self, monkeypatch):
+        # the last epoch's state is returned uncopied when it is the best;
+        # an earlier best epoch must still come back as it was then
+        inputs, labels = tiny_inputs()
+        once = train(inputs, labels, inputs, labels, tiny_config(epochs=1))
+        aucs = iter([0.75, 0.5])
+        monkeypatch.setattr(training, "auc", lambda *args: next(aucs))
+        twice = train(inputs, labels, inputs, labels, tiny_config(epochs=2))
+        assert twice.best_epoch == 1 and twice.best_val_auc == 0.75
+        assert twice.state.step == once.state.step
+        for got, want in ((twice.state.params.arrays, once.state.params.arrays),
+                          (twice.state.m, once.state.m), (twice.state.v, once.state.v)):
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_seed_changes_the_run(self):
         inputs, labels = tiny_inputs()

@@ -12,24 +12,32 @@ enter a graph.
 
 Memory: backward releases the graph as it runs it.  Each interior node
 loses its closure, its parents and its gradient before its closure runs, so
-every activation, every kept im2col matrix and every interior gradient is
-freed once the last closure that reads it has returned.  conv2d's backward
-frees its im2col matrix as soon as the kernel gradient is reduced, and
-builds the input gradient one kernel row at a time, so the input
-gradient's column matrix never exists whole.  Leaves keep their
-``.grad``.  A second backward through a released node raises
-RuntimeError.
+every activation, every kept array and every interior gradient is freed
+once the last closure that reads it has returned.  A conv2d whose im2col
+matrix is small (below ``_REGATHER_MIN_COLS`` entries, as on every desk
+layer) keeps that matrix for its kernel gradient; a larger one (every paper
+layer) keeps only its float32 padded input, gathers each image's columns
+into one buffer per thread in forward, and gathers them again in backward,
+an image at a time, into a buffer of one image's rows plus one chunk.  At
+the paper preset, batch 8, that cuts what a step holds after forward from
+164.8 to 88.6 MiB and its backward peak from 174.5 to 113.4 MiB
+(tracemalloc).  Backward frees the columns or their source as soon as the
+kernel gradient is reduced, and builds the input gradient one kernel row
+at a time, so the input gradient's column matrix never exists whole.
+Leaves keep their ``.grad``.  A second backward through a released node
+raises RuntimeError.
 
 Precision: tensor values and gradients are float64, and so are the
 parameters, optimizer moments and checkpoints built on them.  The only
-float32 values are the operands of conv2d's three GEMMs (the im2col matrix
-kept for backward, the kernel matrix and the upstream gradient); each GEMM
-product is upcast to float64 before the bias is added or anything is
-accumulated.  Inside ``with float64_gemms():`` those operands are float64
-too; the gradient check runs there, because central differences need the
-objective to full float64 precision.  Against that exact mode, the float32
-operands moved conv outputs and gradients by under 1e-6 of their largest
-magnitude on every preset layer with random inputs; the tests allow 1e-5.
+float32 values are the operands of conv2d's three GEMMs (the im2col
+columns and the padded input they are gathered from, the kernel matrix and
+the upstream gradient); each GEMM product is upcast to float64 before the
+bias is added or anything is accumulated.  Inside ``with float64_gemms():``
+those operands are float64 too; the gradient check runs there, because
+central differences need the objective to full float64 precision.  Against
+that exact mode, the float32 operands moved conv outputs and gradients by
+under 1e-6 of their largest magnitude on every preset layer with random
+inputs; the tests allow 1e-5.
 
 Determinism: the conv kernel gradient is reduced by BLAS over row chunks of
 at most ``KERNEL_GRAD_CHUNK`` rows, and the chunk products are summed in
@@ -37,7 +45,10 @@ ascending order into a float64 accumulator; the conv input gradient adds
 the kernel taps in a fixed order, and each tap's product rounds as it
 would in one GEMM over all taps.  This holds for sgemm as for dgemm, so
 repeated runs on identical inputs produce bitwise-identical values and
-gradients, at 1 and at 2 BLAS threads alike.
+gradients, at 1 and at 2 BLAS threads alike.  Gathered columns are copies:
+the forward runs the same per-image GEMM on them, and the regathered rows
+reach the kernel gradient in the same 128-row chunks, a chunk that
+straddles two images included, so either route gives the same bytes.
 
 The same holds at any core count.  A large conv2d or maxpool2d is shared
 by the calling thread and a process-wide pool with one thread per further
@@ -46,7 +57,10 @@ every image goes through the same BLAS calls and the same sums as it would
 unsplit.  The kernel gradient splits by output channel instead: each
 thread sums the chunk products of its channels in the same ascending
 order, and the split is made only into shares of at least two channels
-whose products stay GEMMs, as gemv rounds by its row count.
+whose products stay GEMMs, as gemv rounds by its row count.  Its GEMMs are
+never split by input channel (their result columns): split after a third
+of the channels, dgemm gave other bytes on paper c1 and c4.  Only the copy
+that gathers an image's columns again splits by input channel.
 
 Forward-only branches: when no operand of conv2d or maxpool2d requires a
 gradient, as in ``model.response_grids``, the op builds no graph state and
@@ -234,6 +248,23 @@ _gemm_dtype: contextvars.ContextVar = contextvars.ContextVar(
 # 16.6 ms at batch 8), c1-c4's (39M to 113M) faster.
 _SPLIT_MIN_MACS = 20_000_000
 
+# Column-matrix entries (batch x output cells x channels x window area) from
+# which a graph conv2d keeps no im2col matrix for backward: forward gathers
+# each image's columns into one buffer per share, and backward gathers them
+# again from the kept float32 padded input.  Every paper layer holds 2.3M
+# entries or more at batch 8, and gathering again cut a paper step's
+# forward-held memory from 164.8 to 88.6 MiB.  The desk layers hold at most
+# 205K; gathering again on them too slowed desk_cv (wall_ref 11.93 against
+# 13.55 in 5 of 5 pairs) and saved no resident memory.
+_REGATHER_MIN_COLS = 1_000_000
+
+# Kernel widths up to which one image's columns are gathered one kernel tap
+# at a time instead of by one copy from the window view, whose innermost run
+# is kw values.  One image at 1 thread, window view against per tap: the
+# paper 3x3 layers c2-c4 0.68/1.31/0.87 against 0.35/1.06/0.49 ms, the
+# 11x11 c0 and 5x5 c1 0.31/1.65 against 0.90/5.71 ms.
+_TAPWISE_MAX_KW = 3
+
 # Window elements (batch x channels x output cells x window area) below which
 # maxpool2d runs on the calling thread alone.  An element costs about 15 ns
 # (strided copy and argmax), far more than a multiply-add in a GEMM; the
@@ -358,9 +389,10 @@ def conv2d(
     inside :func:`float64_gemms`; products are upcast and accumulated in
     float64.  Backward gives the gradients with respect to the input, the
     kernel and the bias, with the same GEMM operand precision.  Large
-    batches are split by image over the calling thread and the thread pool
-    (see the module docstring).  When no operand requires a gradient, the
-    forward-only branch gives the same bytes with channel-major columns.
+    batches are split by image over the calling thread and the thread pool,
+    and a large layer keeps no im2col matrix for backward (see the module
+    docstring).  When no operand requires a gradient, the forward-only
+    branch gives the same bytes with channel-major columns.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(
@@ -392,17 +424,28 @@ def conv2d(
     ph, pw = h + 2 * padding, w + 2 * padding
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     graph = any(t.requires_grad for t in parents)
-    # A graph keeps cols[n, p, c*kh*kw], the receptive field of each output
-    # position p, as the rows its kernel gradient reduces over.  Forward-only
-    # float32 columns are channel-major, cols[n, c*kh*kw, p], so that
-    # wmat @ cols lands in NCHW; float64 ones are not, as dgemm would round
-    # paper c0 and c1 differently from the graph (module docstring).
+    # The columns of output position p are its receptive field, in (channel,
+    # kernel row, kernel column) order: cols[n, p, c*kh*kw], the rows the
+    # kernel gradient reduces over.  A small graph layer keeps them for
+    # backward; a large one keeps only its float32 padded input and gathers
+    # them again (_REGATHER_MIN_COLS).  Forward-only float32 columns are
+    # channel-major, cols[n, c*kh*kw, p], so that wmat @ cols lands in NCHW;
+    # float64 ones are not, as dgemm would round paper c0 and c1 differently
+    # from the graph (module docstring).
+    regather = graph and n * p * k >= _REGATHER_MIN_COLS
     channel_major = not graph and dtype == np.float32
     if channel_major:
         cols_shape, prod_shape, axes = (n, k, p), (n, o, p), (0, 1, 4, 5, 2, 3)
     else:
         cols_shape, prod_shape, axes = (n, p, k), (n, p, o), (0, 2, 3, 1, 4, 5)
-    if graph:
+    if regather:
+        padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
+        # one column buffer and one product buffer per share, taken by the
+        # share that runs on them
+        spare = [(np.empty((p, k), dtype=dtype), np.empty((p, o), dtype=dtype))
+                 for _ in range(min(shares, n))]
+        cols = None
+    elif graph:
         padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
         cols = np.empty(cols_shape, dtype=dtype)
         prod = np.empty(prod_shape, dtype=dtype)
@@ -412,29 +455,60 @@ def conv2d(
             padded.fill(0)
         cols = _scratch_array("cols", cols_shape, dtype)
         prod = _scratch_array("prod", prod_shape, dtype)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride].transpose(axes)
+    if not regather:
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+        windows = windows[:, :, ::stride, ::stride].transpose(axes)
     wmat = kernel.data.reshape(o, k).astype(dtype)
     out = np.empty((n, o, oh, ow))
 
     def forward(a: int, b: int) -> None:
         padded[a:b, :, padding:padding + h, padding:padding + w] = x.data[a:b]
-        cols[a:b].reshape(windows[a:b].shape)[...] = windows[a:b]
-        if channel_major:
-            np.matmul(wmat, cols[a:b], out=prod[a:b])
-            out[a:b].reshape(b - a, o, p)[...] = prod[a:b]
+        if regather:
+            # image by image, the same GEMM the stacked product makes
+            cols_i, prod_i = spare.pop()
+            for i in range(a, b):
+                _gather_columns(padded[i], cols_i.reshape(oh, ow, c, kh, kw), stride)
+                np.matmul(cols_i, wmat.T, out=prod_i)
+                out[i].reshape(o, p)[...] = prod_i.T
         else:
-            np.matmul(cols[a:b], wmat.T, out=prod[a:b])
-            out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
+            cols[a:b].reshape(windows[a:b].shape)[...] = windows[a:b]
+            if channel_major:
+                np.matmul(wmat, cols[a:b], out=prod[a:b])
+                out[a:b].reshape(b - a, o, p)[...] = prod[a:b]
+            else:
+                np.matmul(cols[a:b], wmat.T, out=prod[a:b])
+                out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
         if bias is not None:
             out[a:b] += bias.data[None, :, None, None]
 
     _split_range(forward, n, shares)
     if not graph:
         return Tensor(out)
+    # what backward gathers the columns from when it keeps none
+    source = padded if regather else None
+
+    def regathered_rows():
+        """The column matrix's rows, gathered again image by image from the
+        padded input (each image split over threads by input channel), in
+        blocks of whole KERNEL_GRAD_CHUNK-row chunks; the rows of a chunk
+        that straddles two images wait at the buffer's front."""
+        def gather(i: int, fields: np.ndarray, a: int, b: int) -> None:
+            _gather_columns(source[i, a:b], fields[:, :, a:b], stride)
+
+        buf = np.empty((p + KERNEL_GRAD_CHUNK, k), dtype=dtype)
+        fill = 0
+        for i in range(n):
+            fields = buf[fill:fill + p].reshape(oh, ow, c, kh, kw)
+            _split_range(partial(gather, i, fields), c, shares)
+            fill += p
+            ready = fill if i == n - 1 else fill - fill % KERNEL_GRAD_CHUNK
+            if ready:
+                yield buf[:ready]
+                buf[:fill - ready] = buf[ready:fill]
+                fill -= ready
 
     def backward(grad: np.ndarray) -> None:
-        nonlocal cols
+        nonlocal cols, source
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if not (kernel.requires_grad or x.requires_grad):
@@ -446,11 +520,15 @@ def conv2d(
 
         _split_range(upstream, n, shares)
         if kernel.requires_grad:
-            gw = _chunked_product_sum(g.reshape(n * p, o), cols.reshape(n * p, k))
+            # no local name holds the blocks, so that the kept columns are
+            # freed below
+            gw = _chunked_product_sum(
+                g.reshape(n * p, o),
+                regathered_rows() if regather else (cols.reshape(n * p, k),), k)
             kernel._accumulate(gw.reshape(o, c, kh, kw))
-        # the columns are not read again: free them before the input
-        # gradient's buffers are allocated
-        cols = None
+        # the columns and their source are not read again: free them before
+        # the input gradient's buffers are allocated
+        cols = source = None
         if not x.requires_grad:
             return
         # kernel row i as an (o, kw*c) matrix, its columns in (tap, channel)
@@ -481,29 +559,51 @@ def conv2d(
     return _node(out, parents, backward)
 
 
-def _chunked_product_sum(rows: np.ndarray, flat: np.ndarray) -> np.ndarray:
+def _gather_columns(padded: np.ndarray, fields: np.ndarray, stride: int) -> None:
+    """Copy the receptive fields of one padded image, padded[c, ph, pw], into
+    fields[oh, ow, c, kh, kw]: one kernel tap at a time for kernels up to
+    ``_TAPWISE_MAX_KW`` wide, one copy from the window view otherwise."""
+    oh, ow, _, kh, kw = fields.shape
+    if kw <= _TAPWISE_MAX_KW:
+        for i in range(kh):
+            for j in range(kw):
+                tap = padded[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
+                fields[..., i, j] = tap.transpose(1, 2, 0)
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+        fields[...] = windows[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4)
+
+
+def _chunked_product_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     """rows.T @ flat in float64, as the ascending sum of the products of
-    ``KERNEL_GRAD_CHUNK``-row chunks.  When a chunk product is large, the
-    result's rows are split over threads; each adds the chunk products of
-    its rows in the same ascending order, so the split changes no byte.
+    ``KERNEL_GRAD_CHUNK``-row chunks, where ``flat`` has ``width`` columns
+    and ``blocks`` yields its rows in order, in blocks of whole chunks but
+    for the last.  When a chunk product is large, the result's rows are
+    split over threads block by block; each adds the chunk products of its
+    rows in the same ascending order, so neither the blocks nor the split
+    change a byte.
 
     numpy hands a product with one row or one column to gemv, whose
     rounding depends on the row count, so the split is made only into
     products that gemm computes: at least two rows each, and never when
     ``flat`` has one column."""
-    total = rows.shape[0]
-    gw = np.zeros((rows.shape[1], flat.shape[1]))
+    gw = np.zeros((rows.shape[1], width))
     prod = np.empty(gw.shape, dtype=rows.dtype)
 
-    def reduce(a: int, b: int) -> None:
+    def reduce(rows: np.ndarray, block: np.ndarray, a: int, b: int) -> None:
         rows_ab, prod_ab, gw_ab = rows[:, a:b], prod[a:b], gw[a:b]
-        for r in range(0, total, KERNEL_GRAD_CHUNK):
+        for r in range(0, len(block), KERNEL_GRAD_CHUNK):
             chunk = slice(r, r + KERNEL_GRAD_CHUNK)
-            np.matmul(rows_ab[chunk].T, flat[chunk], out=prod_ab)
+            np.matmul(rows_ab[chunk].T, block[chunk], out=prod_ab)
             gw_ab += prod_ab
 
-    shares = _shares(KERNEL_GRAD_CHUNK * gw.size, _SPLIT_MIN_MACS) if flat.shape[1] > 1 else 1
-    _split_range(reduce, gw.shape[0], shares, min_size=2)
+    shares = _shares(KERNEL_GRAD_CHUNK * gw.size, _SPLIT_MIN_MACS) if width > 1 else 1
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        _split_range(partial(reduce, rows[start:stop], block), gw.shape[0], shares,
+                     min_size=2)
+        start = stop
     return gw
 
 

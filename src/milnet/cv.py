@@ -20,7 +20,15 @@ import numpy as np
 
 from . import autodiff
 from .config import TrainConfig
-from .evaluation import accuracy, auc, make_folds, roc_csv, roc_curve, scores_csv
+from .evaluation import (
+    accuracy,
+    auc,
+    binary_labels,
+    make_folds,
+    roc_csv,
+    roc_curve,
+    scores_csv,
+)
 from .rng import derive_seed
 from .training import (
     bag_scores,
@@ -190,7 +198,7 @@ def cross_validate(
     worker count.
     """
     check_cv_options(cfg, workers, use_select_k, pretrain)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = binary_labels(labels)
     if names is None:
         names = [str(i) for i in range(len(images))]
     for what, values in (("labels", labels), ("names", names)):

@@ -27,6 +27,7 @@ __all__ = [
     "roc_curve",
     "roc_csv",
     "FoldPlan",
+    "binary_labels",
     "make_folds",
     "bagging",
     "DatasetStats",
@@ -173,18 +174,30 @@ class FoldPlan:
         return train, val, test
 
 
+def binary_labels(labels, what: str = "label") -> np.ndarray:
+    """``labels`` as an int64 array, once every one of them is 0 or 1.
+
+    The values are checked as given, before any cast, so a 0.5 is not
+    truncated to 0.  Otherwise raises ValueError naming the first other
+    value and its index after ``what``, as in "training label 0.5 at index
+    7 is not 0 or 1"."""
+    labels = np.asarray(labels)
+    bad = np.flatnonzero(~np.isin(labels, (0, 1)))
+    if bad.size:
+        raise ValueError(
+            f"{what} {labels.flat[bad[0]].item()!r} at index {bad[0]} is not 0 or 1"
+        )
+    return labels.astype(np.int64)
+
+
 def make_folds(labels, n_folds: int = 5, seed: int = 0) -> FoldPlan:
     """Stratified shuffle-split: within each class, a seeded shuffle then
     round-robin assignment, so per-fold class counts differ by at most 1.
     The default fold count is the one `cv` runs and whose first fold is the
     validation set `train` holds out.  Every label must be 0 or 1."""
-    labels = np.asarray(labels)
     if n_folds < 2:
         raise ValueError(f"need at least 2 folds, got {n_folds}")
-    bad = np.flatnonzero(~np.isin(labels, (0, 1)))
-    if bad.size:
-        raise ValueError(f"label {labels[bad[0]].item()!r} at index {bad[0]} is not 0 or 1")
-    labels = labels.astype(np.int64)
+    labels = binary_labels(labels)
     assignments = np.full(labels.size, -1, dtype=np.int64)
     rng = derive_rng(seed, "folds")
     for cls in (0, 1):

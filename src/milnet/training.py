@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import TrainConfig, parse_run_config, run_config_text
-from .evaluation import accuracy, auc
+from .evaluation import accuracy, auc, binary_labels
 from .heads import BagWeights, bag_loss, bag_weights
 from .model import (
     ModelParams,
@@ -211,8 +211,8 @@ def train(
     a copy.  A non-finite loss aborts with the offending epoch and step
     named.
     """
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    val_labels = np.asarray(val_labels, dtype=np.int64)
+    train_labels = binary_labels(train_labels, "training label")
+    val_labels = binary_labels(val_labels, "validation label")
     n = len(train_inputs)
     if n == 0 or len(val_inputs) == 0:
         raise ValueError("train and validation sets must be non-empty")

@@ -436,7 +436,9 @@ class TestCrossValidateOptions:
         ([0, 1] * 5, [str(i) for i in range(9)], "9 names for 10 images"),
         ([0] * 6 + [1] * 4, None, "class 1 has 4 samples, fewer than 5 folds"),
         ([0, 1] * 4 + [2, 1], None, "label 2 at index 8 is not 0 or 1"),
-    ], ids=["labels_short", "names_short", "class_below_fold_count", "label_not_0_or_1"])
+        ([0, 1] * 4 + [0.5, 1], None, r"label 0\.5 at index 8 is not 0 or 1"),
+    ], ids=["labels_short", "names_short", "class_below_fold_count", "label_not_0_or_1",
+            "label_fraction"])
     def test_bad_data_rejected_before_any_image_is_prepared(
         self, labels, names, message, tmp_path, monkeypatch
     ):

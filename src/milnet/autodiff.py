@@ -72,10 +72,11 @@ columns.  dgemm does not (paper layers c0 and c1), so float64 operands keep
 the graph's layout.  maxpool2d takes np.maximum tap by tap in row-major
 window order with the running max as the second argument, which numpy
 returns on a tie (-0.0 against +0.0 too), so the earlier tap wins as in
-argmax.  Inside ``_forward_buffers()``, which response_grids opens for its
-whole call, conv2d takes its padded input, columns and GEMM product from
-one buffer per role on the calling thread, grown when too small and dropped
-when the block exits or raises; output arrays are always fresh.
+argmax.  Inside ``_forward_buffers()``, which response_grids opens around
+each serial run of batches, conv2d takes its padded input, columns and GEMM
+product from one buffer per role on the calling thread, grown when too
+small and dropped when the block exits or raises; output arrays are always
+fresh.
 
 Subgradient conventions: relu'(0) = 0, and max pooling breaks ties toward
 the smallest original index.
@@ -274,8 +275,11 @@ _SPLIT_MIN_POOL_READS = 200_000
 
 # Threads besides the calling one that share the image groups of a large
 # conv2d or maxpool2d: one fewer than the CPUs this process may run on, read
-# at the first large op.  The pool is started then too, and forgotten in a
-# forked child, which has none of its threads.
+# at the first large op, or this process's share of them in a process forked
+# by ``_forked.run_forked``.  response_grids shards a large image set over as
+# many processes as this budget counts CPUs.  The pool is started at the
+# first large op, and forgotten in a forked child, which has none of its
+# threads.
 _pool_workers: int | None = None
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()

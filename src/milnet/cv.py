@@ -1,24 +1,22 @@
 """The 5-fold cross-validation run: option checks, the fold rotation, the
 per-fold output files and the summary.
 
-With ``workers > 1`` the folds run in forked processes.  A fork child sees
-the parent's memory as it was at the fork, so the prepared inputs, the fold
-plan and the fold function reach every child without being pickled; only
-each fold's :class:`FoldOutcome` is sent back.
+With ``workers > 1`` the folds run in forked processes
+(``_forked.run_forked``).  A fork child sees the parent's memory as it was
+at the fork, so the prepared inputs, the fold plan and the fold function
+reach every child without being pickled; only each fold's
+:class:`FoldOutcome` is sent back.
 """
 
 from __future__ import annotations
 
-import contextvars
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
 from typing import Callable
 
 import numpy as np
 
-from . import autodiff
+from ._forked import run_forked
 from .config import TrainConfig
 from .evaluation import (
     accuracy,
@@ -113,53 +111,6 @@ def check_cv_options(
                 f"pretrain preprocess {pretrain.preprocess!r} differs from the "
                 f"configured preprocess {cfg.preprocess!r}"
             )
-
-
-# What a fold process runs: the caller's context (so float64_gemms() carries
-# over) and the fold function.  Set by _start_fold_process in each fold
-# process, never in the caller.
-_fold_job: tuple[contextvars.Context, Callable[[int], FoldOutcome]] | None = None
-
-
-def _start_fold_process(
-    context: contextvars.Context, run_fold: Callable[[int], FoldOutcome], op_threads: int
-) -> None:
-    global _fold_job
-    _fold_job = (context, run_fold)
-    autodiff._pool_workers = op_threads
-
-
-def _run_forked_fold(f: int) -> FoldOutcome:
-    """Process-pool entry point: fold f of the parent's cross_validate call."""
-    context, run_fold = _fold_job
-    return context.run(run_fold, f)
-
-
-def _run_folds_forked(
-    run_fold: Callable[[int], FoldOutcome], n_folds: int, workers: int
-) -> list[FoldOutcome]:
-    processes = min(workers, n_folds)
-    # fold processes and their autodiff op threads use no more CPUs than
-    # this process may
-    op_threads = max(0, len(os.sched_getaffinity(0)) // processes - 1)
-    # pinned: the default start method differs between Python versions, and
-    # only a fork child receives the closure run_fold without pickling it
-    pool = ProcessPoolExecutor(
-        max_workers=processes, mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_fold_process,
-        initargs=(contextvars.copy_context(), run_fold, op_threads),
-    )
-    try:
-        futures = [pool.submit(_run_forked_fold, f) for f in range(n_folds)]
-        outcomes = []
-        for f, future in enumerate(futures):
-            try:
-                outcomes.append(future.result())
-            except Exception as exc:
-                raise RuntimeError(f"fold {f} failed: {exc}") from exc
-        return outcomes
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cross_validate(
@@ -262,7 +213,8 @@ def cross_validate(
         )
 
     if workers > 1:
-        outcomes = _run_folds_forked(run_fold, plan.n_folds, workers)
+        outcomes = run_forked(
+            run_fold, [f"fold {f}" for f in range(plan.n_folds)], workers)
     else:
         outcomes = [run_fold(f) for f in range(plan.n_folds)]
     accs = np.array([o.accuracy for o in outcomes])

@@ -370,7 +370,8 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     if data.ndim:
         f.write(struct.pack(f"<{data.ndim}Q", *data.shape))
     f.write(struct.pack("<B", _DTYPE_F64_LE))
-    f.write(data.tobytes())
+    # the contiguous array's own buffer, so no copy of the tensor is made
+    f.write(data.data)
 
 
 def save_checkpoint(path: str, state: TrainState, cfg: TrainConfig) -> None:
@@ -470,8 +471,12 @@ def load_checkpoint(path: str) -> tuple[TrainState, TrainConfig]:
             if tag != _DTYPE_F64_LE:
                 raise ValueError(f"{path}: unknown dtype tag {tag} for {name!r}")
             count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            payload = _read_exact(f, 8 * count, f"{name} payload")
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            # read straight into the tensor's array, with no bytes object between
+            flat = np.empty(count, dtype="<f8")
+            if f.readinto(flat) != flat.nbytes:
+                raise ValueError(f"{path}: truncated checkpoint while reading "
+                                 f"{name} payload")
+            tensors[name] = flat.reshape(shape)
     arrays = {}
     moments_m = {}
     moments_v = {}

@@ -33,7 +33,7 @@ from milnet.cv import cross_validate
 from milnet.evaluation import auc
 from milnet.gradcheck import check_full_gradients
 from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
-from milnet.model import response_grid
+from milnet.model import _SHARD_MIN_IMAGES, response_grid
 from milnet.preprocessing import otsu_threshold, to_network_input
 from milnet.training import load_checkpoint, prepare_inputs, train
 
@@ -444,14 +444,16 @@ class TestDeterminism:
         ok = len(same) == len(_PRESET_RUNS)
         _verdict(
             capsys, "7 determinism", ok,
-            f"train checkpoints and eval scores at 1 and 2 BLAS threads "
+            f"train checkpoints and eval scores (desk also over "
+            f"{_SHARD_MIN_IMAGES} images, sharded) at 1 and 2 BLAS threads "
             f"bitwise identical for presets {same} of {list(_PRESET_RUNS)}",
         )
         assert ok
 
     def test_checkpoints_match_across_cpu_counts(self, tmp_path, capsys):
         # conv2d and maxpool2d share large batches with one pool thread per
-        # CPU beyond the first; pinned to one CPU, they run unsplit
+        # CPU beyond the first, and response_grids shares a large image set
+        # with one forked process per CPU; pinned to one CPU, they run unsplit
         all_cpus = sorted(os.sched_getaffinity(0))
         if len(all_cpus) < 2:
             pytest.skip("needs at least 2 usable CPUs")
@@ -461,8 +463,10 @@ class TestDeterminism:
         ok = len(same) == len(_PRESET_RUNS)
         _verdict(
             capsys, "7 determinism", ok,
-            f"train checkpoints and eval scores on 1 and {len(all_cpus)} CPUs "
-            f"bitwise identical for presets {same} of {list(_PRESET_RUNS)}",
+            f"train checkpoints and eval scores (desk also over "
+            f"{_SHARD_MIN_IMAGES} images, sharded on more than 1 CPU) on 1 and "
+            f"{len(all_cpus)} CPUs bitwise identical for presets {same} of "
+            f"{list(_PRESET_RUNS)}",
         )
         assert ok
 
@@ -486,12 +490,19 @@ _PINNED_CLI = (
 def _train_eval_digests(tmp_path, variants: dict[str, tuple[str, list[int]]]) -> dict:
     """Train and evaluate each of _PRESET_RUNS once per variant, a
     (BLAS threads, CPUs) pair; returns the SHA-256 of the checkpoint and of
-    the eval scores per (preset, variant).  Each run is a fresh process,
-    because BLAS reads its thread count from the environment once, when
-    numpy is loaded."""
+    the eval scores per (preset, variant), and for the desk checkpoint also
+    that of an eval over _SHARD_MIN_IMAGES images, which response_grids
+    shards over forked processes when it has more than one CPU.  Each run is
+    a fresh process, because BLAS reads its thread count from the
+    environment once, when numpy is loaded."""
     spec = tmp_path / "synth.cfg"
     spec.write_text("image_size = 224\nn_pos = 5\nn_neg = 5\nseed = 4\n")
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")]) == 0
+    half = -(-_SHARD_MIN_IMAGES // 2)
+    spec.write_text(f"image_size = 64\nn_pos = {half}\nn_neg = {half}\nseed = 5\n")
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "big")]) == 0
+    big_manifest = str(tmp_path / "big" / "manifest.csv")
+    assert len(load_manifest(big_manifest).records) >= _SHARD_MIN_IMAGES
     src = str(Path(milnet.__file__).resolve().parents[1])
     manifest = str(tmp_path / "d" / "manifest.csv")
     digests = {}
@@ -504,21 +515,26 @@ def _train_eval_digests(tmp_path, variants: dict[str, tuple[str, list[int]]]) ->
                 filter(None, [src, os.environ.get("PYTHONPATH")]))
             out = tmp_path / f"{name}_{variant}.miln"
             scored = tmp_path / f"{name}_{variant}_eval"
-            for argv in (
+            scored_big = tmp_path / f"{name}_{variant}_eval_big"
+            runs = [
                 ["train", "--config", str(cfg), "--data", manifest, "--out", str(out)],
                 # inference forwards batches of images through stacked
                 # GEMMs, so its scores are checked too
                 ["eval", "--ckpt", str(out), "--data", manifest, "--out", str(scored)],
-            ):
+            ]
+            outputs = [out, scored / "scores.csv"]
+            if name == "desk":
+                runs.append(["eval", "--ckpt", str(out), "--data", big_manifest,
+                             "--out", str(scored_big)])
+                outputs.append(scored_big / "scores.csv")
+            for argv in runs:
                 proc = subprocess.run(
                     [sys.executable, "-c", _PINNED_CLI, ",".join(map(str, cpus)), *argv],
                     env=env, capture_output=True, text=True, timeout=600,
                 )
                 assert proc.returncode == 0, proc.stderr
-            digests[name, variant] = (
-                hashlib.sha256(out.read_bytes()).hexdigest(),
-                hashlib.sha256((scored / "scores.csv").read_bytes()).hexdigest(),
-            )
+            digests[name, variant] = tuple(
+                hashlib.sha256(path.read_bytes()).hexdigest() for path in outputs)
     return digests
 
 

@@ -547,6 +547,7 @@ class TestCrossValidateProcesses:
         import multiprocessing
 
         import milnet.cv as cv
+        from milnet import _forked
         from milnet.rng import derive_seed
 
         images, labels, cfg = self._tiny_cv()
@@ -561,7 +562,7 @@ class TestCrossValidateProcesses:
         with pytest.raises(RuntimeError, match="fold 3 failed: planted failure"):
             cv.cross_validate(images, labels, cfg, str(tmp_path / "cv"), workers=2)
         assert multiprocessing.active_children() == []
-        assert cv._fold_job is None
+        assert _forked._job is None
 
     def test_killed_fold_process_raises_instead_of_hanging(self, tmp_path):
         import subprocess

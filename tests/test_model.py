@@ -1,12 +1,15 @@
 """Backbone geometry, parameter init, and response-layer checks."""
 
 import contextlib
+import os
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from milnet import autodiff as ad
+from milnet import model
 from milnet.autodiff import Tensor
 from milnet.model import (
     BackboneSpec,
@@ -272,3 +275,159 @@ class TestResponseGrid:
             params.arrays[name][...] = 0.0
         grid = response_grid(params, np.random.default_rng(1).uniform(0, 1, (64, 64)))
         assert_allclose(grid, 0.5, rtol=0, atol=0)
+
+
+# 43 desk images with threshold and op budget forced low: the killed shard's
+# process exits at once, without raising
+_KILLED_SHARD = '''
+import multiprocessing, os
+import numpy as np
+import milnet.autodiff as ad
+import milnet.model as model
+
+params = model.init_params(model.PRESETS["desk"], seed=1)
+rng = np.random.default_rng(2)
+images = [rng.uniform(0, 1, (64, 64)) for _ in range(43)]
+model._SHARD_MIN_IMAGES = 0
+ad._pool_workers = 1
+real = model._serial_grids
+
+def dying(params, images):
+    if len(images) == 19:
+        os._exit(1)
+    return real(params, images)
+
+model._serial_grids = dying
+try:
+    model.response_grids(params, images)
+except RuntimeError as exc:
+    print("raised:", exc)
+print("children left:", len(multiprocessing.active_children()))
+'''
+
+
+class TestShardedInference:
+    """response_grids shares its batches between forked processes: the
+    grids are the serial ones bit for bit, failures name the image range,
+    no process outlives the call, and each shard keeps its share of the CPUs
+    for op threads."""
+
+    def _record_shards(self, monkeypatch, tmp_path):
+        """Make every serial run write its process, parent, image count and
+        op-thread setting to a file under tmp_path; returns a reader."""
+        real = model._serial_grids
+
+        def recording(params, images):
+            (tmp_path / f"run_{os.getpid()}_{len(images)}").write_text(
+                f"{os.getpid()} {os.getppid()} {len(images)} {ad._pool_workers}")
+            return real(params, images)
+
+        monkeypatch.setattr(model, "_serial_grids", recording)
+
+        def runs():
+            found = [p.read_text().split() for p in tmp_path.glob("run_*")]
+            for p in tmp_path.glob("run_*"):
+                p.unlink()
+            return sorted([int(v) for v in r] for r in found)
+
+        return runs
+
+    @pytest.mark.parametrize("preset,n_images", [("desk", 43), ("paper", 17)])
+    def test_grids_match_serial(self, shard_inference, monkeypatch, tmp_path,
+                                preset, n_images):
+        # the last batch is partial; at the paper preset 3 shares get one
+        # batch each
+        params = init_params(PRESETS[preset], seed=5)
+        size = params.spec.input_size
+        rng = np.random.default_rng(6)
+        images = [rng.uniform(0, 1, size=(size, size)) for _ in range(n_images)]
+        runs = self._record_shards(monkeypatch, tmp_path)
+        for scope in (contextlib.nullcontext, ad.float64_gemms):
+            shard_inference(0)
+            with scope():
+                want = response_grids(params, images)
+            assert [r[2] for r in runs()] == [n_images]
+            for extra in (1, 2):
+                shard_inference(extra)
+                with scope():
+                    grids = response_grids(params, images)
+                assert grids.tobytes() == want.tobytes(), (preset, extra)
+                shards = runs()
+                assert len(shards) == extra + 1
+                assert sum(r[2] for r in shards) == n_images
+                assert all(r[0] != os.getpid() and r[1] == os.getpid() for r in shards)
+
+    def test_failing_shard_raises_naming_its_images(self, shard_inference, monkeypatch):
+        import multiprocessing
+
+        from milnet import _forked
+
+        params = init_params(PRESETS["desk"], seed=5)
+        images = [np.full((64, 64), 0.5)] * 43
+        real = model._serial_grids
+
+        def failing(params, images):
+            if len(images) == 11:
+                raise ValueError("planted failure")
+            return real(params, images)
+
+        monkeypatch.setattr(model, "_serial_grids", failing)
+        shard_inference(2)
+        with pytest.raises(RuntimeError, match="images 32-42 failed: planted failure"):
+            response_grids(params, images)
+        assert multiprocessing.active_children() == []
+        assert _forked._job is None
+
+    def test_killed_shard_raises_instead_of_hanging(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import milnet
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(milnet.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_SHARD],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised, left = proc.stdout.splitlines()
+        # a broken pool fails every unfinished shard; the first is named
+        assert re.fullmatch(r"raised: images (0-23|24-42) failed: .*terminated abruptly.*",
+                            raised)
+        assert left == "children left: 0"
+
+    def test_shards_share_the_cpus_with_op_threads(self, shard_inference, monkeypatch,
+                                                   tmp_path):
+        params = init_params(PRESETS["desk"], seed=5)
+        images = [np.full((64, 64), 0.5)] * 43
+        runs = self._record_shards(monkeypatch, tmp_path)
+        cpus = len(os.sched_getaffinity(0))
+        for extra in (1, 2):
+            shard_inference(extra)
+            response_grids(params, images)
+            shards = runs()
+            assert len(shards) == extra + 1
+            for _, _, _, threads in shards:
+                assert threads == max(0, cpus // (extra + 1) - 1)
+        assert ad._pool_workers == 2
+
+    def test_cv_fold_processes_do_not_shard(self, shard_inference, monkeypatch, tmp_path):
+        from milnet.config import TrainConfig
+        from milnet.cv import cross_validate
+
+        rng = np.random.default_rng(0)
+        images = [rng.integers(0, 256, (16, 16)).astype(np.uint8) for _ in range(10)]
+        cfg = TrainConfig(backbone=BackboneSpec.parse("input:16,conv:2:3:2:1,relu"),
+                          epochs=1, batch_size=4, seed=3, augment_enabled=False)
+        (tmp_path / "runs").mkdir()
+        runs = self._record_shards(monkeypatch, tmp_path / "runs")
+        shard_inference(1)
+        cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"), workers=2)
+        # validation and test scoring ran in the fold processes themselves,
+        # never in a process forked by one
+        scored = runs()
+        assert scored
+        assert all(pid != os.getpid() and ppid == os.getpid() for pid, ppid, _, _ in scored)

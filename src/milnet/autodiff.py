@@ -8,24 +8,33 @@ weighted sum with constant coefficients, squared L2 norm).  The sum and the
 weighted sum are correctly rounded (math.fsum), so a bag loss does not
 change by one bit when the patches or the bags are reordered.  A fresh
 graph is built for every batch.  Tensors are treated as immutable once they
-enter a graph.
+enter a graph, with one exception: an interior tensor's ``.data`` may be
+swapped for a stand-in of the same shape and dtype once every node that
+reads it in forward is built.  That is safe because of this module's rule
+for backward closures: a closure reads only arrays it captured in forward,
+never a parent's ``.data`` (``_accumulate`` takes the parent's shape from
+its stand-in).
 
 Memory: backward releases the graph as it runs it.  Each interior node
 loses its closure, its parents and its gradient before its closure runs, so
-every activation, every kept array and every interior gradient is freed
-once the last closure that reads it has returned.  A conv2d whose im2col
-matrix is small (below ``_REGATHER_MIN_COLS`` entries, as on every desk
-layer) keeps that matrix for its kernel gradient; a larger one (every paper
-layer) keeps only its float32 padded input, gathers each image's columns
-into one buffer per thread in forward, and gathers them again in backward,
-an image at a time, into a buffer of one image's rows plus one chunk.  At
-the paper preset, batch 8, that cuts what a step holds after forward from
-164.8 to 88.6 MiB and its backward peak from 174.5 to 113.4 MiB
-(tracemalloc).  Backward frees the columns or their source as soon as the
-kernel gradient is reduced, and builds the input gradient one kernel row
-at a time, so the input gradient's column matrix never exists whole.
-Leaves keep their ``.grad``.  A second backward through a released node
-raises RuntimeError.
+every kept array and every interior gradient is freed once the last closure
+that reads it has returned.  The backbone ops keep only what their backward
+reads, never their input or their output: relu keeps its output's mask
+(``out > 0``), maxpool2d its argmax, conv2d its columns or their source.  So
+``model.forward_backbone`` can drop each large activation as soon as the
+next layer is built (see there).  A conv2d whose im2col matrix is small
+(below ``_REGATHER_MIN_COLS`` entries, as on every desk layer) keeps that
+matrix for its kernel gradient; a larger one (every paper layer) keeps only
+its float32 padded input, gathers each image's columns into one buffer per
+thread in forward, and gathers them again in backward, an image at a time,
+into a buffer of one image's rows plus one chunk.  At the paper preset,
+batch 8, regathering cut what a step holds after forward from 164.8 to
+88.6 MiB and its backward peak from 174.5 to 113.4 MiB (tracemalloc);
+dropping the activations then cut them to 28.2 and 60.4 MiB.  Backward
+frees the columns or their source as soon as the kernel gradient is
+reduced, and builds the input gradient one kernel row at a time, so the
+input gradient's column matrix never exists whole.  Leaves keep their
+``.grad``.  A second backward through a released node raises RuntimeError.
 
 Precision: tensor values and gradients are float64, and so are the
 parameters, optimizer moments and checkpoints built on them.  The only
@@ -684,10 +693,13 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
+    if not x.requires_grad:
+        return Tensor(out)
+    # the mask of x > 0: a -0.0 or NaN input gives False either way
+    mask = out > 0.0
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * (x.data > 0.0))
+        x._accumulate(grad * mask)
 
     return _node(out, (x,), backward)
 
@@ -743,13 +755,14 @@ def affine_channel(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"affine_channel weight length {weight.shape} does not match "
             f"channel count of input {x.shape}"
         )
-    out = np.einsum("nchw,c->nhw", x.data, weight.data) + bias.data
+    xd, wd = x.data, weight.data
+    out = np.einsum("nchw,c->nhw", xd, wd) + bias.data
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad[:, None, :, :] * weight.data[None, :, None, None])
+            x._accumulate(grad[:, None, :, :] * wd[None, :, None, None])
         if weight.requires_grad:
-            weight._accumulate(np.einsum("nchw,nhw->c", x.data, grad))
+            weight._accumulate(np.einsum("nchw,nhw->c", xd, grad))
         if bias.requires_grad:
             bias._accumulate(np.asarray(grad.sum()))
 
@@ -764,7 +777,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad.reshape(x.data.shape))
+            x._accumulate(grad.reshape(x.shape))
 
     return _node(out, (x,), backward)
 
@@ -778,7 +791,7 @@ def reduce_sum(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.full_like(x.data, float(grad)))
+            x._accumulate(np.full(x.shape, float(grad)))
 
     return _node(out, (x,), backward)
 
@@ -805,14 +818,15 @@ def l2_norm_sq(*tensors: Tensor) -> Tensor:
     node: each tensor's sum of squares, added left to right."""
     if not tensors:
         raise ValueError("l2_norm_sq requires at least one tensor")
-    out = np.asarray((tensors[0].data * tensors[0].data).sum())
-    for x in tensors[1:]:
-        out = out + (x.data * x.data).sum()
+    datas = [x.data for x in tensors]
+    out = np.asarray((datas[0] * datas[0]).sum())
+    for d in datas[1:]:
+        out = out + (d * d).sum()
 
     def backward(grad: np.ndarray) -> None:
-        for x in tensors:
+        for x, d in zip(tensors, datas):
             if x.requires_grad:
-                x._accumulate(2.0 * float(grad) * x.data)
+                x._accumulate(2.0 * float(grad) * d)
 
     return _node(out, tensors, backward)
 

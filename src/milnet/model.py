@@ -215,8 +215,27 @@ def params_to_leaves(params: ModelParams, requires_grad: bool = True) -> dict[st
     }
 
 
+# Entries from which forward_backbone drops a graph activation once the next
+# layer is built.  At batch 8 every paper intermediate holds 259,584 entries
+# or more (the second pool's output) and every desk one at most 65,536 (c0's
+# output).  2-core host, 1 BLAS thread: dropping the paper ones cut
+# paper_train's peak_rss_mb from 234.6 to 213.4 MB; a gate of 1M entries,
+# which drops only the c0 and c1 conv and relu outputs, read 213-252 MB.
+# Dropping the desk ones too made desk_cv slower (wall_ref +7%, worse in 10
+# of 10 pairs), as its fold processes took about 72K minor page faults per
+# cv instead of 44K.
+_DROP_MIN_ENTRIES = 131_072
+
+
 def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -> Tensor:
-    """Run the conv stack on an (N, 1, H, W) batch; returns the feature map."""
+    """Run the conv stack on an (N, 1, H, W) batch; returns the feature map.
+
+    In a graph, each interior activation of ``_DROP_MIN_ENTRIES`` entries or
+    more has its ``.data`` replaced, once the next layer is built, by a
+    read-only zero-strided NaN array of the same shape, so that its memory is
+    freed: no backward closure reads a parent's data (``autodiff``
+    docstring).  The input and the returned feature map are never dropped.
+    """
     if x.ndim != 4 or x.shape[1] != 1:
         raise ValueError(f"expected (N, 1, H, W) input, got {x.shape}")
     if x.shape[2] != spec.input_size or x.shape[3] != spec.input_size:
@@ -227,6 +246,7 @@ def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -
     out = x
     conv_i = 0
     for layer in spec.layers:
+        prev = out
         if layer[0] == "conv":
             _, _, _, s, p = layer
             out = ad.conv2d(out, leaves[f"conv{conv_i}.kernel"], stride=s, padding=p,
@@ -239,6 +259,8 @@ def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -
             out = ad.maxpool2d(out, window=win, stride=s)
         else:
             raise ValueError(f"unknown layer {layer!r}")
+        if prev is not x and out.requires_grad and prev.data.size >= _DROP_MIN_ENTRIES:
+            prev.data = np.broadcast_to(np.nan, prev.shape)
     return out
 
 

@@ -595,6 +595,62 @@ class TestRelease:
         assert peak < 2 * out_bytes + gcols_bytes, (peak, out_bytes, gcols_bytes)
 
 
+# case -> (op over its tensor operands, operand shapes); a case is named by
+# its op, and conv2d has a second case on the regather route
+CLOSURE_CASES = {
+    "add": (ad.add, [(2, 3), (2, 3)]),
+    "add_n": (lambda *ts: ad.add_n(list(ts)), [(2, 3)] * 3),
+    "affine_channel": (ad.affine_channel, [(2, 3, 4, 5), (3,), ()]),
+    "conv2d": (lambda x, w, b: ad.conv2d(x, w, stride=2, padding=1, bias=b),
+               [(2, 3, 7, 7), (4, 3, 3, 3), (4,)]),
+    "conv2d/regather": (lambda x, w: ad.conv2d(x, w, stride=1, padding=1),
+                        [(2, 3, 6, 6), (4, 3, 3, 3)]),
+    "l2_norm_sq": (ad.l2_norm_sq, [(2, 3), (4,)]),
+    "log_sigmoid": (ad.log_sigmoid, [(2, 3, 4)]),
+    "maxpool2d": (lambda x: ad.maxpool2d(x, 3, 2), [(2, 3, 7, 7)]),
+    "reduce_sum": (ad.reduce_sum, [(2, 3, 4)]),
+    "relu": (ad.relu, [(2, 3, 4)]),
+    "reshape": (lambda x: ad.reshape(x, (6, 4)), [(2, 3, 4)]),
+    "scale": (lambda x: ad.scale(x, -1.5), [(2, 3, 4)]),
+    "sigmoid": (ad.sigmoid, [(2, 3, 4)]),
+    "weighted_sum": (lambda x: ad.weighted_sum(x, np.linspace(-1.0, 2.0, 24).reshape(x.shape)),
+                     [(2, 3, 4)]),
+}
+
+
+class TestClosuresReadNoParentData:
+    """A backward closure reads only arrays it captured in forward, never a
+    parent's ``.data``: with every interior tensor's data replaced by NaN
+    after forward, each op's backward gives the bytes of an untouched
+    graph."""
+
+    def test_every_op_has_a_case(self):
+        ops = {case.split("/")[0] for case in CLOSURE_CASES}
+        assert ops == set(ad.__all__) - {"Tensor", "float64_gemms"}
+
+    @staticmethod
+    def leaf_grads(case: str, drop: bool) -> list[bytes]:
+        op, shapes = CLOSURE_CASES[case]
+        rng = np.random.default_rng(41)
+        leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        # interior operands; relu and maxpool2d meet zeros and ties too
+        parents = [ad.scale(leaf, 1.0) for leaf in leaves]
+        parents[0].data[..., ::3] = 0.0
+        out = op(*parents)
+        root = ad.weighted_sum(out, rng.normal(size=out.shape))
+        if drop:
+            for t in [*parents, out]:
+                t.data = np.full(t.shape, np.nan)
+        root.backward()
+        return [leaf.grad.tobytes() for leaf in leaves]
+
+    @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
+    def test_backward_bytes_do_not_depend_on_parent_data(self, case, monkeypatch):
+        if case.endswith("/regather"):
+            monkeypatch.setattr(ad, "_REGATHER_MIN_COLS", 0)
+        assert self.leaf_grads(case, drop=True) == self.leaf_grads(case, drop=False)
+
+
 def conv_layers():
     """(input CHW, kernel OIKK, stride, padding) of every conv layer of
     every backbone preset, as test parameters."""

@@ -199,6 +199,28 @@ class TestForwardBackbone:
         out = forward_backbone(x, PRESETS["desk"], params_to_leaves(params))
         assert out.shape == (1, 32, 4, 4)
 
+    @pytest.mark.parametrize("preset, dropped", [("paper", True), ("desk", False)])
+    def test_drops_large_graph_activations(self, preset, dropped):
+        # batch 8: every paper intermediate holds 259,584 entries or more and
+        # is dropped once the next layer is built; every desk one holds at
+        # most 65,536 and is kept.  The input and the feature map always are.
+        spec = PRESETS[preset]
+        params = init_params(spec, seed=1)
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.uniform(size=(8, 1, spec.input_size, spec.input_size)))
+        fmap = forward_backbone(x, spec, params_to_leaves(params))
+        interior, node = [], fmap._parents[0]
+        while node is not x:  # each layer's first parent is its input
+            interior.append(node)
+            node = node._parents[0]
+        assert len(interior) == len(spec.layers) - 1
+        for t in interior:
+            assert (t.data.strides == (0, 0, 0, 0)) == dropped, t
+            assert bool(np.isnan(t.data).all()) == dropped, t
+        kept = forward_backbone(x, spec, params_to_leaves(params, requires_grad=False))
+        assert fmap.data.tobytes() == kept.data.tobytes()
+        assert x.data.strides != (0, 0, 0, 0) and np.isfinite(x.data).all()
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
             forward_backbone(Tensor(np.zeros((12, 12))), self.spec,

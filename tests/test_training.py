@@ -1,6 +1,8 @@
 """Adam updates, the training loop, k selection, and checkpoint bytes."""
 
+import hashlib
 import io
+import math
 import os
 import struct
 import tracemalloc
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import milnet.model as model
 import milnet.training as training
 from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
@@ -464,24 +467,41 @@ class TestGraphSize:
         assert counts[-1] <= 21, counts
 
 
+def batch8_step(preset: str = "paper", head: str = "max_pool"):
+    """(leaves, objective thunk) of one training step at batch 8."""
+    cfg = TrainConfig(backbone=backbone_preset(preset), mil=MilConfig(head=head))
+    leaves = params_to_leaves(init_params(cfg.backbone, seed=2))
+    rng = np.random.default_rng(8)
+    size = cfg.backbone.input_size
+    x = Tensor(rng.uniform(size=(cfg.batch_size, 1, size, size)))
+    labels = np.arange(cfg.batch_size) % 2
+    _, gh, gw = output_geometry(cfg.backbone)
+    weights = bag_weights(cfg.batch_size // 2, cfg.batch_size, cfg.mil.k,
+                          gh * gw, mode=cfg.mil.weight_mode)
+    return leaves, lambda: training.batch_objective(cfg, weights, leaves, x, labels)
+
+
 class TestStepMemory:
     @staticmethod
-    def paper_step():
-        """(leaves, objective thunk) of one paper-preset step at batch 8."""
-        cfg = TrainConfig(backbone=backbone_preset("paper"))
-        leaves = params_to_leaves(init_params(cfg.backbone, seed=2))
-        rng = np.random.default_rng(8)
-        x = Tensor(rng.uniform(size=(cfg.batch_size, 1, 224, 224)))
-        labels = np.arange(cfg.batch_size) % 2
-        _, gh, gw = output_geometry(cfg.backbone)
-        weights = bag_weights(cfg.batch_size // 2, cfg.batch_size, cfg.mil.k,
-                              gh * gw, mode=cfg.mil.weight_mode)
-        return leaves, lambda: training.batch_objective(cfg, weights, leaves, x, labels)
+    def forward_and_backward_memory() -> tuple[int, int]:
+        """tracemalloc bytes a paper-preset step at batch 8 holds after its
+        forward, and its peak during backward."""
+        _, objective = batch8_step()
+        tracemalloc.start()
+        try:
+            total = objective()
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            total.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return held, peak
 
     def test_paper_step_holds_only_leaf_gradients_after_backward(self):
         # backward releases the graph as it goes: of all a paper-preset step
         # allocates, only the parameter gradients outlive it
-        leaves, objective = self.paper_step()
+        leaves, objective = batch8_step()
         tracemalloc.start()
         try:
             objective().backward()
@@ -495,18 +515,42 @@ class TestStepMemory:
         # the paper layers keep only their float32 padded inputs for the
         # kernel gradient, not their 85 MiB of im2col columns: 164.8 MiB
         # after forward and a 174.5 MiB backward peak when they were kept
-        _, objective = self.paper_step()
-        tracemalloc.start()
-        try:
-            total = objective()
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            total.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        held, peak = self.forward_and_backward_memory()
         assert held <= 100 * 2**20, held / 2**20
         assert peak <= 125 * 2**20, peak / 2**20
+
+    def test_paper_step_keeps_no_activation(self):
+        # forward_backbone drops every paper activation once the next layer
+        # is built, and relu keeps a one-byte mask: 88.6 MiB after forward
+        # and a 113.5 MiB backward peak when the float64 conv, relu and pool
+        # outputs were kept
+        held, peak = self.forward_and_backward_memory()
+        assert held <= 35 * 2**20, held / 2**20
+        assert peak <= 70 * 2**20, peak / 2**20
+
+
+class TestDroppedActivations:
+    @pytest.mark.parametrize("preset", ["paper", "desk"])
+    def test_loss_and_gradients_match_a_graph_that_keeps_them(self, preset, monkeypatch):
+        # one SHA-256 over the loss and every parameter gradient of the three
+        # heads at batch 8, with every interior activation dropped (at batch
+        # 8 the default gate drops every paper one and no desk one) and with
+        # none dropped
+        def digest() -> str:
+            h = hashlib.sha256()
+            for head in ("max_pool", "label_assign", "sparse"):
+                leaves, objective = batch8_step(preset, head)
+                total = objective()
+                total.backward()
+                h.update(total.data.tobytes())
+                for name in sorted(leaves):
+                    h.update(leaves[name].grad.tobytes())
+            return h.hexdigest()
+
+        monkeypatch.setattr(model, "_DROP_MIN_ENTRIES", 0)
+        dropped = digest()
+        monkeypatch.setattr(model, "_DROP_MIN_ENTRIES", math.inf)
+        assert digest() == dropped
 
 
 class TestBagScores:

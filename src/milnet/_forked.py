@@ -6,7 +6,7 @@ A fork child sees the caller's memory as it was at the fork, so the task
 function and everything it reads reach every process without being
 pickled; only each task's result is sent back.  Tasks run in the caller's
 ``contextvars`` context, so ``autodiff.float64_gemms()`` carries over, and
-each process leaves its autodiff op pool its share of the CPUs.
+each process leaves its op pool (``_kernels``) its share of the CPUs.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, TypeVar
 
-from . import autodiff
+from . import _kernels
 
 T = TypeVar("T")
 
@@ -32,7 +32,7 @@ def _start_process(
 ) -> None:
     global _job
     _job = (context, task)
-    autodiff._pool_workers = op_threads
+    _kernels._pool_workers = op_threads
 
 
 def _run_task(i: int):
@@ -45,7 +45,7 @@ def run_forked(task: Callable[[int], T], names: list[str], processes: int) -> li
     """[task(0), ..., task(len(names) - 1)], run in min(processes,
     len(names)) forked processes.
 
-    Each process keeps (CPUs // processes) - 1 autodiff op threads, so the
+    Each process keeps (CPUs // processes) - 1 op threads, so the
     processes and their op threads use no more CPUs than the caller may.  A
     task that raises makes this raise RuntimeError "<names[i]> failed:
     <error>" once every process has ended; a process that dies breaks the

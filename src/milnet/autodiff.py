@@ -22,19 +22,20 @@ that reads it has returned.  The backbone ops keep only what their backward
 reads, never their input or their output: relu keeps its output's mask
 (``out > 0``), maxpool2d its argmax, conv2d its columns or their source.  So
 ``model.forward_backbone`` can drop each large activation as soon as the
-next layer is built (see there).  A conv2d whose im2col matrix is small
-(below ``_REGATHER_MIN_COLS`` entries, as on every desk layer) keeps that
-matrix for its kernel gradient; a larger one (every paper layer) keeps only
-its float32 padded input, gathers each image's columns into one buffer per
-thread in forward, and gathers them again in backward, an image at a time,
-into a buffer of one image's rows plus one chunk.  At the paper preset,
-batch 8, regathering cut what a step holds after forward from 164.8 to
-88.6 MiB and its backward peak from 174.5 to 113.4 MiB (tracemalloc);
-dropping the activations then cut them to 28.2 and 60.4 MiB.  Backward
-frees the columns or their source as soon as the kernel gradient is
-reduced, and builds the input gradient one kernel row at a time, so the
-input gradient's column matrix never exists whole.  Leaves keep their
-``.grad``.  A second backward through a released node raises RuntimeError.
+next layer is built (see there).  A conv2d whose row keeps its columns
+(``_kernels.conv_row``: a small im2col matrix, as on every desk layer)
+keeps that matrix for its kernel gradient; one whose row regathers (every
+paper layer) keeps only its float32 padded input, gathers each image's
+columns into one buffer per thread in forward, and gathers them again in
+backward, an image at a time, into a buffer of one image's rows plus one
+chunk.  At the paper preset, batch 8, regathering cut what a step holds
+after forward from 164.8 to 88.6 MiB and its backward peak from 174.5 to
+113.4 MiB (tracemalloc); dropping the activations then cut them to 28.2
+and 60.4 MiB.  Backward frees the columns or their source as soon as the
+kernel gradient is reduced, and builds the input gradient one kernel row
+at a time, so the input gradient's column matrix never exists whole.
+Leaves keep their ``.grad``.  A second backward through a released node
+raises RuntimeError.
 
 Precision: tensor values and gradients are float64, and so are the
 parameters, optimizer moments and checkpoints built on them.  The only
@@ -49,27 +50,29 @@ under 1e-6 of their largest magnitude on every preset layer with random
 inputs; the tests allow 1e-5.
 
 Determinism: the conv kernel gradient is reduced by BLAS over row chunks of
-at most ``KERNEL_GRAD_CHUNK`` rows, and the chunk products are summed in
-ascending order into a float64 accumulator; the conv input gradient adds
-the kernel taps in a fixed order, and each tap's product rounds as it
-would in one GEMM over all taps.  This holds for sgemm as for dgemm, so
-repeated runs on identical inputs produce bitwise-identical values and
-gradients, at 1 and at 2 BLAS threads alike.  Gathered columns are copies:
-the forward runs the same per-image GEMM on them, and the regathered rows
-reach the kernel gradient in the same 128-row chunks, a chunk that
-straddles two images included, so either route gives the same bytes.
+at most ``_kernels.KERNEL_GRAD_CHUNK`` rows, and the chunk products are
+summed in ascending order into a float64 accumulator; the conv input
+gradient adds the kernel taps in a fixed order, and each tap's product
+rounds as it would in one GEMM over all taps.  This holds for sgemm as for
+dgemm, so repeated runs on identical inputs produce bitwise-identical
+values and gradients, at 1 and at 2 BLAS threads alike.  Gathered columns
+are copies: the forward runs the same per-image GEMM on them, and the
+regathered rows reach the kernel gradient in the same 128-row chunks, a
+chunk that straddles two images included, so either route gives the same
+bytes.
 
 The same holds at any core count.  A large conv2d or maxpool2d is shared
 by the calling thread and a process-wide pool with one thread per further
-CPU the process may run on.  The work splits only at image boundaries, and
-every image goes through the same BLAS calls and the same sums as it would
-unsplit.  The kernel gradient splits by output channel instead: each
-thread sums the chunk products of its channels in the same ascending
-order, and the split is made only into shares of at least two channels
-whose products stay GEMMs, as gemv rounds by its row count.  Its GEMMs are
-never split by input channel (their result columns): split after a third
-of the channels, dgemm gave other bytes on paper c1 and c4.  Only the copy
-that gathers an image's columns again splits by input channel.
+CPU the process may run on, as its row's shares say (``_kernels``).  The
+work splits only at image boundaries, and every image goes through the
+same BLAS calls and the same sums as it would unsplit.  The kernel gradient
+splits by output channel instead: each thread sums the chunk products of
+its channels in the same ascending order, and the split is made only into
+shares of at least two channels whose products stay GEMMs, as gemv rounds
+by its row count.  Its GEMMs are never split by input channel (their
+result columns): split after a third of the channels, dgemm gave other
+bytes on paper c1 and c4.  Only the copy that gathers an image's columns
+again splits by input channel.
 
 Forward-only branches: when no operand of conv2d or maxpool2d requires a
 gradient, as in ``model.response_grids``, the op builds no graph state and
@@ -78,14 +81,11 @@ columns out channel-major, (n, c*kh*kw, oh*ow), so the kernel matrix times
 the columns lands in NCHW order with no transpose; with OpenBLAS 0.3.31,
 sgemm rounds each output as it does from the graph path's row-major
 columns.  dgemm does not (paper layers c0 and c1), so float64 operands keep
-the graph's layout.  maxpool2d takes np.maximum tap by tap in row-major
+the graph's layout.  Its padded input, columns and GEMM product are views
+of one allocation.  maxpool2d takes np.maximum tap by tap in row-major
 window order with the running max as the second argument, which numpy
 returns on a tie (-0.0 against +0.0 too), so the earlier tap wins as in
-argmax.  Inside ``_forward_buffers()``, which response_grids opens around
-each serial run of batches, conv2d takes its padded input, columns and GEMM
-product from one buffer per role on the calling thread, grown when too
-small and dropped when the block exits or raises; output arrays are always
-fresh.
+argmax.
 
 Subgradient conventions: relu'(0) = 0, and max pooling breaks ties toward
 the smallest original index.
@@ -96,12 +96,11 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 
 import numpy as np
+
+from . import _kernels
 
 __all__ = [
     "Tensor",
@@ -223,6 +222,8 @@ def _released(grad: np.ndarray) -> None:
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    # the closure is kept only when a parent requires a gradient, so that of
+    # a one-parent op need not check its parent
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -234,101 +235,10 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution and pooling
 
-# Rows (batch x output positions) reduced per BLAS call in the conv kernel
-# gradient.  With OpenBLAS 0.3.31, one GEMM over all rows, or one per image,
-# gives different bytes at 1 and 2 threads on the paper layers; 128-row
-# chunks give the same bytes, in float32 and in float64 alike, and their
-# products are summed here in ascending order, so the gradient does not
-# depend on the thread count.
-KERNEL_GRAD_CHUNK = 128
-
 # dtype of the conv GEMM operands in the current context
 _gemm_dtype: contextvars.ContextVar = contextvars.ContextVar(
     "gemm_dtype", default=np.float32
 )
-
-
-# Multiply-adds below which conv2d runs on the calling thread alone.  Handing
-# a share to the pool and waiting for it takes about 50 us, so splitting
-# pays only on large GEMMs.  Forced at batch 8, it slowed the three desk
-# layers (1.6M to 2.4M each) from 2.4-2.8 to 2.7-3.5 ms forward and from
-# 2.6-2.7 to 8.6-13.5 ms backward; every paper layer (187M and more) got
-# faster.  The kernel gradient compares one chunk product instead: split by
-# output channel, paper c0's (1M) ran its backward slower (19.1 against
-# 16.6 ms at batch 8), c1-c4's (39M to 113M) faster.
-_SPLIT_MIN_MACS = 20_000_000
-
-# Column-matrix entries (batch x output cells x channels x window area) from
-# which a graph conv2d keeps no im2col matrix for backward: forward gathers
-# each image's columns into one buffer per share, and backward gathers them
-# again from the kept float32 padded input.  Every paper layer holds 2.3M
-# entries or more at batch 8, and gathering again cut a paper step's
-# forward-held memory from 164.8 to 88.6 MiB.  The desk layers hold at most
-# 205K; gathering again on them too slowed desk_cv (wall_ref 11.93 against
-# 13.55 in 5 of 5 pairs) and saved no resident memory.
-_REGATHER_MIN_COLS = 1_000_000
-
-# Kernel widths up to which one image's columns are gathered one kernel tap
-# at a time instead of by one copy from the window view, whose innermost run
-# is kw values.  One image at 1 thread, window view against per tap: the
-# paper 3x3 layers c2-c4 0.68/1.31/0.87 against 0.35/1.06/0.49 ms, the
-# 11x11 c0 and 5x5 c1 0.31/1.65 against 0.90/5.71 ms.
-_TAPWISE_MAX_KW = 3
-
-# Window elements (batch x channels x output cells x window area) below which
-# maxpool2d runs on the calling thread alone.  An element costs about 15 ns
-# (strided copy and argmax), far more than a multiply-add in a GEMM; the
-# desk pool (16K at batch 8) got slower split, the paper pools (0.66M to
-# 3.4M) faster.
-_SPLIT_MIN_POOL_READS = 200_000
-
-# Threads besides the calling one that share the image groups of a large
-# conv2d or maxpool2d: one fewer than the CPUs this process may run on, read
-# at the first large op, or this process's share of them in a process forked
-# by ``_forked.run_forked``.  response_grids shards a large image set over as
-# many processes as this budget counts CPUs.  The pool is started at the
-# first large op, and forgotten in a forked child, which has none of its
-# threads.
-_pool_workers: int | None = None
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _shares(work: int, minimum: int) -> int:
-    """How many threads, the calling one included, share ``work``."""
-    global _pool_workers
-    if work < minimum:
-        return 1
-    if _pool_workers is None:
-        _pool_workers = len(os.sched_getaffinity(0)) - 1
-    return _pool_workers + 1
-
-
-def _run_shares(tasks: list) -> None:
-    """Call tasks[0] on this thread and the rest on the pool; return when all
-    are done, raising the first error.  The tasks only fill slices of
-    buffers the caller allocated, so worker threads allocate no large
-    arrays of their own."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_pool_workers, thread_name_prefix="milnet-op")
-        pool = _pool
-    futures = [pool.submit(task) for task in tasks[1:]]
-    try:
-        tasks[0]()
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
 
 
 @contextlib.contextmanager
@@ -346,48 +256,6 @@ def float64_gemms():
         _gemm_dtype.reset(token)
 
 
-def _split_range(fn, n: int, shares: int, min_size: int = 1) -> None:
-    """Call fn(a, b) on contiguous, nonempty ranges [a, b) that cover
-    range(n), at most ``shares`` of them, one per thread, each of at least
-    ``min_size`` items unless range(n) is one range."""
-    shares = max(1, min(shares, n // min_size))
-    if shares == 1:
-        fn(0, n)
-        return
-    bounds = [n * i // shares for i in range(shares + 1)]
-    _run_shares([partial(fn, a, b) for a, b in zip(bounds[:-1], bounds[1:])])
-
-
-# This thread's forward-only buffers by role, while _forward_buffers() is open
-_scratch = threading.local()
-
-
-@contextlib.contextmanager
-def _forward_buffers():
-    """Let forward-only ops on this thread take their scratch arrays from
-    one buffer per role, kept until the block exits or raises."""
-    outer = getattr(_scratch, "buffers", None)
-    _scratch.buffers = {}
-    try:
-        yield
-    finally:
-        _scratch.buffers = outer
-
-
-def _scratch_array(role: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array for a forward-only temporary: a view of this
-    thread's ``role`` buffer inside :func:`_forward_buffers`, grown when too
-    small, and a fresh array outside it."""
-    buffers = getattr(_scratch, "buffers", None)
-    if buffers is None:
-        return np.empty(shape, dtype=dtype)
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    buf = buffers.get(role)
-    if buf is None or buf.size < nbytes:
-        buf = buffers[role] = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
-
-
 def conv2d(
     x: Tensor,
     kernel: Tensor,
@@ -401,11 +269,12 @@ def conv2d(
     No kernel flip is applied.  The GEMM operands are float32, or float64
     inside :func:`float64_gemms`; products are upcast and accumulated in
     float64.  Backward gives the gradients with respect to the input, the
-    kernel and the bias, with the same GEMM operand precision.  Large
-    batches are split by image over the calling thread and the thread pool,
-    and a large layer keeps no im2col matrix for backward (see the module
-    docstring).  When no operand requires a gradient, the forward-only
-    branch gives the same bytes with channel-major columns.
+    kernel and the bias, with the same GEMM operand precision.  The
+    layer's row (``_kernels.conv_row``) says how the work is split over
+    the calling thread and the thread pool, and whether the im2col matrix is
+    kept for backward (see the module docstring).  When no operand requires
+    a gradient, the forward-only branch gives the same bytes with
+    channel-major columns.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(
@@ -423,8 +292,8 @@ def conv2d(
             f"conv2d bias {bias.shape} does not match the {o} output channels "
             f"of kernel {kernel.shape}"
         )
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    row = _kernels.conv_row(x.shape, kernel.shape, stride, padding)
+    _, _, oh, ow = row.out_shape
     if oh <= 0 or ow <= 0:
         raise ValueError(
             f"conv2d output would be empty: input {x.shape}, kernel {kernel.shape}, "
@@ -433,7 +302,6 @@ def conv2d(
     # read here: pool threads do not see the caller's float64_gemms() scope
     dtype = _gemm_dtype.get()
     p, k = oh * ow, c * kh * kw
-    shares = _shares(n * p * o * k, _SPLIT_MIN_MACS)
     ph, pw = h + 2 * padding, w + 2 * padding
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     graph = any(t.requires_grad for t in parents)
@@ -441,34 +309,35 @@ def conv2d(
     # kernel row, kernel column) order: cols[n, p, c*kh*kw], the rows the
     # kernel gradient reduces over.  A small graph layer keeps them for
     # backward; a large one keeps only its float32 padded input and gathers
-    # them again (_REGATHER_MIN_COLS).  Forward-only float32 columns are
+    # them again (row.regather).  Forward-only float32 columns are
     # channel-major, cols[n, c*kh*kw, p], so that wmat @ cols lands in NCHW;
     # float64 ones are not, as dgemm would round paper c0 and c1 differently
     # from the graph (module docstring).
-    regather = graph and n * p * k >= _REGATHER_MIN_COLS
+    regather = graph and row.regather
     channel_major = not graph and dtype == np.float32
     if channel_major:
         cols_shape, prod_shape, axes = (n, k, p), (n, o, p), (0, 1, 4, 5, 2, 3)
     else:
         cols_shape, prod_shape, axes = (n, p, k), (n, p, o), (0, 2, 3, 1, 4, 5)
-    if regather:
+    if graph:
         padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
+        cols, prod = (None, None) if regather else (
+            np.empty(cols_shape, dtype=dtype), np.empty(prod_shape, dtype=dtype))
+    else:
+        # one allocation for the three temporaries: allocated apiece, they
+        # took 100K minor page faults per 2000 desk images, as glibc gave the
+        # freed top of its heap back to the kernel batch after batch
+        a, b = n * c * ph * pw, n * p * k
+        buf = np.empty(a + b + n * p * o, dtype=dtype)
+        padded = buf[:a].reshape(n, c, ph, pw)
+        cols, prod = buf[a:a + b].reshape(cols_shape), buf[a + b:].reshape(prod_shape)
+        padded.fill(0)
+    if regather:
         # one column buffer and one product buffer per share, taken by the
         # share that runs on them
         spare = [(np.empty((p, k), dtype=dtype), np.empty((p, o), dtype=dtype))
-                 for _ in range(min(shares, n))]
-        cols = None
-    elif graph:
-        padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
-        cols = np.empty(cols_shape, dtype=dtype)
-        prod = np.empty(prod_shape, dtype=dtype)
+                 for _ in range(min(row.shares, n))]
     else:
-        padded = _scratch_array("padded", (n, c, ph, pw), dtype)
-        if padding:
-            padded.fill(0)
-        cols = _scratch_array("cols", cols_shape, dtype)
-        prod = _scratch_array("prod", prod_shape, dtype)
-    if not regather:
         windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
         windows = windows[:, :, ::stride, ::stride].transpose(axes)
     wmat = kernel.data.reshape(o, k).astype(dtype)
@@ -480,7 +349,7 @@ def conv2d(
             # image by image, the same GEMM the stacked product makes
             cols_i, prod_i = spare.pop()
             for i in range(a, b):
-                _gather_columns(padded[i], cols_i.reshape(oh, ow, c, kh, kw), stride)
+                _gather_columns(padded[i], cols_i.reshape(oh, ow, c, kh, kw), row)
                 np.matmul(cols_i, wmat.T, out=prod_i)
                 out[i].reshape(o, p)[...] = prod_i.T
         else:
@@ -494,7 +363,7 @@ def conv2d(
         if bias is not None:
             out[a:b] += bias.data[None, :, None, None]
 
-    _split_range(forward, n, shares)
+    _kernels.split_range(forward, n, row.shares)
     if not graph:
         return Tensor(out)
     # what backward gathers the columns from when it keeps none
@@ -506,15 +375,16 @@ def conv2d(
         blocks of whole KERNEL_GRAD_CHUNK-row chunks; the rows of a chunk
         that straddles two images wait at the buffer's front."""
         def gather(i: int, fields: np.ndarray, a: int, b: int) -> None:
-            _gather_columns(source[i, a:b], fields[:, :, a:b], stride)
+            _gather_columns(source[i, a:b], fields[:, :, a:b], row)
 
-        buf = np.empty((p + KERNEL_GRAD_CHUNK, k), dtype=dtype)
+        chunk = _kernels.KERNEL_GRAD_CHUNK
+        buf = np.empty((p + chunk, k), dtype=dtype)
         fill = 0
         for i in range(n):
             fields = buf[fill:fill + p].reshape(oh, ow, c, kh, kw)
-            _split_range(partial(gather, i, fields), c, shares)
+            _kernels.split_range(partial(gather, i, fields), c, row.shares)
             fill += p
-            ready = fill if i == n - 1 else fill - fill % KERNEL_GRAD_CHUNK
+            ready = fill if i == n - 1 else fill - fill % chunk
             if ready:
                 yield buf[:ready]
                 buf[:fill - ready] = buf[ready:fill]
@@ -531,13 +401,14 @@ def conv2d(
         def upstream(a: int, b: int) -> None:
             g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
 
-        _split_range(upstream, n, shares)
+        _kernels.split_range(upstream, n, row.shares)
         if kernel.requires_grad:
             # no local name holds the blocks, so that the kept columns are
             # freed below
             gw = _chunked_product_sum(
                 g.reshape(n * p, o),
-                regathered_rows() if regather else (cols.reshape(n * p, k),), k)
+                regathered_rows() if regather else (cols.reshape(n * p, k),), k,
+                row.grad_shares)
             kernel._accumulate(gw.reshape(o, c, kh, kw))
         # the columns and their source are not read again: free them before
         # the input gradient's buffers are allocated
@@ -565,19 +436,20 @@ def conv2d(
                     xs = slice(j, j + stride * ow, stride)
                     gpad[a:b, ys, xs] += taps[..., j, :]
 
-        _split_range(input_grad, n, shares)
+        _kernels.split_range(input_grad, n, row.shares)
         crop = gpad[:, padding:padding + h, padding:padding + w]
         x._accumulate(crop.transpose(0, 3, 1, 2))
 
     return _node(out, parents, backward)
 
 
-def _gather_columns(padded: np.ndarray, fields: np.ndarray, stride: int) -> None:
+def _gather_columns(padded: np.ndarray, fields: np.ndarray, row) -> None:
     """Copy the receptive fields of one padded image, padded[c, ph, pw], into
-    fields[oh, ow, c, kh, kw]: one kernel tap at a time for kernels up to
-    ``_TAPWISE_MAX_KW`` wide, one copy from the window view otherwise."""
+    fields[oh, ow, c, kh, kw]: one kernel tap at a time when the conv's row
+    says ``tapwise``, one copy from the window view otherwise."""
     oh, ow, _, kh, kw = fields.shape
-    if kw <= _TAPWISE_MAX_KW:
+    stride = row.stride
+    if row.tapwise:
         for i in range(kh):
             for j in range(kw):
                 tap = padded[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
@@ -587,14 +459,13 @@ def _gather_columns(padded: np.ndarray, fields: np.ndarray, stride: int) -> None
         fields[...] = windows[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4)
 
 
-def _chunked_product_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
+def _chunked_product_sum(rows: np.ndarray, blocks, width: int, shares: int) -> np.ndarray:
     """rows.T @ flat in float64, as the ascending sum of the products of
     ``KERNEL_GRAD_CHUNK``-row chunks, where ``flat`` has ``width`` columns
     and ``blocks`` yields its rows in order, in blocks of whole chunks but
-    for the last.  When a chunk product is large, the result's rows are
-    split over threads block by block; each adds the chunk products of its
-    rows in the same ascending order, so neither the blocks nor the split
-    change a byte.
+    for the last.  The result's rows are split over ``shares`` threads
+    block by block; each adds the chunk products of its rows in the same
+    ascending order, so neither the blocks nor the split change a byte.
 
     numpy hands a product with one row or one column to gemv, whose
     rounding depends on the row count, so the split is made only into
@@ -605,17 +476,17 @@ def _chunked_product_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
 
     def reduce(rows: np.ndarray, block: np.ndarray, a: int, b: int) -> None:
         rows_ab, prod_ab, gw_ab = rows[:, a:b], prod[a:b], gw[a:b]
-        for r in range(0, len(block), KERNEL_GRAD_CHUNK):
-            chunk = slice(r, r + KERNEL_GRAD_CHUNK)
+        for r in range(0, len(block), _kernels.KERNEL_GRAD_CHUNK):
+            chunk = slice(r, r + _kernels.KERNEL_GRAD_CHUNK)
             np.matmul(rows_ab[chunk].T, block[chunk], out=prod_ab)
             gw_ab += prod_ab
 
-    shares = _shares(KERNEL_GRAD_CHUNK * gw.size, _SPLIT_MIN_MACS) if width > 1 else 1
+    shares = shares if width > 1 else 1
     start = 0
     for block in blocks:
         stop = start + len(block)
-        _split_range(partial(reduce, rows[start:stop], block), gw.shape[0], shares,
-                     min_size=2)
+        _kernels.split_range(partial(reduce, rows[start:stop], block), gw.shape[0],
+                             shares, min_size=2)
         start = stop
     return gw
 
@@ -625,9 +496,10 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
     Gradient is routed only to the argmax element of each window; ties go to
     the first element in row-major window order (the smallest original
-    index).  Large batches are split by image like :func:`conv2d`.  When
-    ``x`` requires no gradient, the forward-only branch takes the max tap by
-    tap, with the same ties, and keeps no argmax.
+    index).  The layer's row (``_kernels.pool_row``) says how the batch is
+    split by image, as for :func:`conv2d`.  When ``x`` requires no
+    gradient, the forward-only branch takes the max tap by tap, with the
+    same ties, and keeps no argmax.
     """
     if x.ndim != 4:
         raise ValueError(f"maxpool2d expects 4-D input, got {x.shape}")
@@ -636,9 +508,8 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         raise ValueError(
             f"maxpool2d window {window} exceeds spatial dims of input {x.shape}"
         )
-    oh = (h - window) // stride + 1
-    ow = (w - window) // stride + 1
-    shares = _shares(n * c * oh * ow * window * window, _SPLIT_MIN_POOL_READS)
+    row = _kernels.pool_row(x.shape, window, stride)
+    _, _, oh, ow = row.out_shape
     view = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(2, 3))
     view = view[:, :, ::stride, ::stride]
     out = np.empty((n, c, oh, ow))
@@ -651,7 +522,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
                 np.maximum(view[a:b, ..., tap // window, tap % window], out[a:b],
                            out=out[a:b])
 
-        _split_range(forward_only, n, shares)
+        _kernels.split_range(forward_only, n, row.shares)
         return Tensor(out)
     flat = np.empty((n, c, oh, ow, window * window))
     arg = np.empty((n, c, oh, ow), dtype=np.intp)
@@ -661,11 +532,9 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         np.argmax(flat[a:b], axis=-1, out=arg[a:b])
         out[a:b] = np.take_along_axis(flat[a:b], arg[a:b, ..., None], axis=-1)[..., 0]
 
-    _split_range(forward, n, shares)
+    _kernels.split_range(forward, n, row.shares)
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
         gx = np.zeros((n, c, h * w))
         # flat input index of each window's argmax: with arg = ky * window
         # + kx, it is (oy * stride + ky) * w + ox * stride + kx
@@ -682,7 +551,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
             nn = np.arange(b - a)[:, None, None, None]
             np.add.at(gx[a:b], (nn, cc, src[a:b]), grad[a:b])
 
-        _split_range(scatter, n, shares)
+        _kernels.split_range(scatter, n, row.shares)
         x._accumulate(gx.reshape(n, c, h, w))
 
     return _node(out, (x,), backward)
@@ -693,8 +562,6 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    if not x.requires_grad:
-        return Tensor(out)
     # the mask of x > 0: a -0.0 or NaN input gives False either way
     mask = out > 0.0
 
@@ -719,8 +586,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _logistic(x.data)
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * out * (1.0 - out))
+        x._accumulate(grad * out * (1.0 - out))
 
     return _node(out, (x,), backward)
 
@@ -736,8 +602,7 @@ def log_sigmoid(x: Tensor) -> Tensor:
     out = np.minimum(d, 0.0) - np.log1p(np.exp(-np.abs(d)))
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * _logistic(-d))
+        x._accumulate(grad * _logistic(-d))
 
     return _node(out, (x,), backward)
 
@@ -776,8 +641,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad.reshape(x.shape))
+        x._accumulate(grad.reshape(x.shape))
 
     return _node(out, (x,), backward)
 
@@ -790,8 +654,7 @@ def reduce_sum(x: Tensor) -> Tensor:
     out = np.asarray(math.fsum(x.data.ravel().tolist()))
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.full(x.shape, float(grad)))
+        x._accumulate(np.full(x.shape, float(grad)))
 
     return _node(out, (x,), backward)
 
@@ -807,8 +670,7 @@ def weighted_sum(x: Tensor, coeff: np.ndarray) -> Tensor:
     out = np.asarray(math.fsum((coeff * x.data).ravel().tolist()))
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(float(grad) * coeff)
+        x._accumulate(float(grad) * coeff)
 
     return _node(out, (x,), backward)
 
@@ -835,8 +697,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     out = x.data * c
 
     def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad * c)
+        x._accumulate(grad * c)
 
     return _node(out, (x,), backward)
 

@@ -10,11 +10,12 @@ the sigmoid to the same logits.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _forked
+from . import _forked, _kernels
 from . import autodiff as ad
 from .autodiff import Tensor
 from .rng import derive_rng
@@ -24,6 +25,7 @@ __all__ = [
     "ModelParams",
     "PRESETS",
     "backbone_preset",
+    "layer_plan",
     "output_geometry",
     "param_shapes",
     "init_params",
@@ -130,22 +132,61 @@ def backbone_preset(name: str) -> BackboneSpec:
     return PRESETS[name]
 
 
-def output_geometry(spec: BackboneSpec) -> tuple[int, int, int]:
-    """(channels, height, width) of the feature map the spec produces."""
-    c, h, w = 1, spec.input_size, spec.input_size
+def layer_plan(spec: BackboneSpec, batch: int) -> tuple[_kernels.LayerRow, ...]:
+    """One row per layer of ``spec`` for a batch of ``batch`` images on the
+    CPUs this process runs ops on: the layer's input and output shapes and
+    how it runs, by the rules in ``_kernels``.
+
+    The activations of a conv layer whose columns are gathered again, and
+    of the relu and pool layers after it up to the next conv, are dropped
+    once the next layer is built (``forward_backbone``): regathering and
+    dropping pay off on the same large layers, at batch 8 every paper layer
+    and no desk layer.  The returned feature map is never dropped.  Raises
+    ValueError when a layer leaves no spatial cell.
+    """
+    return _layer_plan(spec, batch, _kernels.cpu_budget())
+
+
+@functools.lru_cache(maxsize=64)
+def _layer_plan(spec: BackboneSpec, batch: int, cpus: int) -> tuple[_kernels.LayerRow, ...]:
+    rows = []
+    shape = (batch, 1, spec.input_size, spec.input_size)
+    drop = False
     for layer in spec.layers:
         if layer[0] == "conv":
             _, out_c, k, s, p = layer
-            h = (h + 2 * p - k) // s + 1
-            w = (w + 2 * p - k) // s + 1
-            c = out_c
+            row = _kernels.conv_row(shape, (out_c, shape[1], k, k), s, p)
+            drop = row.regather
         elif layer[0] == "pool":
-            _, win, s = layer
-            h = (h - win) // s + 1
-            w = (w - win) // s + 1
-        if h < 1 or w < 1:
+            row = _kernels.pool_row(shape, *layer[1:])
+        else:
+            row = _kernels.LayerRow("relu", shape, shape)
+        if min(row.out_shape[2:]) < 1:
             raise ValueError(f"backbone collapses spatial dims at layer {layer}")
-    return c, h, w
+        rows.append(row._replace(drop=drop))
+        shape = row.out_shape
+    if rows:
+        rows[-1] = rows[-1]._replace(drop=False)
+    return tuple(rows)
+
+
+def output_geometry(spec: BackboneSpec) -> tuple[int, int, int]:
+    """(channels, height, width) of the feature map the spec produces."""
+    plan = layer_plan(spec, 1)
+    return plan[-1].out_shape[1:] if plan else (1, spec.input_size, spec.input_size)
+
+
+def _check_network_inputs(inputs: list[np.ndarray], size: int, which: str) -> None:
+    """Raise naming the first input that is not a 2-D float array of side
+    size, such as a raw image that was never prepared."""
+    for i, x in enumerate(inputs):
+        x = np.asarray(x)
+        if x.shape != (size, size) or x.dtype.kind != "f":
+            raise ValueError(
+                f"{which} input {i} is a {x.dtype} array of shape {x.shape}, not "
+                f"a network input (2-D float, side {size}); prepare raw images "
+                "with prepare_inputs"
+            )
 
 
 class ModelParams:
@@ -171,16 +212,11 @@ def param_shapes(spec: BackboneSpec) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter the spec needs, in the order
     init_params draws and checkpoints store them."""
     shapes: dict[str, tuple[int, ...]] = {}
-    in_c = 1
-    conv_i = 0
-    for layer in spec.layers:
-        if layer[0] != "conv":
-            continue
-        _, out_c, k, _, _ = layer
-        shapes[f"conv{conv_i}.kernel"] = (out_c, in_c, k, k)
-        shapes[f"conv{conv_i}.bias"] = (out_c,)
-        in_c = out_c
-        conv_i += 1
+    convs = [row for row in layer_plan(spec, 1) if row.kind == "conv"]
+    for i, row in enumerate(convs):
+        out_c = row.out_shape[1]
+        shapes[f"conv{i}.kernel"] = (out_c, row.in_shape[1], *row.kernel)
+        shapes[f"conv{i}.bias"] = (out_c,)
     n_c, _, _ = output_geometry(spec)
     shapes["response.weight"] = (n_c,)
     shapes["response.bias"] = ()
@@ -215,26 +251,16 @@ def params_to_leaves(params: ModelParams, requires_grad: bool = True) -> dict[st
     }
 
 
-# Entries from which forward_backbone drops a graph activation once the next
-# layer is built.  At batch 8 every paper intermediate holds 259,584 entries
-# or more (the second pool's output) and every desk one at most 65,536 (c0's
-# output).  2-core host, 1 BLAS thread: dropping the paper ones cut
-# paper_train's peak_rss_mb from 234.6 to 213.4 MB; a gate of 1M entries,
-# which drops only the c0 and c1 conv and relu outputs, read 213-252 MB.
-# Dropping the desk ones too made desk_cv slower (wall_ref +7%, worse in 10
-# of 10 pairs), as its fold processes took about 72K minor page faults per
-# cv instead of 44K.
-_DROP_MIN_ENTRIES = 131_072
-
-
 def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -> Tensor:
     """Run the conv stack on an (N, 1, H, W) batch; returns the feature map.
 
-    In a graph, each interior activation of ``_DROP_MIN_ENTRIES`` entries or
-    more has its ``.data`` replaced, once the next layer is built, by a
-    read-only zero-strided NaN array of the same shape, so that its memory is
-    freed: no backward closure reads a parent's data (``autodiff``
-    docstring).  The input and the returned feature map are never dropped.
+    Each layer runs as its ``layer_plan`` row says.  In a graph, an interior
+    activation whose row is marked ``drop`` has its ``.data`` replaced, once
+    the next layer is built, by a read-only zero-strided NaN array of the
+    same shape, so that its memory is freed: no backward closure reads a
+    parent's data (``autodiff`` docstring).  The input and the returned
+    feature map are never dropped.  With no graph (inference), a relu
+    rectifies its input in place, unless that is ``x``.
     """
     if x.ndim != 4 or x.shape[1] != 1:
         raise ValueError(f"expected (N, 1, H, W) input, got {x.shape}")
@@ -245,22 +271,24 @@ def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -
         )
     out = x
     conv_i = 0
-    for layer in spec.layers:
+    drop = False
+    for row in layer_plan(spec, x.shape[0]):
         prev = out
-        if layer[0] == "conv":
-            _, _, _, s, p = layer
-            out = ad.conv2d(out, leaves[f"conv{conv_i}.kernel"], stride=s, padding=p,
-                            bias=leaves[f"conv{conv_i}.bias"])
+        if row.kind == "conv":
+            out = ad.conv2d(out, leaves[f"conv{conv_i}.kernel"], stride=row.stride,
+                            padding=row.padding, bias=leaves[f"conv{conv_i}.bias"])
             conv_i += 1
-        elif layer[0] == "relu":
+        elif row.kind == "relu" and not out.requires_grad and out is not x:
+            # no graph: rectify the fresh output of the layer before in
+            # place, with the graph relu's own call
+            np.maximum(out.data, 0.0, out=out.data)
+        elif row.kind == "relu":
             out = ad.relu(out)
-        elif layer[0] == "pool":
-            _, win, s = layer
-            out = ad.maxpool2d(out, window=win, stride=s)
         else:
-            raise ValueError(f"unknown layer {layer!r}")
-        if prev is not x and out.requires_grad and prev.data.size >= _DROP_MIN_ENTRIES:
+            out = ad.maxpool2d(out, window=row.kernel[0], stride=row.stride)
+        if drop and out.requires_grad:
             prev.data = np.broadcast_to(np.nan, prev.shape)
+        drop = row.drop
     return out
 
 
@@ -298,17 +326,20 @@ def response_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
     """Inference-only response maps of [0, 1] float images, as an
     (N, grid_h, grid_w) array, forwarded INFER_BATCH images at a time.
 
-    From _SHARD_MIN_IMAGES images on, the batches are shared out in
-    contiguous runs over forked processes, one per CPU this process may
-    use for ops; each runs the serial loop on its run and the grids are
-    joined in order, so every image meets the same batches and BLAS calls
-    and the bytes do not change.  A shard that raises makes this raise
-    RuntimeError naming its image range; a shard process that dies, naming
-    the first unfinished range.  A process that is itself one of these
-    forked tasks (a shard or a cv fold) does not fork again.
+    Every image is checked first: one that is not a 2-D float array of the
+    backbone's input size raises ValueError naming its index, before any
+    batch is run or any process forked.  From _SHARD_MIN_IMAGES images on,
+    the batches are shared out in contiguous runs over forked processes, one
+    per CPU this process may use for ops; each runs the serial loop on its
+    run and the grids are joined in order, so every image meets the same
+    batches and BLAS calls and the bytes do not change.  A shard that raises
+    makes this raise RuntimeError naming its image range; a shard process
+    that dies, naming the first unfinished range.  A process that is itself
+    one of these forked tasks (a shard or a cv fold) does not fork again.
     """
+    _check_network_inputs(images, params.spec.input_size, "inference")
     batches = -(-len(images) // INFER_BATCH)
-    shares = min(ad._shares(len(images), _SHARD_MIN_IMAGES), batches)
+    shares = min(_kernels.cpu_budget() if len(images) >= _SHARD_MIN_IMAGES else 1, batches)
     if shares <= 1 or _forked._job is not None:
         return _serial_grids(params, images)
     bounds = [INFER_BATCH * (batches * i // shares) for i in range(shares)]
@@ -325,15 +356,14 @@ def _serial_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
     _, grid_h, grid_w = output_geometry(params.spec)
     grids = np.empty((len(images), grid_h, grid_w))
     # no leaf requires a gradient, so conv2d and maxpool2d take their
-    # forward-only branches, which reuse these buffers from batch to batch
-    with ad._forward_buffers():
-        for start in range(0, len(images), INFER_BATCH):
-            batch = np.stack(images[start:start + INFER_BATCH])[:, None, :, :]
-            fmap = forward_backbone(Tensor(batch), params.spec, leaves)
-            logits = instance_responses(fmap, leaves["response.weight"],
-                                        leaves["response.bias"])
-            grids[start:start + len(batch)] = ad.sigmoid(logits).data.reshape(
-                -1, grid_h, grid_w)
+    # forward-only branches
+    for start in range(0, len(images), INFER_BATCH):
+        batch = np.stack(images[start:start + INFER_BATCH])[:, None, :, :]
+        fmap = forward_backbone(Tensor(batch), params.spec, leaves)
+        logits = instance_responses(fmap, leaves["response.weight"],
+                                    leaves["response.bias"])
+        grids[start:start + len(batch)] = ad.sigmoid(logits).data.reshape(
+            -1, grid_h, grid_w)
     return grids
 
 

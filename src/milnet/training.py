@@ -23,6 +23,7 @@ from .evaluation import accuracy, auc, binary_labels
 from .heads import BagWeights, bag_loss, bag_weights
 from .model import (
     ModelParams,
+    _check_network_inputs,
     forward_backbone,
     init_params,
     instance_responses,
@@ -155,19 +156,6 @@ def prepare_inputs(images: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarra
     for x in inputs:
         x.flags.writeable = False
     return inputs
-
-
-def _check_network_inputs(inputs: list[np.ndarray], size: int, which: str) -> None:
-    """Raise naming the first input that is not a 2-D float array of side
-    size, such as a raw image that was never prepared."""
-    for i, x in enumerate(inputs):
-        x = np.asarray(x)
-        if x.shape != (size, size) or not np.issubdtype(x.dtype, np.floating):
-            raise ValueError(
-                f"{which} input {i} is a {x.dtype} array of shape {x.shape}, not "
-                f"a network input (2-D float, side {size}); prepare raw images "
-                "with prepare_inputs"
-            )
 
 
 def bag_scores(params: ModelParams, inputs: list[np.ndarray]) -> np.ndarray:

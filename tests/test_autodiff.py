@@ -1,7 +1,6 @@
 """Finite-difference and oracle checks for every autodiff op."""
 
 import contextlib
-import gc
 import hashlib
 import inspect
 import math
@@ -18,11 +17,12 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import milnet.cv as cv
 import milnet.gradcheck as gradcheck
+from milnet import _kernels
 from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
 from milnet.cv import cross_validate
-from milnet.model import PRESETS, BackboneSpec, init_params, response_grids
+from milnet.model import PRESETS, BackboneSpec, init_params, layer_plan, response_grids
 
 
 def central_diff(f, arr, idx, step=1e-6):
@@ -326,7 +326,7 @@ class TestConv2d:
         x = rng.normal(size=(3, 2, 10, 10))
         w = rng.normal(size=(3, 2, 3, 3))
         rows = 3 * 10 * 10
-        assert rows > ad.KERNEL_GRAD_CHUNK and rows % ad.KERNEL_GRAD_CHUNK
+        assert rows > _kernels.KERNEL_GRAD_CHUNK and rows % _kernels.KERNEL_GRAD_CHUNK
 
         def build():
             leaf = Tensor(w, requires_grad=True)
@@ -645,9 +645,9 @@ class TestClosuresReadNoParentData:
         return [leaf.grad.tobytes() for leaf in leaves]
 
     @pytest.mark.parametrize("case", sorted(CLOSURE_CASES))
-    def test_backward_bytes_do_not_depend_on_parent_data(self, case, monkeypatch):
+    def test_backward_bytes_do_not_depend_on_parent_data(self, case, layer_rules):
         if case.endswith("/regather"):
-            monkeypatch.setattr(ad, "_REGATHER_MIN_COLS", 0)
+            layer_rules("_REGATHER_MIN_COLS", 0)
         assert self.leaf_grads(case, drop=True) == self.leaf_grads(case, drop=False)
 
 
@@ -655,31 +655,21 @@ def conv_layers():
     """(input CHW, kernel OIKK, stride, padding) of every conv layer of
     every backbone preset, as test parameters."""
     for preset, spec in sorted(PRESETS.items()):
-        c, size, i = 1, spec.input_size, 0
-        for layer in spec.layers:
-            if layer[0] == "conv":
-                _, out_c, k, stride, padding = layer
-                yield pytest.param((c, size, size), (out_c, c, k, k), stride, padding,
-                                   id=f"{preset}-c{i}")
-                c, size, i = out_c, (size + 2 * padding - k) // stride + 1, i + 1
-            elif layer[0] == "pool":
-                _, window, stride = layer
-                size = (size - window) // stride + 1
+        convs = [row for row in layer_plan(spec, 1) if row.kind == "conv"]
+        for i, row in enumerate(convs):
+            kernel = (row.out_shape[1], row.in_shape[1], *row.kernel)
+            yield pytest.param(row.in_shape[1:], kernel, row.stride, row.padding,
+                               id=f"{preset}-c{i}")
 
 
 def pool_layers():
     """(input CHW, window, stride) of every pool layer of every backbone
     preset, as test parameters."""
     for preset, spec in sorted(PRESETS.items()):
-        c, size, i = 1, spec.input_size, 0
-        for layer in spec.layers:
-            if layer[0] == "conv":
-                _, c, k, stride, padding = layer
-                size = (size + 2 * padding - k) // stride + 1
-            elif layer[0] == "pool":
-                _, window, stride = layer
-                yield pytest.param((c, size, size), window, stride, id=f"{preset}-p{i}")
-                size, i = (size - window) // stride + 1, i + 1
+        pools = [row for row in layer_plan(spec, 1) if row.kind == "pool"]
+        for i, row in enumerate(pools):
+            yield pytest.param(row.in_shape[1:], row.kernel[0], row.stride,
+                               id=f"{preset}-p{i}")
 
 
 def conv_runs_float32() -> bool:
@@ -837,7 +827,7 @@ class TestSplitOps:
                 out.data, conv2d_oracle(x, w, stride, padding),
                 rtol=1e-12, atol=1e-12,
             )
-        assert ad._pool is not None
+        assert _kernels._pool is not None
 
     def test_concurrent_callers_share_the_pool(self, split_ops):
         # more callers and pool threads than cores, switching often, as
@@ -876,12 +866,12 @@ class TestSplitOps:
             ).hexdigest()
 
         want = digest()  # starts the pool in this process
-        assert ad._pool is not None
+        assert _kernels._pool is not None
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
 
         def child() -> None:
-            send.send((digest(), ad._pool is not None))
+            send.send((digest(), _kernels._pool is not None))
 
         proc = ctx.Process(target=child)
         proc.start()
@@ -946,7 +936,7 @@ def serial_shares(split_ops, monkeypatch):
         for task in tasks:
             task()
 
-    monkeypatch.setattr(ad, "_run_shares", run_in_turn)
+    monkeypatch.setattr(_kernels, "_run_shares", run_in_turn)
     return split_ops
 
 
@@ -1011,11 +1001,11 @@ class TestConvBackwardOracle:
         pytest.param((1, 40, 40), (16, 1, 1, 1), 1, 0, id="1x1-kernel-1-channel"),
     ])
     def test_regathered_columns_match_reference(
-        self, serial_shares, monkeypatch, in_chw, k_shape, stride, padding, gemms
+        self, serial_shares, layer_rules, in_chw, k_shape, stride, padding, gemms
     ):
         # every layer keeps no columns and gathers them again in backward,
         # at shares of 1, 2 and 4 output channels and unsplit
-        monkeypatch.setattr(ad, "_REGATHER_MIN_COLS", 0)
+        layer_rules("_REGATHER_MIN_COLS", 0)
         o = k_shape[0]
         self.assert_reference_bytes(serial_shares, (0, o - 1, o // 2 - 1, o // 4 - 1),
                                     in_chw, k_shape, stride, padding, gemms)
@@ -1043,31 +1033,37 @@ class TestConvBackwardOracle:
                         assert grad.tobytes() == ref.tobytes(), (case, workers, what)
 
 
+def stale_empty(monkeypatch) -> None:
+    """Make every array np.empty returns start as 0xFF bytes, as memory an
+    earlier layer freed would."""
+    real = np.empty
+
+    def stale(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out.reshape(-1).view(np.uint8).fill(0xFF)
+        return out
+
+    monkeypatch.setattr(np, "empty", stale)
+
+
 class TestForwardOnly:
     """conv2d and maxpool2d without any operand that requires a gradient take
     a forward-only branch; it gives the bytes of the graph path, at any
-    worker count, and inside response_grids reuses one buffer per role."""
+    worker count, whatever its temporaries held before."""
 
     @pytest.mark.parametrize("gemms", ["float32", "float64"])
     @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
     def test_conv_bytes_match_graph(
-        self, split_ops, in_chw, k_shape, stride, padding, gemms
+        self, split_ops, in_chw, k_shape, stride, padding, gemms, monkeypatch
     ):
         x, w, b = conv_layer_inputs(in_chw, k_shape)
-        (o, c, k, _), (_, size, _) = k_shape, in_chw
-        cells = ((size + 2 * padding - k) // stride + 1) ** 2
-        # bytes of the largest temporary of this layer
-        stale = 8 * len(x) * max(c * (size + 2 * padding) ** 2, c * k * k * cells, o * cells)
         scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
         with scope:
             want = conv_bytes(x, w, b, stride, padding)[0]
+            stale_empty(monkeypatch)
             for workers in (0, 1, 2):
                 split_ops(workers)
-                with ad._forward_buffers():
-                    # stale values in every buffer, as an earlier layer leaves them
-                    for role in ("padded", "cols", "prod"):
-                        ad._scratch_array(role, (stale,), np.uint8).fill(0xFF)
-                    got = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b))
+                got = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b))
                 assert got._backward_fn is None and not got.requires_grad
                 assert got.data.dtype == want.dtype, workers
                 assert got.data.tobytes() == want.tobytes(), workers
@@ -1089,38 +1085,9 @@ class TestForwardOnly:
             assert got._backward_fn is None and not got.requires_grad
             assert got.data.tobytes() == want.tobytes(), workers
 
-    def test_response_grids_hold_no_buffer_after_return_or_raise(self, monkeypatch):
-        params = init_params(PRESETS["desk"], seed=5)
-        rng = np.random.default_rng(48)
-        images = [rng.uniform(0, 1, size=(64, 64)) for _ in range(9)]
-        held = []
-        real_conv2d = ad.conv2d
-
-        def recording(*args, **kwargs):
-            out = real_conv2d(*args, **kwargs)
-            held.extend(weakref.ref(buf) for buf in ad._scratch.buffers.values())
-            return out
-
-        monkeypatch.setattr(ad, "conv2d", recording)
-        response_grids(params, images)
-        assert len(held) == 3 * 2 * 3  # three roles, three layers, two batches
-        assert getattr(ad._scratch, "buffers", None) is None
-        gc.collect()
-        assert all(ref() is None for ref in held)
-
-        # the second batch fails in forward_backbone, after the first has
-        # filled the buffers
-        held.clear()
-        with pytest.raises(ValueError, match="does not match backbone input size"):
-            response_grids(params, images[:8] + [np.zeros((32, 32))])
-        assert held
-        assert getattr(ad._scratch, "buffers", None) is None
-        gc.collect()
-        assert all(ref() is None for ref in held)
-
     def test_concurrent_response_grids_give_serial_bytes(self, split_ops):
-        # each caller's forward-only ops use that caller's buffers, also in
-        # the shares pool threads run for them
+        # each caller's forward-only ops fill temporaries of their own, also
+        # in the shares pool threads run for them
         params = init_params(PRESETS["desk"], seed=6)
         rng = np.random.default_rng(49)
         images = [[rng.uniform(0, 1, size=(64, 64)) for _ in range(11)] for _ in range(2)]

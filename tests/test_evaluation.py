@@ -584,7 +584,7 @@ class TestCrossValidateProcesses:
         assert left == "children left: 0"
 
     def test_fold_processes_share_the_cpus_with_op_threads(self, tmp_path, monkeypatch):
-        import milnet.autodiff as ad
+        import milnet._kernels as kernels
         import milnet.cv as cv
 
         images, labels, cfg = self._tiny_cv()
@@ -592,11 +592,11 @@ class TestCrossValidateProcesses:
 
         def reporting(*args, **kwargs):
             (tmp_path / f"pool_workers_{args[4].seed}").write_text(
-                f"{os.getpid()} {ad._pool_workers}")
+                f"{os.getpid()} {kernels._pool_workers}")
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(cv, "train", reporting)
-        parent_setting = ad._pool_workers
+        parent_setting = kernels._pool_workers
         cv.cross_validate(images, labels, cfg, str(tmp_path / "cv"), workers=2)
         reports = [p.read_text().split() for p in tmp_path.glob("pool_workers_*")]
         assert len(reports) == 5
@@ -606,4 +606,4 @@ class TestCrossValidateProcesses:
             assert int(threads) == max(0, cpus // 2 - 1)
             # two fold processes, each with its calling thread and pool threads
             assert 2 * (1 + int(threads)) <= max(cpus, 2)
-        assert ad._pool_workers == parent_setting
+        assert kernels._pool_workers == parent_setting

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from milnet import _forked, _kernels, model
 from milnet import autodiff as ad
-from milnet import model
 from milnet.autodiff import Tensor
 from milnet.model import (
+    INFER_BATCH,
     BackboneSpec,
     ModelParams,
     PRESETS,
@@ -19,6 +20,7 @@ from milnet.model import (
     forward_backbone,
     init_params,
     instance_responses,
+    layer_plan,
     output_geometry,
     params_to_leaves,
     response_grid,
@@ -201,9 +203,10 @@ class TestForwardBackbone:
 
     @pytest.mark.parametrize("preset, dropped", [("paper", True), ("desk", False)])
     def test_drops_large_graph_activations(self, preset, dropped):
-        # batch 8: every paper intermediate holds 259,584 entries or more and
-        # is dropped once the next layer is built; every desk one holds at
-        # most 65,536 and is kept.  The input and the feature map always are.
+        # batch 8: every paper conv regathers its columns, so every paper
+        # intermediate is dropped once the next layer is built; no desk conv
+        # does, and every desk one is kept.  The input and the feature map
+        # always are.
         spec = PRESETS[preset]
         params = init_params(spec, seed=1)
         rng = np.random.default_rng(3)
@@ -220,6 +223,20 @@ class TestForwardBackbone:
         kept = forward_backbone(x, spec, params_to_leaves(params, requires_grad=False))
         assert fmap.data.tobytes() == kept.data.tobytes()
         assert x.data.strides != (0, 0, 0, 0) and np.isfinite(x.data).all()
+
+    def test_inference_relu_leaves_the_input_alone(self):
+        # with no graph, a relu rectifies the output of the layer before it
+        # in place; a leading relu reads the caller's input, which it must
+        # not change
+        spec = BackboneSpec.parse("input:6,relu,conv:2:3:1:1,relu")
+        params = init_params(spec, seed=4)
+        x = np.random.default_rng(5).normal(size=(2, 1, 6, 6))
+        xt = Tensor(x.copy())
+        got = forward_backbone(xt, spec, params_to_leaves(params, requires_grad=False))
+        assert_array_equal(xt.data, x)
+        want = forward_backbone(Tensor(x, requires_grad=True), spec,
+                                params_to_leaves(params))
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
@@ -299,19 +316,130 @@ class TestResponseGrid:
         assert_allclose(grid, 0.5, rtol=0, atol=0)
 
 
+class TestInferenceInputs:
+    """response_grids checks every image before it runs a batch or forks a
+    shard: a bad one raises ValueError naming its index."""
+
+    @pytest.fixture
+    def no_fork(self, op_pool, monkeypatch):
+        # two CPUs, so that 320 images and more would shard
+        op_pool(1)
+        calls = []
+        monkeypatch.setattr(_forked, "run_forked", lambda *args: calls.append(args))
+        return calls
+
+    @pytest.mark.parametrize("images, index, what", [
+        # a wrong size last, in a set large enough to shard
+        ([np.full((64, 64), 0.5)] * 399 + [np.zeros((32, 32))], 399, r"shape \(32, 32\)"),
+        # a wrong size among fewer images than the shard threshold
+        ([np.full((64, 64), 0.5)] * 5 + [np.zeros((64, 63))] * 2, 5, r"shape \(64, 63\)"),
+        # a raw image that was never prepared
+        ([np.full((64, 64), 0.5)] * 3 + [np.zeros((64, 64), dtype=np.uint8)], 3, "uint8"),
+    ], ids=["sharded", "serial", "raw-uint8"])
+    def test_bad_input_raises_before_compute(self, no_fork, monkeypatch, images, index,
+                                             what):
+        def no_batches(*args):
+            raise AssertionError("a batch ran")
+
+        monkeypatch.setattr(model, "_serial_grids", no_batches)
+        params = init_params(PRESETS["desk"], seed=5)
+        with pytest.raises(ValueError, match=rf"inference input {index} is a .*{what}"):
+            response_grids(params, images)
+        assert no_fork == []
+
+
+class TestLayerPlan:
+    # (kind, in_shape, out_shape, shares, grad_shares, regather, drop) of
+    # every layer at batch 8 with 2 CPUs
+    PAPER = [
+        ("conv", (8, 1, 224, 224), (8, 64, 55, 55), 2, 1, True, True),
+        ("relu", (8, 64, 55, 55), (8, 64, 55, 55), 1, 1, False, True),
+        ("pool", (8, 64, 55, 55), (8, 64, 27, 27), 2, 1, False, True),
+        ("conv", (8, 64, 27, 27), (8, 192, 27, 27), 2, 2, True, True),
+        ("relu", (8, 192, 27, 27), (8, 192, 27, 27), 1, 1, False, True),
+        ("pool", (8, 192, 27, 27), (8, 192, 13, 13), 2, 1, False, True),
+        ("conv", (8, 192, 13, 13), (8, 384, 13, 13), 2, 2, True, True),
+        ("relu", (8, 384, 13, 13), (8, 384, 13, 13), 1, 1, False, True),
+        ("conv", (8, 384, 13, 13), (8, 256, 13, 13), 2, 2, True, True),
+        ("relu", (8, 256, 13, 13), (8, 256, 13, 13), 1, 1, False, True),
+        ("conv", (8, 256, 13, 13), (8, 256, 13, 13), 2, 2, True, True),
+        ("relu", (8, 256, 13, 13), (8, 256, 13, 13), 1, 1, False, True),
+        ("pool", (8, 256, 13, 13), (8, 256, 6, 6), 2, 1, False, False),
+    ]
+    DESK = [
+        ("conv", (8, 1, 64, 64), (8, 8, 32, 32), 1, 1, False, False),
+        ("relu", (8, 8, 32, 32), (8, 8, 32, 32), 1, 1, False, False),
+        ("conv", (8, 8, 32, 32), (8, 16, 16, 16), 1, 1, False, False),
+        ("relu", (8, 16, 16, 16), (8, 16, 16, 16), 1, 1, False, False),
+        ("conv", (8, 16, 16, 16), (8, 32, 8, 8), 1, 1, False, False),
+        ("relu", (8, 32, 8, 8), (8, 32, 8, 8), 1, 1, False, False),
+        ("pool", (8, 32, 8, 8), (8, 32, 4, 4), 1, 1, False, False),
+    ]
+
+    @staticmethod
+    def summary(plan):
+        return [(r.kind, r.in_shape, r.out_shape, r.shares, r.grad_shares, r.regather,
+                 r.drop) for r in plan]
+
+    def test_preset_rows_at_batch_8(self, op_pool):
+        # every paper conv regathers and every paper intermediate is
+        # dropped; no desk layer does either, or splits
+        op_pool(1)  # 2 CPUs
+        assert self.summary(layer_plan(PRESETS["paper"], 8)) == self.PAPER
+        assert self.summary(layer_plan(PRESETS["desk"], 8)) == self.DESK
+        # the paper 3x3 layers gather their columns tap by tap, c0 and c1 not
+        paper = [r.tapwise for r in layer_plan(PRESETS["paper"], 8) if r.kind == "conv"]
+        assert paper == [False, False, True, True, True]
+
+    def test_desk_rows_at_infer_batch(self, op_pool):
+        op_pool(1)
+        assert self.summary(layer_plan(PRESETS["desk"], INFER_BATCH)) == self.DESK
+
+    def test_plan_gives_geometry_and_parameter_shapes(self):
+        spec = BackboneSpec.parse("input:20,conv:3:5:2:1,relu,pool:2:2,conv:4:3:1:0")
+        plan = layer_plan(spec, 3)
+        assert [r.out_shape for r in plan] == [
+            (3, 3, 9, 9), (3, 3, 9, 9), (3, 3, 4, 4), (3, 4, 2, 2)]
+        assert output_geometry(spec) == (4, 2, 2)
+        assert model.param_shapes(spec)["conv1.kernel"] == (4, 3, 3, 3)
+
+    @pytest.mark.parametrize("preset", ["paper", "desk"])
+    def test_ops_run_as_the_plan_says(self, preset, monkeypatch):
+        # the rows conv2d and maxpool2d make for themselves in
+        # forward_backbone are the plan's rows, but for drop, which only
+        # forward_backbone reads
+        spec = PRESETS[preset]
+        want = [row._replace(drop=False) for row in layer_plan(spec, 2)
+                if row.kind != "relu"]
+        seen = []
+
+        def recording(real):
+            def record(*args):
+                seen.append(real(*args))
+                return seen[-1]
+            return record
+
+        for name in ("conv_row", "pool_row"):
+            monkeypatch.setattr(_kernels, name, recording(getattr(_kernels, name)))
+        leaves = params_to_leaves(init_params(spec, seed=1))
+        forward_backbone(Tensor(np.zeros((2, 1, spec.input_size, spec.input_size))),
+                         spec, leaves)
+        assert seen == want
+
+
 # 43 desk images with threshold and op budget forced low: the killed shard's
 # process exits at once, without raising
 _KILLED_SHARD = '''
 import multiprocessing, os
 import numpy as np
-import milnet.autodiff as ad
+import milnet._kernels as kernels
 import milnet.model as model
 
 params = model.init_params(model.PRESETS["desk"], seed=1)
 rng = np.random.default_rng(2)
 images = [rng.uniform(0, 1, (64, 64)) for _ in range(43)]
 model._SHARD_MIN_IMAGES = 0
-ad._pool_workers = 1
+kernels._pool_workers = 1
 real = model._serial_grids
 
 def dying(params, images):
@@ -341,7 +469,7 @@ class TestShardedInference:
 
         def recording(params, images):
             (tmp_path / f"run_{os.getpid()}_{len(images)}").write_text(
-                f"{os.getpid()} {os.getppid()} {len(images)} {ad._pool_workers}")
+                f"{os.getpid()} {os.getppid()} {len(images)} {_kernels._pool_workers}")
             return real(params, images)
 
         monkeypatch.setattr(model, "_serial_grids", recording)
@@ -381,8 +509,6 @@ class TestShardedInference:
 
     def test_failing_shard_raises_naming_its_images(self, shard_inference, monkeypatch):
         import multiprocessing
-
-        from milnet import _forked
 
         params = init_params(PRESETS["desk"], seed=5)
         images = [np.full((64, 64), 0.5)] * 43
@@ -434,7 +560,7 @@ class TestShardedInference:
             assert len(shards) == extra + 1
             for _, _, _, threads in shards:
                 assert threads == max(0, cpus // (extra + 1) - 1)
-        assert ad._pool_workers == 2
+        assert _kernels._pool_workers == 2
 
     def test_cv_fold_processes_do_not_shard(self, shard_inference, monkeypatch, tmp_path):
         from milnet.config import TrainConfig

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-import milnet.model as model
 import milnet.training as training
 from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
@@ -531,11 +530,11 @@ class TestStepMemory:
 
 class TestDroppedActivations:
     @pytest.mark.parametrize("preset", ["paper", "desk"])
-    def test_loss_and_gradients_match_a_graph_that_keeps_them(self, preset, monkeypatch):
+    def test_loss_and_gradients_match_a_graph_that_keeps_them(self, preset, layer_rules):
         # one SHA-256 over the loss and every parameter gradient of the three
-        # heads at batch 8, with every interior activation dropped (at batch
-        # 8 the default gate drops every paper one and no desk one) and with
-        # none dropped
+        # heads at batch 8, with every conv regathering its columns and every
+        # interior activation dropped (at batch 8 the default rule does so on
+        # every paper layer and no desk one) and with none doing either
         def digest() -> str:
             h = hashlib.sha256()
             for head in ("max_pool", "label_assign", "sparse"):
@@ -547,9 +546,9 @@ class TestDroppedActivations:
                     h.update(leaves[name].grad.tobytes())
             return h.hexdigest()
 
-        monkeypatch.setattr(model, "_DROP_MIN_ENTRIES", 0)
+        layer_rules("_REGATHER_MIN_COLS", 0)
         dropped = digest()
-        monkeypatch.setattr(model, "_DROP_MIN_ENTRIES", math.inf)
+        layer_rules("_REGATHER_MIN_COLS", math.inf)
         assert digest() == dropped
 
 

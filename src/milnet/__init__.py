@@ -53,6 +53,7 @@ from .training import (
     load_checkpoint,
     prepare_inputs,
     save_checkpoint,
+    score_images,
     select_k,
     train,
 )
@@ -100,6 +101,7 @@ __all__ = [
     "load_checkpoint",
     "prepare_inputs",
     "save_checkpoint",
+    "score_images",
     "select_k",
     "train",
     "__version__",

@@ -1,6 +1,6 @@
 """Independent tasks in forked processes: the one process-parallel mechanism,
-shared by cross-validation folds (``cv.cross_validate``) and sharded
-inference (``model.response_grids``).
+shared by cross-validation folds (``cv.cross_validate``) and manifest
+scoring (``training.score_images``).
 
 A fork child sees the caller's memory as it was at the fork, so the task
 function and everything it reads reach every process without being

@@ -108,7 +108,7 @@ def pool_row(in_shape, window: int, stride: int) -> LayerRow:
 # Threads besides the calling one that share the work of a large layer: one
 # fewer than the CPUs this process may run on, read at the first row, or
 # this process's share of them in a process forked by
-# ``_forked.run_forked``.  response_grids shards a large image set over as
+# ``_forked.run_forked``.  score_images shares a large image set out over as
 # many processes as this budget counts CPUs.  The pool is started at the
 # first split, and forgotten in a forked child, which has none of its
 # threads.

@@ -38,12 +38,12 @@ from .evaluation import (
 from .gradcheck import run_suite
 from .pgm import load_gray_image
 from .training import (
-    bag_scores,
     check_select_k,
     load_checkpoint,
     metrics_csv,
     prepare_inputs,
     save_checkpoint,
+    score_images,
     select_k,
     train,
 )
@@ -185,19 +185,10 @@ def _eval_outputs(out_dir, names, labels, scores) -> None:
 def _score_manifest(ckpt_paths, data, mode, out_dir) -> int:
     """Score a manifest with the checkpoints' models combined by mode and
     write the outputs; returns the number of images scored."""
-    models = [load_checkpoint(ckpt_path) for ckpt_path in ckpt_paths]
+    # the Adam moments are dropped: scoring reads only parameters and config
+    models = [(state.params, cfg) for state, cfg in map(load_checkpoint, ckpt_paths)]
     dataset = load_dataset(load_manifest(data))
-    # models that agree on input size and preprocessing read the same inputs,
-    # prepared once for the group and dropped before the next group's
-    groups: dict[tuple[int, str], list[int]] = {}
-    for i, (_, cfg) in enumerate(models):
-        groups.setdefault((cfg.backbone.input_size, cfg.preprocess), []).append(i)
-    per_model = [None] * len(models)
-    for members in groups.values():
-        inputs = prepare_inputs(dataset.images, models[members[0]][1])
-        for i in members:
-            per_model[i] = bag_scores(models[i][0].params, inputs)
-    combined = bagging(per_model, mode=mode)
+    combined = bagging(score_images(models, dataset.images), mode=mode)
     names = [os.path.basename(p) for p in dataset.paths]
     _eval_outputs(out_dir, names, dataset.labels, combined)
     return len(dataset)

@@ -72,18 +72,20 @@ def _require_both_classes(labels: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
+def _tie_starts(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the first entry of each run of equal values in a sorted
+    array (NaNs are never equal, so each is a run of its own)."""
+    return np.flatnonzero(np.concatenate(([True], sorted_values[1:] != sorted_values[:-1])))
+
+
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
     order = np.argsort(values, kind="stable")
+    starts = _tie_starts(values[order])
+    ends = np.append(starts[1:], values.size)
     ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    sorted_vals = values[order]
-    while i < values.size:
-        j = i + 1
-        while j < values.size and sorted_vals[j] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # average of 1-based i+1 .. j
-        i = j
+    # the average of 1-based ranks i + 1 .. j of a run [i, j)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks
 
 
@@ -119,26 +121,15 @@ def roc_curve(scores, labels) -> RocCurve:
     n_pos, n_neg = _require_both_classes(labels)
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    fpr = [0.0]
-    tpr = [0.0]
-    thresholds = [np.inf]
-    tp = 0
-    fp = 0
-    i = 0
-    n = scores.size
-    while i < n:
-        j = i + 1
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i:j].sum())
-        fp += (j - i) - int(sorted_labels[i:j].sum())
-        fpr.append(fp / n_neg)
-        tpr.append(tp / n_pos)
-        thresholds.append(float(sorted_scores[i]))
-        i = j
+    # one operating point per run of equal scores, taking the whole run
+    starts = _tie_starts(sorted_scores)
+    ends = np.append(starts[1:], scores.size)
+    tp = np.cumsum(np.add.reduceat(labels[order], starts))
+    fp = ends - tp
     return RocCurve(
-        fpr=np.array(fpr), tpr=np.array(tpr), thresholds=np.array(thresholds)
+        fpr=np.concatenate(([0.0], fp / n_neg)),
+        tpr=np.concatenate(([0.0], tp / n_pos)),
+        thresholds=np.concatenate(([np.inf], sorted_scores[starts])),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _forked, _kernels
+from . import _kernels
 from . import autodiff as ad
 from .autodiff import Tensor
 from .rng import derive_rng
@@ -311,47 +311,16 @@ def instance_responses(feature_map: Tensor, weight: Tensor, bias: Tensor) -> Ten
 INFER_BATCH = 8
 
 
-# Images from which response_grids shards its batches over forked processes,
-# one share per CPU of its op budget.  Starting and joining two shard
-# processes costs about 20-25 ms.  Desk preset, 2 cores, 1 BLAS thread, best
-# of 7 in each of two runs, serial against 2 shards: 256 images 36.5-36.8
-# against 39.9-41.9 ms, 320 images 58.6-61.2 against 45.7-46.1 ms; 2000
-# images (best of 3) 361 against 217 ms.  Paper-preset layers already split
-# over the op pool, so sharding them gains little (64 images: 754-789 ms
-# serial, 642-722 ms sharded).
-_SHARD_MIN_IMAGES = 320
-
-
 def response_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
     """Inference-only response maps of [0, 1] float images, as an
-    (N, grid_h, grid_w) array, forwarded INFER_BATCH images at a time.
+    (N, grid_h, grid_w) array, forwarded INFER_BATCH images at a time in
+    this process.
 
     Every image is checked first: one that is not a 2-D float array of the
     backbone's input size raises ValueError naming its index, before any
-    batch is run or any process forked.  From _SHARD_MIN_IMAGES images on,
-    the batches are shared out in contiguous runs over forked processes, one
-    per CPU this process may use for ops; each runs the serial loop on its
-    run and the grids are joined in order, so every image meets the same
-    batches and BLAS calls and the bytes do not change.  A shard that raises
-    makes this raise RuntimeError naming its image range; a shard process
-    that dies, naming the first unfinished range.  A process that is itself
-    one of these forked tasks (a shard or a cv fold) does not fork again.
+    batch is run.
     """
     _check_network_inputs(images, params.spec.input_size, "inference")
-    batches = -(-len(images) // INFER_BATCH)
-    shares = min(_kernels.cpu_budget() if len(images) >= _SHARD_MIN_IMAGES else 1, batches)
-    if shares <= 1 or _forked._job is not None:
-        return _serial_grids(params, images)
-    bounds = [INFER_BATCH * (batches * i // shares) for i in range(shares)]
-    ranges = list(zip(bounds, bounds[1:] + [len(images)]))
-    parts = _forked.run_forked(
-        lambda i: _serial_grids(params, images[slice(*ranges[i])]),
-        [f"images {a}-{b - 1}" for a, b in ranges], shares,
-    )
-    return np.concatenate(parts)
-
-
-def _serial_grids(params: ModelParams, images: list[np.ndarray]) -> np.ndarray:
     leaves = params_to_leaves(params, requires_grad=False)
     _, grid_h, grid_w = output_geometry(params.spec)
     grids = np.empty((len(images), grid_h, grid_w))

@@ -38,6 +38,21 @@ _SPACES = re.compile(rb"\s*")
 _COMMENT = re.compile(rb"[^\n]*")
 _TOKEN = re.compile(rb"\S*")
 
+# a header with no comment: P5, then width, height and maxval, each after a
+# run of whitespace, then one whitespace byte
+_PLAIN_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def _plain_header(data: bytes) -> tuple[int, int, int, int] | None:
+    """(width, height, maxval, data offset) of a plain header at the start
+    of ``data``, or None when the header is not plain or not complete in
+    ``data``; _read_pgm_header parses or rejects those and gives the same
+    result on a plain one."""
+    m = _PLAIN_HEADER.match(data)
+    if m is None:
+        return None
+    return int(m[1]), int(m[2]), int(m[3]), m.end()
+
 
 def _read_pgm_header(f, path: str = "<stream>") -> tuple[int, int, int, int]:
     """Parse a P5 header; returns (width, height, maxval, data offset).
@@ -89,7 +104,7 @@ def _read_pgm_header(f, path: str = "<stream>") -> tuple[int, int, int, int]:
 
 
 def _decode_pgm(raw: bytes, path: str) -> np.ndarray:
-    w, h, maxval, offset = _read_pgm_header(io.BytesIO(raw), path)
+    w, h, maxval, offset = _plain_header(raw) or _read_pgm_header(io.BytesIO(raw), path)
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 is supported, got {maxval}")
     if len(raw) - offset < w * h:
@@ -135,9 +150,9 @@ def load_gray_image(path: str) -> np.ndarray:
 def read_image_size(path: str) -> tuple[int, int]:
     """Return (width, height), reading the PGM header or the sidecar only."""
     with open(path, "rb") as f:
-        magic = f.read(2)
-        if magic == b"P5":
+        head = f.read(_HEADER_CHUNK)
+        if head[:2] == b"P5":
             f.seek(0)
-            w, h, _, _ = _read_pgm_header(f, path)
+            w, h, _, _ = _plain_header(head) or _read_pgm_header(f, path)
             return w, h
     return _read_dims(path)

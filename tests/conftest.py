@@ -2,14 +2,14 @@ import multiprocessing
 
 import pytest
 
-from milnet import _kernels, model
+from milnet import _kernels, model, training
 from milnet import autodiff as ad
 
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail any test that leaves a live child process behind, such as a cv
-    fold or response_grids shard process; the leftovers are ended first, so
+    fold or score_images shard process; the leftovers are ended first, so
     they do not fail the tests after it."""
     yield
     left = multiprocessing.active_children()
@@ -81,13 +81,13 @@ def split_ops(op_pool, layer_rules):
 
 @pytest.fixture
 def shard_inference(op_pool, monkeypatch):
-    """Shard every response_grids call of more than one batch, whatever its
+    """Shard every score_images call of more than one batch, whatever its
     size.
 
-    Returns ``set_extra(k)``: from then on response_grids shares its batches
+    Returns ``set_extra(k)``: from then on score_images shares its images
     between k + 1 forked processes (0 runs it in the calling process).  The
     CPU budget this borrows is restored afterwards, and any op pool started
     meanwhile is shut down.
     """
-    monkeypatch.setattr(model, "_SHARD_MIN_IMAGES", 0)
+    monkeypatch.setattr(training, "_SHARD_MIN_IMAGES", 0)
     return op_pool

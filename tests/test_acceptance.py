@@ -33,9 +33,9 @@ from milnet.cv import cross_validate
 from milnet.evaluation import auc
 from milnet.gradcheck import check_full_gradients
 from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
-from milnet.model import _SHARD_MIN_IMAGES, response_grid
+from milnet.model import response_grid
 from milnet.preprocessing import otsu_threshold, to_network_input
-from milnet.training import load_checkpoint, prepare_inputs, train
+from milnet.training import _SHARD_MIN_IMAGES, load_checkpoint, prepare_inputs, train
 
 
 def _verdict(capsys, tag: str, ok: bool, detail: str) -> bool:
@@ -452,7 +452,7 @@ class TestDeterminism:
 
     def test_checkpoints_match_across_cpu_counts(self, tmp_path, capsys):
         # conv2d and maxpool2d share large batches with one pool thread per
-        # CPU beyond the first, and response_grids shares a large image set
+        # CPU beyond the first, and score_images shares a large image set
         # with one forked process per CPU; pinned to one CPU, they run unsplit
         all_cpus = sorted(os.sched_getaffinity(0))
         if len(all_cpus) < 2:
@@ -491,7 +491,7 @@ def _train_eval_digests(tmp_path, variants: dict[str, tuple[str, list[int]]]) ->
     """Train and evaluate each of _PRESET_RUNS once per variant, a
     (BLAS threads, CPUs) pair; returns the SHA-256 of the checkpoint and of
     the eval scores per (preset, variant), and for the desk checkpoint also
-    that of an eval over _SHARD_MIN_IMAGES images, which response_grids
+    that of an eval over _SHARD_MIN_IMAGES images, which score_images
     shards over forked processes when it has more than one CPU.  Each run is
     a fresh process, because BLAS reads its thread count from the
     environment once, when numpy is loaded."""

@@ -133,6 +133,54 @@ class TestPgm:
             with pytest.raises(ValueError, match=re.escape(path) + ".*" + problem):
                 read(path)
 
+    # (file bytes, whether the plain-header fast path parses its header)
+    HEADERS = {
+        "newlines": (b"P5\n3 2\n255\n" + bytes(range(6)), True),
+        "spaces": (b"P5 3  2 255 " + bytes(range(6)), True),
+        "crlf": (b"P5\r\n3 2\r\n255\r\n" + bytes(range(6)), True),
+        "tab": (b"P5\t3\t2\t255\t" + bytes(range(6)), True),
+        "vtab": (b"P5\x0b3\x0b2\x0b255\x0b" + bytes(range(6)), True),
+        "formfeed": (b"P5\x0c3\x0c\x0c2 255\x0c" + bytes(range(6)), True),
+        "leading-zeros": (b"P5\n003 0002\n0255\n" + bytes(range(6)), True),
+        "maxval-254": (b"P5\n3 2\n254\n" + bytes(range(6)), True),
+        "truncated-pixels": (b"P5\n3 2\n255\n" + bytes(5), True),
+        "comment": (b"P5\n# a comment\n3 2\n255\n" + bytes(range(6)), False),
+        "comment-after-field": (b"P5 3 2# c\n255\n" + bytes(range(6)), False),
+        "no-space-after-magic": (b"P564 64\n255\n" + bytes(64 * 64), False),
+        "non-digit": (b"P5\n3x 2\n255\n" + bytes(6), False),
+        "signed": (b"P5\n3 2\n+255\n" + bytes(6), False),
+        "non-ascii-digit": (b"P5\n\xb2 2\n255\n" + bytes(6), False),
+        "not-bytes-whitespace": (b"P5\x1c3 2\x85255\n" + bytes(6), False),
+        "magic-only": (b"P5", False),
+        "truncated-header": (b"P5\n3 2", False),
+        "no-byte-after-maxval": (b"P5\n3 2\n255", False),
+    }
+
+    @pytest.mark.parametrize("name", list(HEADERS))
+    def test_plain_header_path_agrees_with_scanner(self, tmp_path, monkeypatch, name):
+        data, plain = self.HEADERS[name]
+
+        def outcome(fn, *args):
+            try:
+                result = fn(*args)
+            except ValueError as exc:
+                return "error", str(exc)
+            if isinstance(result, np.ndarray):
+                return result.shape, result.tobytes()
+            return result
+
+        fast = pgm._plain_header(data)
+        assert (fast is not None) == plain
+        if plain:
+            assert fast == pgm._read_pgm_header(io.BytesIO(data), "x")
+        path = str(tmp_path / "h.pgm")
+        with open(path, "wb") as f:
+            f.write(data)
+        readers = (read_image_size, read_pgm)
+        got = [outcome(read, path) for read in readers]
+        monkeypatch.setattr(pgm, "_plain_header", lambda data: None)
+        assert got == [outcome(read, path) for read in readers]
+
     def test_raw_size_mismatch(self, tmp_path):
         path = str(tmp_path / "short.raw")
         with open(path, "wb") as f:

@@ -155,6 +155,75 @@ class TestRocCurve:
         assert lines[3] == "1.0000000000,1.0000000000,0.2000000000"
 
 
+def loop_ranks(values):
+    """The tie-group loop _average_ranks ran before it used array
+    operations: the reference for equal results."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.float64)
+    i = 0
+    sorted_vals = values[order]
+    while i < values.size:
+        j = i + 1
+        while j < values.size and sorted_vals[j] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j]] = (i + j + 1) / 2.0
+        i = j
+    return ranks
+
+
+def loop_roc(scores, labels):
+    """(fpr, tpr, thresholds) by the loop roc_curve ran before it used array
+    operations: the reference for equal results."""
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    fpr, tpr, thresholds = [0.0], [0.0], [np.inf]
+    tp = fp = i = 0
+    while i < scores.size:
+        j = i + 1
+        while j < scores.size and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_labels[i:j].sum())
+        fp += (j - i) - int(sorted_labels[i:j].sum())
+        fpr.append(fp / n_neg)
+        tpr.append(tp / n_pos)
+        thresholds.append(float(sorted_scores[i]))
+        i = j
+    return np.array(fpr), np.array(tpr), np.array(thresholds)
+
+
+class TestRankLoopsAsArrays:
+    """roc_curve and auc give exactly what their former loops gave."""
+
+    @pytest.mark.parametrize("kind", [
+        "continuous", "rounded", "integer", "all-equal", "one-each", "signed-zeros"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_to_the_loops(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 if kind == "one-each" else 2000
+        labels = rng.permutation(np.arange(n) < max(1, n // 5)).astype(np.int64)
+        scores = {
+            "continuous": rng.uniform(0, 1, n),
+            "rounded": np.round(rng.uniform(0, 1, n), 2),
+            "integer": rng.integers(0, 6, n).astype(np.float64),
+            "all-equal": np.full(n, 0.25),
+            "one-each": rng.integers(0, 2, n).astype(np.float64),
+            "signed-zeros": rng.choice([-0.0, 0.0, 0.5], n),
+        }[kind]
+        curve = roc_curve(scores, labels)
+        fpr, tpr, thresholds = loop_roc(scores, labels)
+        assert np.array_equal(curve.fpr, fpr)
+        assert np.array_equal(curve.tpr, tpr)
+        assert np.array_equal(curve.thresholds, thresholds)
+        assert roc_csv(curve) == roc_csv(type(curve)(fpr, tpr, thresholds))
+        n_pos = int(labels.sum())
+        n_neg = n - n_pos
+        rank_sum = float(loop_ranks(scores)[labels == 1].sum())
+        assert auc(scores, labels) == (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
 class TestFolds:
     def test_stratified_counts(self):
         labels = np.array([1] * 94 + [0] * 316)

@@ -1,4 +1,5 @@
-"""The package's modules import one another without a cycle."""
+"""The package's modules import one another without a cycle, and only
+``_forked`` starts processes."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,50 @@ def test_package_has_no_import_cycle():
 def test_finder_reports_a_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": set()}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def process_starters(source: str) -> set[str]:
+    """What a module's source uses to start processes: imports of
+    ``multiprocessing``, imports or attributes named ``ProcessPoolExecutor``,
+    and ``os.fork``, by attribute or import."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names
+                         if alias.name.split(".")[0] == "multiprocessing")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] == "multiprocessing":
+                found.add(node.module)
+            for alias in node.names:
+                if alias.name == "ProcessPoolExecutor" or (
+                        node.module == "os" and alias.name.startswith("fork")):
+                    found.add(f"{node.module}.{alias.name}")
+        elif isinstance(node, ast.Attribute):
+            if node.attr == "ProcessPoolExecutor":
+                found.add(node.attr)
+            elif (node.attr.startswith("fork") and isinstance(node.value, ast.Name)
+                  and node.value.id == "os"):
+                found.add(f"os.{node.attr}")
+    return found
+
+
+def test_only_forked_starts_processes():
+    starters = {path.stem: process_starters(path.read_text())
+                for path in PACKAGE.glob("*.py")}
+    assert starters.pop("_forked") >= {"multiprocessing", "concurrent.futures.ProcessPoolExecutor"}
+    assert {module: found for module, found in starters.items() if found} == {}
+
+
+def test_process_finder_sees_each_starter():
+    assert process_starters("import multiprocessing.pool") == {"multiprocessing.pool"}
+    assert process_starters("from multiprocessing import Pool") == {"multiprocessing"}
+    assert process_starters("from concurrent.futures import ProcessPoolExecutor") == {
+        "concurrent.futures.ProcessPoolExecutor"}
+    assert process_starters("import concurrent.futures as cf\ncf.ProcessPoolExecutor()") == {
+        "ProcessPoolExecutor"}
+    assert process_starters("import os\nos.fork()") == {"os.fork"}
+    assert process_starters("from os import fork") == {"os.fork"}
+    # threads and fork hooks start no process
+    assert process_starters(
+        "import os\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "os.register_at_fork(after_in_child=print)") == set()

@@ -1,8 +1,6 @@
 """Backbone geometry, parameter init, and response-layer checks."""
 
 import contextlib
-import os
-import re
 
 import numpy as np
 import pytest
@@ -317,34 +315,41 @@ class TestResponseGrid:
 
 
 class TestInferenceInputs:
-    """response_grids checks every image before it runs a batch or forks a
-    shard: a bad one raises ValueError naming its index."""
+    """response_grids runs in the calling process, and checks every image
+    before it runs a batch: a bad one raises ValueError naming its index."""
 
     @pytest.fixture
     def no_fork(self, op_pool, monkeypatch):
-        # two CPUs, so that 320 images and more would shard
+        # two CPUs, so that 320 images and more would shard in score_images
         op_pool(1)
         calls = []
         monkeypatch.setattr(_forked, "run_forked", lambda *args: calls.append(args))
         return calls
 
     @pytest.mark.parametrize("images, index, what", [
-        # a wrong size last, in a set large enough to shard
+        # a wrong size last, in a set as large as score_images shards
         ([np.full((64, 64), 0.5)] * 399 + [np.zeros((32, 32))], 399, r"shape \(32, 32\)"),
-        # a wrong size among fewer images than the shard threshold
+        # a wrong size among fewer images than that
         ([np.full((64, 64), 0.5)] * 5 + [np.zeros((64, 63))] * 2, 5, r"shape \(64, 63\)"),
         # a raw image that was never prepared
         ([np.full((64, 64), 0.5)] * 3 + [np.zeros((64, 64), dtype=np.uint8)], 3, "uint8"),
-    ], ids=["sharded", "serial", "raw-uint8"])
+    ], ids=["large", "small", "raw-uint8"])
     def test_bad_input_raises_before_compute(self, no_fork, monkeypatch, images, index,
                                              what):
         def no_batches(*args):
             raise AssertionError("a batch ran")
 
-        monkeypatch.setattr(model, "_serial_grids", no_batches)
+        monkeypatch.setattr(model, "forward_backbone", no_batches)
         params = init_params(PRESETS["desk"], seed=5)
         with pytest.raises(ValueError, match=rf"inference input {index} is a .*{what}"):
             response_grids(params, images)
+        assert no_fork == []
+
+    def test_many_images_never_fork(self, no_fork):
+        params = init_params(PRESETS["desk"], seed=5)
+        images = [np.full((64, 64), 0.5)] * 400
+        grids = response_grids(params, images)
+        assert grids.shape == (400, *output_geometry(params.spec)[1:])
         assert no_fork == []
 
 
@@ -425,157 +430,3 @@ class TestLayerPlan:
         forward_backbone(Tensor(np.zeros((2, 1, spec.input_size, spec.input_size))),
                          spec, leaves)
         assert seen == want
-
-
-# 43 desk images with threshold and op budget forced low: the killed shard's
-# process exits at once, without raising
-_KILLED_SHARD = '''
-import multiprocessing, os
-import numpy as np
-import milnet._kernels as kernels
-import milnet.model as model
-
-params = model.init_params(model.PRESETS["desk"], seed=1)
-rng = np.random.default_rng(2)
-images = [rng.uniform(0, 1, (64, 64)) for _ in range(43)]
-model._SHARD_MIN_IMAGES = 0
-kernels._pool_workers = 1
-real = model._serial_grids
-
-def dying(params, images):
-    if len(images) == 19:
-        os._exit(1)
-    return real(params, images)
-
-model._serial_grids = dying
-try:
-    model.response_grids(params, images)
-except RuntimeError as exc:
-    print("raised:", exc)
-print("children left:", len(multiprocessing.active_children()))
-'''
-
-
-class TestShardedInference:
-    """response_grids shares its batches between forked processes: the
-    grids are the serial ones bit for bit, failures name the image range,
-    no process outlives the call, and each shard keeps its share of the CPUs
-    for op threads."""
-
-    def _record_shards(self, monkeypatch, tmp_path):
-        """Make every serial run write its process, parent, image count and
-        op-thread setting to a file under tmp_path; returns a reader."""
-        real = model._serial_grids
-
-        def recording(params, images):
-            (tmp_path / f"run_{os.getpid()}_{len(images)}").write_text(
-                f"{os.getpid()} {os.getppid()} {len(images)} {_kernels._pool_workers}")
-            return real(params, images)
-
-        monkeypatch.setattr(model, "_serial_grids", recording)
-
-        def runs():
-            found = [p.read_text().split() for p in tmp_path.glob("run_*")]
-            for p in tmp_path.glob("run_*"):
-                p.unlink()
-            return sorted([int(v) for v in r] for r in found)
-
-        return runs
-
-    @pytest.mark.parametrize("preset,n_images", [("desk", 43), ("paper", 17)])
-    def test_grids_match_serial(self, shard_inference, monkeypatch, tmp_path,
-                                preset, n_images):
-        # the last batch is partial; at the paper preset 3 shares get one
-        # batch each
-        params = init_params(PRESETS[preset], seed=5)
-        size = params.spec.input_size
-        rng = np.random.default_rng(6)
-        images = [rng.uniform(0, 1, size=(size, size)) for _ in range(n_images)]
-        runs = self._record_shards(monkeypatch, tmp_path)
-        for scope in (contextlib.nullcontext, ad.float64_gemms):
-            shard_inference(0)
-            with scope():
-                want = response_grids(params, images)
-            assert [r[2] for r in runs()] == [n_images]
-            for extra in (1, 2):
-                shard_inference(extra)
-                with scope():
-                    grids = response_grids(params, images)
-                assert grids.tobytes() == want.tobytes(), (preset, extra)
-                shards = runs()
-                assert len(shards) == extra + 1
-                assert sum(r[2] for r in shards) == n_images
-                assert all(r[0] != os.getpid() and r[1] == os.getpid() for r in shards)
-
-    def test_failing_shard_raises_naming_its_images(self, shard_inference, monkeypatch):
-        import multiprocessing
-
-        params = init_params(PRESETS["desk"], seed=5)
-        images = [np.full((64, 64), 0.5)] * 43
-        real = model._serial_grids
-
-        def failing(params, images):
-            if len(images) == 11:
-                raise ValueError("planted failure")
-            return real(params, images)
-
-        monkeypatch.setattr(model, "_serial_grids", failing)
-        shard_inference(2)
-        with pytest.raises(RuntimeError, match="images 32-42 failed: planted failure"):
-            response_grids(params, images)
-        assert multiprocessing.active_children() == []
-        assert _forked._job is None
-
-    def test_killed_shard_raises_instead_of_hanging(self):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import milnet
-
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-            str(Path(milnet.__file__).resolve().parents[1]),
-            os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", _KILLED_SHARD],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        raised, left = proc.stdout.splitlines()
-        # a broken pool fails every unfinished shard; the first is named
-        assert re.fullmatch(r"raised: images (0-23|24-42) failed: .*terminated abruptly.*",
-                            raised)
-        assert left == "children left: 0"
-
-    def test_shards_share_the_cpus_with_op_threads(self, shard_inference, monkeypatch,
-                                                   tmp_path):
-        params = init_params(PRESETS["desk"], seed=5)
-        images = [np.full((64, 64), 0.5)] * 43
-        runs = self._record_shards(monkeypatch, tmp_path)
-        cpus = len(os.sched_getaffinity(0))
-        for extra in (1, 2):
-            shard_inference(extra)
-            response_grids(params, images)
-            shards = runs()
-            assert len(shards) == extra + 1
-            for _, _, _, threads in shards:
-                assert threads == max(0, cpus // (extra + 1) - 1)
-        assert _kernels._pool_workers == 2
-
-    def test_cv_fold_processes_do_not_shard(self, shard_inference, monkeypatch, tmp_path):
-        from milnet.config import TrainConfig
-        from milnet.cv import cross_validate
-
-        rng = np.random.default_rng(0)
-        images = [rng.integers(0, 256, (16, 16)).astype(np.uint8) for _ in range(10)]
-        cfg = TrainConfig(backbone=BackboneSpec.parse("input:16,conv:2:3:2:1,relu"),
-                          epochs=1, batch_size=4, seed=3, augment_enabled=False)
-        (tmp_path / "runs").mkdir()
-        runs = self._record_shards(monkeypatch, tmp_path / "runs")
-        shard_inference(1)
-        cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"), workers=2)
-        # validation and test scoring ran in the fold processes themselves,
-        # never in a process forked by one
-        scored = runs()
-        assert scored
-        assert all(pid != os.getpid() and ppid == os.getpid() for pid, ppid, _, _ in scored)

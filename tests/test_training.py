@@ -1,17 +1,25 @@
 """Adam updates, the training loop, k selection, and checkpoint bytes."""
 
+import contextlib
 import hashlib
 import io
 import math
+import multiprocessing
 import os
+import re
 import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import milnet.training as training
+from milnet import _forked, _kernels
+from milnet import autodiff as ad
 from milnet.autodiff import Tensor
 from milnet.config import TrainConfig
 from milnet.heads import MilConfig, bag_weights
@@ -35,6 +43,7 @@ from milnet.training import (
     metrics_csv,
     prepare_inputs,
     save_checkpoint,
+    score_images,
     select_k,
     train,
 )
@@ -573,6 +582,215 @@ class TestBagScores:
         scores = bag_scores(params, inputs)
         expected = [response_grid(params, x).max() for x in inputs]
         assert_allclose(scores, expected, rtol=0, atol=0)
+
+
+# 43 desk images with threshold and op budget forced low: the killed shard's
+# process exits at once, without raising
+_KILLED_SHARD = '''
+import multiprocessing, os
+import numpy as np
+import milnet._kernels as kernels
+import milnet.model as model
+import milnet.training as training
+from milnet.config import TrainConfig
+
+params = model.init_params(model.PRESETS["desk"], seed=1)
+rng = np.random.default_rng(2)
+images = [rng.integers(0, 256, (64, 64)).astype(np.uint8) for _ in range(43)]
+training._SHARD_MIN_IMAGES = 0
+kernels._pool_workers = 1
+real = training.response_grids
+
+def dying(params, images):
+    if len(images) == 19:
+        os._exit(1)
+    return real(params, images)
+
+training.response_grids = dying
+try:
+    training.score_images([(params, TrainConfig())], images)
+except RuntimeError as exc:
+    print("raised:", exc)
+print("children left:", len(multiprocessing.active_children()))
+'''
+
+
+class TestShardedScoring:
+    """score_images shares its images between forked processes, each of
+    which prepares and scores its own run: the scores are the serial ones
+    bit for bit, failures name the image range, no process outlives the
+    call, and each shard keeps its share of the CPUs for op threads."""
+
+    def _record_shards(self, monkeypatch, tmp_path):
+        """Make every inference run write its process, parent, image count,
+        op-thread setting and input side to a file under tmp_path; returns a
+        reader."""
+        real = training.response_grids
+
+        def recording(params, inputs):
+            side = params.spec.input_size
+            (tmp_path / f"run_{os.getpid()}_{len(inputs)}_{side}").write_text(
+                f"{os.getpid()} {os.getppid()} {len(inputs)} {_kernels._pool_workers} {side}")
+            return real(params, inputs)
+
+        monkeypatch.setattr(training, "response_grids", recording)
+
+        def runs():
+            found = [p.read_text().split() for p in tmp_path.glob("run_*")]
+            for p in tmp_path.glob("run_*"):
+                p.unlink()
+            return sorted([int(v) for v in r] for r in found)
+
+        return runs
+
+    @staticmethod
+    def raw_images(n, size, seed=6):
+        rng = np.random.default_rng(seed)
+        return [rng.integers(0, 256, (size, size)).astype(np.uint8) for _ in range(n)]
+
+    @pytest.mark.parametrize("preset,n_images", [("desk", 43), ("paper", 17)])
+    def test_scores_match_serial(self, shard_inference, monkeypatch, tmp_path,
+                                 preset, n_images):
+        # the last batch is partial; at the paper preset 3 shares get one
+        # batch each
+        cfg = TrainConfig(backbone=backbone_preset(preset), preprocess="full")
+        models = [(init_params(cfg.backbone, seed=5), cfg)]
+        images = self.raw_images(n_images, cfg.backbone.input_size)
+        runs = self._record_shards(monkeypatch, tmp_path)
+        for scope in (contextlib.nullcontext, ad.float64_gemms):
+            shard_inference(0)
+            with scope():
+                (want,) = score_images(models, images)
+            assert [r[2] for r in runs()] == [n_images]
+            for extra in (1, 2):
+                shard_inference(extra)
+                with scope():
+                    (scores,) = score_images(models, images)
+                assert scores.tobytes() == want.tobytes(), (preset, extra)
+                shards = runs()
+                assert len(shards) == extra + 1
+                assert sum(r[2] for r in shards) == n_images
+                assert all(r[0] != os.getpid() and r[1] == os.getpid() for r in shards)
+
+    def test_failing_shard_raises_naming_its_images(self, shard_inference, monkeypatch):
+        models = [(init_params(backbone_preset("desk"), seed=5), TrainConfig())]
+        images = self.raw_images(43, 64)
+        real = training.response_grids
+
+        def failing(params, inputs):
+            if len(inputs) == 11:
+                raise ValueError("planted failure")
+            return real(params, inputs)
+
+        monkeypatch.setattr(training, "response_grids", failing)
+        shard_inference(2)
+        with pytest.raises(RuntimeError, match="images 32-42 failed: planted failure"):
+            score_images(models, images)
+        assert multiprocessing.active_children() == []
+        assert _forked._job is None
+
+    def test_killed_shard_raises_instead_of_hanging(self):
+        import milnet
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(milnet.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", _KILLED_SHARD],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised, left = proc.stdout.splitlines()
+        # a broken pool fails every unfinished shard; the first is named
+        assert re.fullmatch(r"raised: images (0-23|24-42) failed: .*terminated abruptly.*",
+                            raised)
+        assert left == "children left: 0"
+
+    def test_shards_share_the_cpus_with_op_threads(self, shard_inference, monkeypatch,
+                                                   tmp_path):
+        models = [(init_params(backbone_preset("desk"), seed=5), TrainConfig())]
+        images = self.raw_images(43, 64)
+        runs = self._record_shards(monkeypatch, tmp_path)
+        cpus = len(os.sched_getaffinity(0))
+        for extra in (1, 2):
+            shard_inference(extra)
+            score_images(models, images)
+            shards = runs()
+            assert len(shards) == extra + 1
+            for shard in shards:
+                assert shard[3] == max(0, cpus // (extra + 1) - 1)
+        assert _kernels._pool_workers == 2
+
+    def test_cv_fold_processes_do_not_shard(self, shard_inference, monkeypatch, tmp_path):
+        from milnet.cv import cross_validate
+
+        images = self.raw_images(10, 16, seed=0)
+        cfg = TrainConfig(backbone=BackboneSpec.parse("input:16,conv:2:3:2:1,relu"),
+                          epochs=1, batch_size=4, seed=3, augment_enabled=False)
+        (tmp_path / "runs").mkdir()
+        runs = self._record_shards(monkeypatch, tmp_path / "runs")
+        shard_inference(1)
+        cross_validate(images, np.array([0, 1] * 5), cfg, str(tmp_path / "cv"), workers=2)
+        # validation and test scoring ran in the fold processes themselves,
+        # never in a process forked by one
+        scored = runs()
+        assert scored
+        assert all(r[0] != os.getpid() and r[1] == os.getpid() for r in scored)
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        from milnet.data import SynthSpec, generate_synthetic
+
+        # 20 images: 3 batches, shared out as 8 + 12 images over 2 shards
+        return generate_synthetic(SynthSpec(n_pos=8, n_neg=12, seed=9),
+                                  str(tmp_path / "data"))
+
+    def test_bag_of_two_input_sizes_matches_serial(self, shard_inference, monkeypatch,
+                                                   tmp_path, manifest):
+        from milnet.cli import main
+
+        ckpts = []
+        for text, seed in (("input:64,conv:4:5:2:2,relu,pool:2:2", 11),
+                           ("input:32,conv:4:3:2:1,relu,pool:2:2", 12)):
+            cfg = TrainConfig(backbone=BackboneSpec.parse(text), seed=seed)
+            ckpts.append(str(tmp_path / f"m{seed}.miln"))
+            save_checkpoint(ckpts[-1], init_state(init_params(cfg.backbone, seed)), cfg)
+        runs = self._record_shards(monkeypatch, tmp_path)
+        scores = []
+        for extra, counts in ((0, [20]), (1, [8, 12])):
+            shard_inference(extra)
+            out = tmp_path / f"bag_{extra}"
+            assert main(["bag", "--ckpts", *ckpts, "--data", manifest,
+                         "--out", str(out)]) == 0
+            scores.append((out / "scores.csv").read_bytes())
+            # each shard scored its run once with each model, at its size
+            seen = runs()
+            assert sorted((r[2], r[4]) for r in seen) == sorted(
+                (n, side) for n in counts for side in (32, 64))
+            assert all((r[0] != os.getpid()) == (extra > 0) for r in seen)
+        assert scores[1] == scores[0]
+
+    def test_failing_preparation_exits_2_naming_its_images(
+            self, shard_inference, monkeypatch, tmp_path, manifest, capsys):
+        from milnet.cli import main
+
+        cfg = TrainConfig()
+        ckpt = str(tmp_path / "m.miln")
+        save_checkpoint(ckpt, init_state(init_params(cfg.backbone, seed=3)), cfg)
+        real = training.prepare_inputs
+
+        def failing(images, cfg):
+            if len(images) == 12:
+                raise ValueError("planted failure")
+            return real(images, cfg)
+
+        monkeypatch.setattr(training, "prepare_inputs", failing)
+        shard_inference(1)
+        out = tmp_path / "eval"
+        assert main(["eval", "--ckpt", ckpt, "--data", manifest, "--out", str(out)]) == 2
+        assert "error: images 8-19 failed: planted failure" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
 
 
 class TestMetricsCsv:

@@ -24,6 +24,7 @@ from .config import (
 from .cv import check_cv_options, cross_validate
 from .data import SynthSpec, generate_synthetic, load_dataset, load_manifest
 from .evaluation import (
+    BAGGING_MODES,
     accuracy,
     auc,
     bagging,
@@ -35,7 +36,7 @@ from .evaluation import (
     scores_csv,
     write_dataset_stats,
 )
-from .gradcheck import run_suite
+from .gradcheck import SUITES, run_suite
 from .pgm import load_gray_image
 from .training import (
     check_select_k,
@@ -63,6 +64,13 @@ def _load_config(path: str | None) -> tuple[TrainConfig, dict[str, str]]:
     return parse_config_file(path)
 
 
+def _finetune(cfg: TrainConfig, raw: dict[str, str]) -> TrainConfig:
+    """cfg at its finetune_lr, unless the config file set lr."""
+    if "lr" in raw:
+        return cfg
+    return dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
+
+
 def _cmd_synth(args) -> int:
     spec = parse_synth_file(args.spec) if args.spec else SynthSpec()
     manifest_path = generate_synthetic(spec, args.out)
@@ -88,8 +96,7 @@ def _cmd_train(args) -> int:
             raise ValueError(
                 "checkpoint backbone does not match the configured backbone"
             )
-        if "lr" not in raw:
-            cfg = dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
+        cfg = _finetune(cfg, raw)
         _log(f"resuming from {args.resume} at step {resume_state.step}")
     dataset = load_dataset(load_manifest(args.data))
     inputs = prepare_inputs(dataset.images, cfg)
@@ -140,8 +147,7 @@ def _cmd_cv(args) -> int:
             epochs=args.pretrain_epochs,
             mil=dataclasses.replace(cfg.mil, head="max_pool"),
         )
-        if "lr" not in raw:
-            cfg = dataclasses.replace(cfg, learning_rate=cfg.finetune_learning_rate)
+        cfg = _finetune(cfg, raw)
     check_cv_options(cfg, args.workers, args.select_k, pretrain_cfg)
     dataset = load_dataset(load_manifest(args.data))
     names = [os.path.basename(p) for p in dataset.paths]
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bag", help="combine several checkpoints' predictions")
     p.add_argument("--ckpts", nargs="+", required=True)
-    p.add_argument("--mode", choices=("average", "vote"), default="average")
+    p.add_argument("--mode", choices=BAGGING_MODES, default="average")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_bag)
@@ -326,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
-    p.add_argument("--module", choices=("all", "heads", "backbone"), default="all")
+    p.add_argument("--module", choices=("all", *SUITES), default="all")
     p.add_argument("--draws", type=int, default=20)
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_gradcheck)

@@ -18,9 +18,9 @@ from operator import attrgetter
 from typing import Any
 
 from .data import SynthSpec
-from .heads import HEADS, MilConfig
+from .heads import HEADS, WEIGHT_MODES, MilConfig
 from .model import PRESETS, BackboneSpec, backbone_preset, output_geometry
-from .preprocessing import AugmentConfig
+from .preprocessing import PREPROCESS_MODES, AugmentConfig
 
 __all__ = [
     "TrainConfig",
@@ -76,9 +76,10 @@ class TrainConfig:
         if not self.k_grid or any(k < 1 for k in self.k_grid):
             raise ValueError(f"k_grid needs positive entries, got {self.k_grid}")
         object.__setattr__(self, "k_grid", tuple(sorted(set(self.k_grid))))
-        if self.preprocess not in ("resize", "full"):
+        if self.preprocess not in PREPROCESS_MODES:
             raise ValueError(
-                f"preprocess must be 'resize' or 'full', got {self.preprocess!r}"
+                f"preprocess must be {' or '.join(map(repr, PREPROCESS_MODES))}, "
+                f"got {self.preprocess!r}"
             )
         _, gh, gw = output_geometry(self.backbone)
         if self.mil.head == "label_assign" and self.mil.k > gh * gw:
@@ -129,7 +130,8 @@ USER_KEYS: dict[str, Key] = {
     "k": Key("mil.k", *_INT, "patches assigned the bag label", "label_assign"),
     "mu": Key("mil.mu", *_FLOAT, "L1 response-sparsity weight", "sparse"),
     "lambda": Key("mil.lam", *_FLOAT, "L2 weight-decay coefficient"),
-    "weight_mode": Key("mil.weight_mode", *_TEXT, "class weighting: balanced | literal"),
+    "weight_mode": Key("mil.weight_mode", *_TEXT,
+                       "class weighting: " + " | ".join(WEIGHT_MODES)),
     "lr": Key("learning_rate", *_FLOAT, "Adam learning rate"),
     "beta1": Key("beta1", *_FLOAT, "Adam first-moment decay"),
     "beta2": Key("beta2", *_FLOAT, "Adam second-moment decay"),
@@ -139,7 +141,8 @@ USER_KEYS: dict[str, Key] = {
     "seed": Key("seed", *_INT, "root seed for init/shuffle/augment streams"),
     "k_grid": Key("k_grid", *_INTS, "comma-separated k candidates for --select-k",
                   "label_assign"),
-    "preprocess": Key("preprocess", *_TEXT, "resize | full = Otsu crop then resize"),
+    "preprocess": Key("preprocess", *_TEXT,
+                      " | ".join(PREPROCESS_MODES) + " = Otsu crop then resize"),
     "augment": Key("augment_enabled", *_SWITCH, "training-time augmentation: on | off"),
     "flip_prob": Key("aug.flip_prob", *_FLOAT, "horizontal flip probability"),
     "shift_frac": Key("aug.shift_frac", *_FLOAT, "max translation / image side"),

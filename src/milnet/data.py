@@ -92,7 +92,15 @@ def load_manifest(path: str) -> Manifest:
             if has_box and any(cell.strip() for cell in row[2:]):
                 if not all(cell.strip() for cell in row[2:]):
                     raise ValueError(f"{where}: box needs all four of x,y,w,h")
-                x, y, w, h = (int(cell) for cell in row[2:])
+                coords = []
+                for name, cell in zip("xywh", row[2:]):
+                    try:
+                        coords.append(int(cell))
+                    except ValueError:
+                        raise ValueError(
+                            f"{where}: box {name} must be an integer, got {cell.strip()!r}"
+                        ) from None
+                x, y, w, h = coords
                 img_w, img_h = read_image_size(img_path)
                 if x < 0 or y < 0 or w <= 0 or h <= 0 or x + w > img_w or y + h > img_h:
                     raise ValueError(

@@ -30,6 +30,7 @@ __all__ = [
     "binary_labels",
     "make_folds",
     "bagging",
+    "BAGGING_MODES",
     "DatasetStats",
     "dataset_stats",
     "write_dataset_stats",
@@ -40,7 +41,7 @@ __all__ = [
 
 def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
         raise ValueError(
             f"scores and labels must be equal-length 1-D, got "
@@ -48,9 +49,7 @@ def _check_scores_labels(scores, labels) -> tuple[np.ndarray, np.ndarray]:
         )
     if scores.size == 0:
         raise ValueError("empty score list")
-    if not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return scores, labels
+    return scores, binary_labels(labels)
 
 
 def accuracy(scores, labels, threshold: float = 0.5) -> float:
@@ -203,6 +202,9 @@ def make_folds(labels, n_folds: int = 5, seed: int = 0) -> FoldPlan:
     return FoldPlan(assignments=assignments, n_folds=n_folds)
 
 
+BAGGING_MODES = ("average", "vote")
+
+
 def bagging(score_lists, mode: str = "average") -> np.ndarray:
     """Combine several models' scores: elementwise mean of probabilities,
     or the fraction of models calling positive (score >= 0.5)."""
@@ -218,7 +220,9 @@ def bagging(score_lists, mode: str = "average") -> np.ndarray:
         return stacked.mean(axis=0)
     if mode == "vote":
         return (stacked >= 0.5).mean(axis=0)
-    raise ValueError(f"unknown bagging mode {mode!r}; use 'average' or 'vote'")
+    raise ValueError(
+        f"unknown bagging mode {mode!r}; use {' or '.join(map(repr, BAGGING_MODES))}"
+    )
 
 
 @dataclass(frozen=True)

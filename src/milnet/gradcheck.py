@@ -27,12 +27,14 @@ import numpy as np
 
 from .autodiff import Tensor, float64_gemms
 from .config import TrainConfig
-from .heads import MilConfig, bag_loss, bag_weights
+from .heads import HEADS, MilConfig, bag_loss, bag_weights
 from .model import backbone_preset, init_params, output_geometry, params_to_leaves
 from .rng import derive_rng
 from .training import batch_objective
 
-__all__ = ["GradReport", "check_head_gradients", "check_full_gradients", "run_suite"]
+__all__ = [
+    "GradReport", "check_head_gradients", "check_full_gradients", "SUITES", "run_suite",
+]
 
 FD_STEP = 1e-5
 RTOL = 1e-5
@@ -191,16 +193,13 @@ def check_full_gradients(head: str, n_draws: int = 20, seed: int = 2024) -> Grad
     return report
 
 
+# the suites by module name, in the order module "all" runs them
+SUITES = {"heads": check_head_gradients, "backbone": check_full_gradients}
+
+
 def run_suite(module: str = "all", n_draws: int = 20, seed: int = 2024) -> list[GradReport]:
-    """The suites behind the gradcheck command; 'all' runs both."""
-    if module not in ("all", "heads", "backbone"):
+    """The suites behind the gradcheck command, each over every head."""
+    if module != "all" and module not in SUITES:
         raise ValueError(f"unknown gradcheck module {module!r}")
-    reports = []
-    heads = ("max_pool", "label_assign", "sparse")
-    if module in ("all", "heads"):
-        for head in heads:
-            reports.append(check_head_gradients(head, n_draws=n_draws, seed=seed))
-    if module in ("all", "backbone"):
-        for head in heads:
-            reports.append(check_full_gradients(head, n_draws=n_draws, seed=seed))
-    return reports
+    checks = SUITES.values() if module == "all" else [SUITES[module]]
+    return [check(head, n_draws=n_draws, seed=seed) for check in checks for head in HEADS]

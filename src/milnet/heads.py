@@ -35,6 +35,7 @@ from .autodiff import Tensor
 
 __all__ = [
     "HEADS",
+    "WEIGHT_MODES",
     "MilConfig",
     "BagWeights",
     "bag_weights",
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 HEADS = ("max_pool", "label_assign", "sparse")
+WEIGHT_MODES = ("balanced", "literal")
 
 
 @dataclass(frozen=True)
@@ -67,9 +69,10 @@ class MilConfig:
             raise ValueError(f"mu must be nonnegative, got {self.mu}")
         if self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if self.weight_mode not in ("balanced", "literal"):
+        if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(
-                f"weight_mode must be 'balanced' or 'literal', got {self.weight_mode!r}"
+                f"weight_mode must be {' or '.join(map(repr, WEIGHT_MODES))}, "
+                f"got {self.weight_mode!r}"
             )
 
 

@@ -41,8 +41,10 @@ __all__ = [
     "resize_bilinear",
     "augment",
     "to_network_input",
+    "PREPROCESS_MODES",
 ]
 
+PREPROCESS_MODES = ("resize", "full")
 CUTOUT_REFERENCE_FRACTION = 50.0 / 224.0
 _ROTATE_BORDER = 2  # zero pixels around the image that rotation reads from
 
@@ -241,7 +243,7 @@ def to_network_input(image: np.ndarray, input_size: int, mode: str = "full") -> 
     resizes; mode "resize" only resizes (for data generated at or near the
     network resolution, where segmentation would be meaningless).
     """
-    if mode not in ("full", "resize"):
+    if mode not in PREPROCESS_MODES:
         raise ValueError(f"unknown preprocess mode {mode!r}")
     img = np.asarray(image)
     if mode == "full":

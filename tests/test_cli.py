@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from milnet.cli import main
-from milnet.pgm import read_pgm
+from milnet.pgm import load_gray_image
 from milnet.training import load_checkpoint
 
 
@@ -128,7 +128,22 @@ class TestTrain:
         ])
         assert rc == 0
         assert f"resuming from {ckpt_path} at step {start_step}" in capsys.readouterr().err
-        assert load_checkpoint(str(out))[0].step > start_step
+        state, saved = load_checkpoint(str(out))
+        assert state.step > start_step
+        # lr drops to finetune_lr when the config does not set it
+        assert saved.learning_rate == 5e-5
+
+    def test_resume_keeps_a_set_lr(self, data_dir, ckpt_path, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs = 1\nbatch = 4\nseed = 1\nlr = 0.002\n")
+        out = tmp_path / "resumed.miln"
+        rc = main([
+            "train", "--config", str(cfg),
+            "--data", str(data_dir / "manifest.csv"),
+            "--resume", str(ckpt_path), "--out", str(out),
+        ])
+        assert rc == 0
+        assert load_checkpoint(str(out))[1].learning_rate == 0.002
 
     def test_resume_backbone_mismatch(
         self, data_dir, ckpt_path, tmp_path, capsys, monkeypatch
@@ -414,9 +429,9 @@ class TestViz:
         grid = np.array([[float(v) for v in r.split(",")] for r in grid_rows])
         assert grid.shape == (4, 4)
         assert np.all((grid >= 0.0) & (grid <= 1.0))
-        small = read_pgm(str(out / "img_0000_response.pgm"))
+        small = load_gray_image(str(out / "img_0000_response.pgm"))
         assert small.shape == (4, 4)
-        up = read_pgm(str(out / "img_0000_response_up.pgm"))
+        up = load_gray_image(str(out / "img_0000_response_up.pgm"))
         assert up.shape == (64, 64)
 
     def test_missing_checkpoint_exits_2(self, data_dir, tmp_path, capsys):

@@ -20,10 +20,13 @@ from milnet.config import (
     synth_help,
     train_config_from_items,
 )
+from milnet.cli import build_parser
 from milnet.data import SynthSpec
-from milnet.heads import HEADS, MilConfig
+from milnet.evaluation import bagging
+from milnet.gradcheck import run_suite
+from milnet.heads import HEADS, MilConfig, bag_weights
 from milnet.model import backbone_preset, output_geometry
-from milnet.preprocessing import AugmentConfig
+from milnet.preprocessing import AugmentConfig, to_network_input
 
 
 class TestParseFlat:
@@ -356,3 +359,38 @@ class TestHelpText:
                 assert lines[name].endswith(f"(default {shown})")
         name, ending = spot
         assert lines[name].endswith(ending)
+
+
+class TestOptionSets:
+    """Each set of option values is one tuple next to its owner; the checks,
+    key docs and CLI choices read it, with their text as it was."""
+
+    def test_key_docs(self):
+        assert USER_KEYS["head"].doc == "loss head: max_pool | label_assign | sparse"
+        assert USER_KEYS["weight_mode"].doc == "class weighting: balanced | literal"
+        assert USER_KEYS["preprocess"].doc == "resize | full = Otsu crop then resize"
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TrainConfig(preprocess="crop"),
+         "preprocess must be 'resize' or 'full', got 'crop'"),
+        (lambda: to_network_input(np.zeros((4, 4), np.uint8), 4, mode="crop"),
+         "unknown preprocess mode 'crop'"),
+        (lambda: MilConfig(weight_mode="none"),
+         "weight_mode must be 'balanced' or 'literal', got 'none'"),
+        (lambda: bag_weights(1, 4, 1, 16, mode="none"), "unknown weight mode 'none'"),
+        (lambda: bagging([[0.5]], mode="max"),
+         "unknown bagging mode 'max'; use 'average' or 'vote'"),
+        (lambda: run_suite(module="autodiff"), "unknown gradcheck module 'autodiff'"),
+    ], ids=["train-config", "to-network-input", "mil-config", "bag-weights", "bagging",
+            "gradcheck"])
+    def test_messages(self, make, message):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_cli_choices(self, capsys):
+        for argv, choices in ((["bag", "--mode"], "'average', 'vote'"),
+                              (["gradcheck", "--module"], "'all', 'heads', 'backbone'")):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv + ["x"])
+            assert f"(choose from {choices})" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from milnet.data import (
     load_dataset,
     load_manifest,
 )
-from milnet.pgm import load_gray_image, read_image_size, read_pgm, write_pgm
+from milnet.pgm import load_gray_image, read_image_size, write_pgm
 
 
 def write_image(dirpath, name, size=10, value=100):
@@ -34,20 +34,50 @@ def write_manifest(dirpath, lines):
     return path
 
 
+def record_opens(monkeypatch):
+    """Route pgm's file opens through in-memory copies; returns a list that
+    gets one [path, bytes read] entry per open, the count filled in at
+    close and left None when the file did not exist."""
+    log = []
+
+    class Recorded(io.BytesIO):
+        def __init__(self, path, mode="r"):
+            self.entry = [path, None]
+            log.append(self.entry)
+            with open(path, mode) as f:
+                super().__init__(f.read())
+
+        def close(self):
+            if not self.closed:
+                self.entry[1] = self.tell()
+            super().close()
+
+    monkeypatch.setattr(pgm, "open", Recorded, raising=False)
+    return log
+
+
+def write_raw(path, pixels, dims=None):
+    with open(path, "wb") as f:
+        f.write(np.asarray(pixels, dtype=np.uint8).tobytes())
+    if dims is not None:
+        with open(path + ".dims", "w") as f:
+            f.write(dims)
+
+
 class TestPgm:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         arr = rng.integers(0, 256, size=(7, 11)).astype(np.uint8)
         path = str(tmp_path / "img.pgm")
         write_pgm(path, arr)
-        assert_array_equal(read_pgm(path), arr)
+        assert_array_equal(load_gray_image(path), arr)
         assert read_image_size(path) == (11, 7)
 
     def test_header_with_comment(self, tmp_path):
         path = str(tmp_path / "c.pgm")
         with open(path, "wb") as f:
             f.write(b"P5\n# a comment line\n3 2\n255\n" + bytes(range(6)))
-        arr = read_pgm(path)
+        arr = load_gray_image(path)
         assert arr.shape == (2, 3)
         assert_array_equal(arr.reshape(-1), np.arange(6))
 
@@ -57,35 +87,49 @@ class TestPgm:
         with open(path, "wb") as f:
             f.write(b"P5\n" + comment + b"3 2\n255\n" + bytes(range(6)))
         assert read_image_size(path) == (3, 2)
-        assert_array_equal(read_pgm(path).reshape(-1), np.arange(6))
+        assert_array_equal(load_gray_image(path).reshape(-1), np.arange(6))
 
     def test_size_of_truncated_file(self, tmp_path):
         path = str(tmp_path / "cut.pgm")
         with open(path, "wb") as f:
             f.write(b"P5\n400 300\n255\n" + b"\x00" * 7)
         assert read_image_size(path) == (400, 300)
-        with pytest.raises(ValueError, match="truncated"):
-            read_pgm(path)
+        with pytest.raises(ValueError, match="truncated pixel data"):
+            load_gray_image(path)
 
-    def test_header_parse_stops_short_of_the_pixels(self):
-        header = b"P5\n500 400\n255\n"
-        f = io.BytesIO(header + bytes(500 * 400))
-        assert pgm._read_pgm_header(f) == (500, 400, 255, len(header))
-        assert f.tell() <= pgm._HEADER_CHUNK
+    def test_size_reads_one_chunk_of_a_large_plain_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "big.pgm")
+        write_pgm(path, np.zeros((400, 500), dtype=np.uint8))
+        opens = record_opens(monkeypatch)
+        assert read_image_size(path) == (500, 400)
+        assert len(opens) == 1 and opens[0][0] == path
+        assert opens[0][1] <= pgm._HEADER_CHUNK
+
+    def test_valid_pgm_never_looks_for_a_sidecar(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "img.pgm")
+        write_pgm(path, np.arange(12, dtype=np.uint8).reshape(3, 4))
+        opens = record_opens(monkeypatch)
+        stats = []
+        stat = os.stat
+        monkeypatch.setattr(os, "stat", lambda p, *a, **k: stats.append(p) or stat(p, *a, **k))
+        assert read_image_size(path) == (4, 3)
+        assert load_gray_image(path).shape == (3, 4)
+        assert [name for name, _ in opens] == [path, path]
+        assert path + ".dims" not in stats
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = str(tmp_path / "p2.pgm")
         with open(path, "wb") as f:
             f.write(b"P2\n3 2\n255\n0 1 2 3 4 5\n")
-        with pytest.raises(ValueError, match="P5"):
-            read_pgm(path)
+        with pytest.raises(ValueError, match="missing P5 magic"):
+            load_gray_image(path)
 
     def test_rejects_truncated(self, tmp_path):
         path = str(tmp_path / "cut.pgm")
         with open(path, "wb") as f:
             f.write(b"P5\n4 4\n255\n" + b"\x00" * 7)
-        with pytest.raises(ValueError, match="truncated"):
-            read_pgm(path)
+        with pytest.raises(ValueError, match="truncated pixel data"):
+            load_gray_image(path)
 
     def test_rejects_wrong_dtype_or_rank(self, tmp_path):
         with pytest.raises(ValueError):
@@ -97,26 +141,43 @@ class TestPgm:
         rng = np.random.default_rng(2)
         arr = rng.integers(0, 256, size=(5, 8)).astype(np.uint8)
         path = str(tmp_path / "img.raw")
-        with open(path, "wb") as f:
-            f.write(arr.tobytes())
-        with open(path + ".dims", "w") as f:
-            f.write("8 5\n")
+        write_raw(path, arr, "8 5\n")
         assert_array_equal(load_gray_image(path), arr)
         assert read_image_size(path) == (8, 5)
 
+    # a raw 6x4 image whose first two pixels spell "P5", so that its bytes
+    # start like a PGM whose width field is b"\x07\x08"
+    P5_RAW = np.array([80, 53, 7, 8] + [32] * 20, dtype=np.uint8).reshape(4, 6)
+
+    def test_raw_starting_with_p5_loads(self, tmp_path):
+        path = str(tmp_path / "p5.raw")
+        write_raw(path, self.P5_RAW, "6 4\n")
+        assert_array_equal(load_gray_image(path), self.P5_RAW)
+        assert read_image_size(path) == (6, 4)
+
+    def test_p5_header_error_without_sidecar(self, tmp_path):
+        path = str(tmp_path / "p5.raw")
+        write_raw(path, self.P5_RAW)
+        message = (f"{path}: PGM header field b'\\x07\\x08' is not an integer, "
+                   f"and no sidecar dimensions file {path}.dims")
+        for read in (read_image_size, load_gray_image):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == message
+
     def test_raw_missing_sidecar(self, tmp_path):
         path = str(tmp_path / "naked.raw")
-        with open(path, "wb") as f:
-            f.write(b"\x00" * 10)
-        with pytest.raises(ValueError, match="sidecar"):
-            load_gray_image(path)
+        write_raw(path, np.zeros(10))
+        message = (f"{path}: not a binary PGM (missing P5 magic), "
+                   f"and no sidecar dimensions file {path}.dims")
+        for read in (read_image_size, load_gray_image):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value) == message
 
     def test_one_token_sidecar_names_the_file(self, tmp_path):
         path = str(tmp_path / "one.raw")
-        with open(path, "wb") as f:
-            f.write(b"\x00" * 16)
-        with open(path + ".dims", "w") as f:
-            f.write("16\n")
+        write_raw(path, np.zeros(16), "16\n")
         for read in (read_image_size, load_gray_image):
             with pytest.raises(ValueError, match=re.escape(path + ".dims")):
                 read(path)
@@ -129,65 +190,74 @@ class TestPgm:
         path = str(tmp_path / "bad.pgm")
         with open(path, "wb") as f:
             f.write(header)
-        for read in (read_image_size, read_pgm, load_gray_image):
+        for read in (read_image_size, load_gray_image):
             with pytest.raises(ValueError, match=re.escape(path) + ".*" + problem):
                 read(path)
 
-    # (file bytes, whether the plain-header fast path parses its header)
+    # file bytes -> ((width, height), pixels) or ((width, height), the
+    # decode error) or (the header error, None): the outcomes of the
+    # chunked header scanner this parser replaced
     HEADERS = {
-        "newlines": (b"P5\n3 2\n255\n" + bytes(range(6)), True),
-        "spaces": (b"P5 3  2 255 " + bytes(range(6)), True),
-        "crlf": (b"P5\r\n3 2\r\n255\r\n" + bytes(range(6)), True),
-        "tab": (b"P5\t3\t2\t255\t" + bytes(range(6)), True),
-        "vtab": (b"P5\x0b3\x0b2\x0b255\x0b" + bytes(range(6)), True),
-        "formfeed": (b"P5\x0c3\x0c\x0c2 255\x0c" + bytes(range(6)), True),
-        "leading-zeros": (b"P5\n003 0002\n0255\n" + bytes(range(6)), True),
-        "maxval-254": (b"P5\n3 2\n254\n" + bytes(range(6)), True),
-        "truncated-pixels": (b"P5\n3 2\n255\n" + bytes(5), True),
-        "comment": (b"P5\n# a comment\n3 2\n255\n" + bytes(range(6)), False),
-        "comment-after-field": (b"P5 3 2# c\n255\n" + bytes(range(6)), False),
-        "no-space-after-magic": (b"P564 64\n255\n" + bytes(64 * 64), False),
-        "non-digit": (b"P5\n3x 2\n255\n" + bytes(6), False),
-        "signed": (b"P5\n3 2\n+255\n" + bytes(6), False),
-        "non-ascii-digit": (b"P5\n\xb2 2\n255\n" + bytes(6), False),
-        "not-bytes-whitespace": (b"P5\x1c3 2\x85255\n" + bytes(6), False),
-        "magic-only": (b"P5", False),
-        "truncated-header": (b"P5\n3 2", False),
-        "no-byte-after-maxval": (b"P5\n3 2\n255", False),
+        "newlines": (b"P5\n3 2\n255\n" + bytes(range(6)), (3, 2), bytes(range(6))),
+        "spaces": (b"P5 3  2 255 " + bytes(range(6)), (3, 2), bytes(range(6))),
+        "crlf": (b"P5\r\n3 2\r\n255\r\n" + bytes(range(6)), (3, 2),
+                 b"\n" + bytes(range(5))),
+        "tab": (b"P5\t3\t2\t255\t" + bytes(range(6)), (3, 2), bytes(range(6))),
+        "vtab": (b"P5\x0b3\x0b2\x0b255\x0b" + bytes(range(6)), (3, 2), bytes(range(6))),
+        "formfeed": (b"P5\x0c3\x0c\x0c2 255\x0c" + bytes(range(6)), (3, 2),
+                     bytes(range(6))),
+        "leading-zeros": (b"P5\n003 0002\n0255\n" + bytes(range(6)), (3, 2),
+                          bytes(range(6))),
+        "maxval-254": (b"P5\n3 2\n254\n" + bytes(range(6)), (3, 2),
+                       "only maxval 255 is supported, got 254"),
+        "truncated-pixels": (b"P5\n3 2\n255\n" + bytes(5), (3, 2), "truncated pixel data"),
+        "comment": (b"P5\n# a comment\n3 2\n255\n" + bytes(range(6)), (3, 2),
+                    bytes(range(6))),
+        "comment-after-field": (b"P5 3 2# c\n255\n" + bytes(range(6)),
+                                "PGM header field b'2#' is not an integer", None),
+        "no-space-after-magic": (b"P564 64\n255\n" + bytes(64 * 64), (64, 64),
+                                 bytes(64 * 64)),
+        "non-digit": (b"P5\n3x 2\n255\n" + bytes(6),
+                      "PGM header field b'3x' is not an integer", None),
+        "signed": (b"P5\n3 2\n+255\n" + bytes(6),
+                   "PGM header field b'+255' is not an integer", None),
+        "non-ascii-digit": (b"P5\n\xb2 2\n255\n" + bytes(6),
+                            "PGM header field b'\\xb2' is not an integer", None),
+        "not-bytes-whitespace": (b"P5\x1c3 2\x85255\n" + bytes(6),
+                                 "PGM header field b'\\x1c3' is not an integer", None),
+        "magic-only": (b"P5", "truncated PGM header", None),
+        "truncated-header": (b"P5\n3 2", "truncated PGM header", None),
+        "no-byte-after-maxval": (b"P5\n3 2\n255", (3, 2), "truncated pixel data"),
     }
 
     @pytest.mark.parametrize("name", list(HEADERS))
-    def test_plain_header_path_agrees_with_scanner(self, tmp_path, monkeypatch, name):
-        data, plain = self.HEADERS[name]
-
-        def outcome(fn, *args):
-            try:
-                result = fn(*args)
-            except ValueError as exc:
-                return "error", str(exc)
-            if isinstance(result, np.ndarray):
-                return result.shape, result.tobytes()
-            return result
-
-        fast = pgm._plain_header(data)
-        assert (fast is not None) == plain
-        if plain:
-            assert fast == pgm._read_pgm_header(io.BytesIO(data), "x")
+    def test_header_corpus(self, tmp_path, name):
+        data, size, pixels = self.HEADERS[name]
         path = str(tmp_path / "h.pgm")
         with open(path, "wb") as f:
             f.write(data)
-        readers = (read_image_size, read_pgm)
-        got = [outcome(read, path) for read in readers]
-        monkeypatch.setattr(pgm, "_plain_header", lambda data: None)
-        assert got == [outcome(read, path) for read in readers]
+
+        def error(read):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            return str(info.value)
+
+        if isinstance(size, str):  # a header error, raised by both readers
+            message = f"{path}: {size}, and no sidecar dimensions file {path}.dims"
+            assert error(read_image_size) == message
+            assert error(load_gray_image) == message
+            return
+        assert read_image_size(path) == size
+        if isinstance(pixels, str):
+            assert error(load_gray_image) == f"{path}: {pixels}"
+        else:
+            image = load_gray_image(path)
+            assert image.shape == size[::-1] and image.tobytes() == pixels
 
     def test_raw_size_mismatch(self, tmp_path):
         path = str(tmp_path / "short.raw")
-        with open(path, "wb") as f:
-            f.write(b"\x00" * 10)
-        with open(path + ".dims", "w") as f:
-            f.write("4 4\n")
-        with pytest.raises(ValueError, match="bytes"):
+        write_raw(path, np.zeros(10), "4 4\n")
+        with pytest.raises(ValueError, match="raw file holds 10 bytes, dimensions say 16"):
             load_gray_image(path)
 
 
@@ -229,7 +299,7 @@ class TestLoadManifest:
     def test_empty_file(self, tmp_path):
         path = os.path.join(str(tmp_path), "manifest.csv")
         open(path, "w").close()
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="empty manifest"):
             load_manifest(path)
 
     def test_bad_label_names_line(self, tmp_path):
@@ -239,6 +309,14 @@ class TestLoadManifest:
         path = write_manifest(d, ["path,label", "a.pgm,1", "b.pgm,2"])
         with pytest.raises(ValueError, match=":3: label"):
             load_manifest(path)
+
+    def test_non_integer_box_field_names_line_and_field(self, tmp_path):
+        d = str(tmp_path)
+        write_image(d, "a.pgm")
+        path = write_manifest(d, ["path,label,x,y,w,h", "a.pgm,1,1,1,2.5,2"])
+        with pytest.raises(ValueError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"{path}:2: box w must be an integer, got '2.5'"
 
     def test_missing_image_names_line(self, tmp_path):
         d = str(tmp_path)
@@ -376,8 +454,8 @@ class TestGenerateSynthetic:
         for i in range(30):
             name = f"img_{i:04d}.pgm"
             assert_array_equal(
-                read_pgm(os.path.join(out, name)),
-                read_pgm(os.path.join(bigger, name)),
+                load_gray_image(os.path.join(out, name)),
+                load_gray_image(os.path.join(bigger, name)),
             )
 
 

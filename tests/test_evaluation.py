@@ -23,7 +23,7 @@ from milnet.evaluation import (
     write_dataset_stats,
 )
 from milnet.model import PRESETS, init_params
-from milnet.pgm import read_pgm
+from milnet.pgm import load_gray_image
 
 
 def auc_pair_oracle(scores, labels):
@@ -61,6 +61,10 @@ class TestAccuracy:
             accuracy([0.5, 0.5], [1])
         with pytest.raises(ValueError):
             accuracy([0.5], [2])
+
+    def test_fractional_label_rejected_before_any_cast(self):
+        with pytest.raises(ValueError, match=r"label 0\.7 at index 0 is not 0 or 1"):
+            accuracy([0.2, 0.9], [0.7, 1])
 
 
 class TestAuc:
@@ -110,6 +114,10 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc([0.1, 0.9], [1, 1])
 
+    def test_fractional_label_rejected_before_any_cast(self):
+        with pytest.raises(ValueError, match=r"label 0\.5 at index 0 is not 0 or 1"):
+            auc([0.2, 0.9, 0.4], [0.5, 1, 0])
+
 
 class TestRocCurve:
     def test_endpoints_and_monotone(self):
@@ -137,6 +145,10 @@ class TestRocCurve:
             scores = np.round(rng.uniform(0, 1, size=n), 2)
             curve = roc_curve(scores, labels)
             assert_allclose(curve.area(), auc(scores, labels), atol=1e-12)
+
+    def test_fractional_label_rejected_before_any_cast(self):
+        with pytest.raises(ValueError, match=r"label 0\.5 at index 0 is not 0 or 1"):
+            roc_curve([0.2, 0.9, 0.4], [0.5, 1, 0])
 
     def test_tie_groups_collapse_to_one_point(self):
         curve = roc_curve([0.7, 0.7, 0.2], [1, 0, 0])
@@ -384,10 +396,10 @@ class TestExportResponseMap:
         assert len(rows) == 4 and all(len(r) == 4 for r in rows)
         parsed = np.array([[float(v) for v in row] for row in rows])
         assert_allclose(parsed, grid, atol=1e-10)
-        small = read_pgm(prefix + ".pgm")
+        small = load_gray_image(prefix + ".pgm")
         assert small.shape == (4, 4)
         assert_array_equal(small, np.clip(np.rint(grid * 255), 0, 255))
-        up = read_pgm(prefix + "_up.pgm")
+        up = load_gray_image(prefix + "_up.pgm")
         assert up.shape == (64, 64)
         # nearest-neighbor upsample: each 16x16 block is constant
         assert (up[0:16, 0:16] == small[0, 0]).all()
@@ -400,7 +412,7 @@ class TestExportResponseMap:
         image = np.random.default_rng(1).integers(0, 256, (64, 64)).astype(np.uint8)
         grid = export_response_map(params, image, str(tmp_path / "flat"))
         assert_allclose(grid, 0.5)
-        small = read_pgm(str(tmp_path / "flat") + ".pgm")
+        small = load_gray_image(str(tmp_path / "flat") + ".pgm")
         assert (small == 128).all()
 
 

@@ -2,6 +2,7 @@
 ``_forked`` starts processes."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import milnet
@@ -126,3 +127,13 @@ def test_process_finder_sees_each_starter():
     assert process_starters(
         "import os\nfrom concurrent.futures import ThreadPoolExecutor\n"
         "os.register_at_fork(after_in_child=print)") == set()
+
+
+def test_every_exported_name_resolves():
+    """A stale ``__all__`` entry would break ``from milnet.x import *`` and
+    any tool that walks the exports with getattr."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "milnet" if path.stem == "__init__" else f"milnet.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+        assert not missing, f"{name}.__all__ names {missing}"

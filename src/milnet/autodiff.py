@@ -312,13 +312,18 @@ def conv2d(
     # them again (row.regather).  Forward-only float32 columns are
     # channel-major, cols[n, c*kh*kw, p], so that wmat @ cols lands in NCHW;
     # float64 ones are not, as dgemm would round paper c0 and c1 differently
-    # from the graph (module docstring).
+    # from the graph (module docstring).  Row-major columns are copied from
+    # the window view channel-major first, into ``staged``, whose runs are
+    # ow values long instead of kw, and then transposed: at batch 8 on one
+    # core that took the desk layers c0/c1/c2 from 263/342/212 to
+    # 218/190/117 us (min of 15).  Copying one kernel tap at a time, as
+    # _gather_columns does on 3x3 kernels, took 377/226/121 us.
     regather = graph and row.regather
     channel_major = not graph and dtype == np.float32
     if channel_major:
-        cols_shape, prod_shape, axes = (n, k, p), (n, o, p), (0, 1, 4, 5, 2, 3)
+        cols_shape, prod_shape = (n, k, p), (n, o, p)
     else:
-        cols_shape, prod_shape, axes = (n, p, k), (n, p, o), (0, 2, 3, 1, 4, 5)
+        cols_shape, prod_shape = (n, p, k), (n, p, o)
     if graph:
         padded = (np.zeros if padding else np.empty)((n, c, ph, pw), dtype=dtype)
         cols, prod = (None, None) if regather else (
@@ -338,8 +343,8 @@ def conv2d(
         spare = [(np.empty((p, k), dtype=dtype), np.empty((p, o), dtype=dtype))
                  for _ in range(min(row.shares, n))]
     else:
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
-        windows = windows[:, :, ::stride, ::stride].transpose(axes)
+        windows = _windows(padded, kh, kw, stride).transpose(0, 1, 4, 5, 2, 3)
+        staged = cols if channel_major else np.empty((n, k, p), dtype=dtype)
     wmat = kernel.data.reshape(o, k).astype(dtype)
     out = np.empty((n, o, oh, ow))
 
@@ -353,11 +358,12 @@ def conv2d(
                 np.matmul(cols_i, wmat.T, out=prod_i)
                 out[i].reshape(o, p)[...] = prod_i.T
         else:
-            cols[a:b].reshape(windows[a:b].shape)[...] = windows[a:b]
+            staged[a:b].reshape(windows[a:b].shape)[...] = windows[a:b]
             if channel_major:
                 np.matmul(wmat, cols[a:b], out=prod[a:b])
                 out[a:b].reshape(b - a, o, p)[...] = prod[a:b]
             else:
+                cols[a:b] = staged[a:b].transpose(0, 2, 1)
                 np.matmul(cols[a:b], wmat.T, out=prod[a:b])
                 out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
         if bias is not None:
@@ -443,6 +449,19 @@ def conv2d(
     return _node(out, parents, backward)
 
 
+def _windows(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The read-only view of every ``stride``-th kh x kw window over the last
+    two axes of x, (..., oh, ow, kh, kw): what
+    ``sliding_window_view(x, (kh, kw), axis=(-2, -1))[..., ::stride, ::stride]``
+    gives, as one ``as_strided`` call (9 against 20 us per call).  The
+    caller checks that a window fits."""
+    h, w = x.shape[-2:]
+    sh, sw = x.strides[-2:]
+    shape = (*x.shape[:-2], (h - kh) // stride + 1, (w - kw) // stride + 1, kh, kw)
+    strides = (*x.strides[:-2], sh * stride, sw * stride, sh, sw)
+    return np.lib.stride_tricks.as_strided(x, shape, strides, writeable=False)
+
+
 def _gather_columns(padded: np.ndarray, fields: np.ndarray, row) -> None:
     """Copy the receptive fields of one padded image, padded[c, ph, pw], into
     fields[oh, ow, c, kh, kw]: one kernel tap at a time when the conv's row
@@ -455,8 +474,16 @@ def _gather_columns(padded: np.ndarray, fields: np.ndarray, row) -> None:
                 tap = padded[:, i:i + stride * oh:stride, j:j + stride * ow:stride]
                 fields[..., i, j] = tap.transpose(1, 2, 0)
     else:
-        windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-        fields[...] = windows[:, ::stride, ::stride].transpose(1, 2, 0, 3, 4)
+        fields[...] = _windows(padded, kh, kw, stride).transpose(1, 2, 0, 3, 4)
+
+
+# Entries (chunks x output channels x columns) up to which the whole-chunk
+# products of one kernel-gradient block come from one batched matmul.  At
+# batch 8 on one core that took desk c0 (64 chunks, 12,800 entries) from
+# 258-296 to 148-151 us.  Desk c1 and c2 hold 18,432 entries each and stay
+# on the loop: a bound of 65,536 took c1 169 -> 127 us and left c2 flat,
+# and is not measured end to end.  Every paper block holds 178K or more.
+_BATCHED_PRODUCT_ENTRIES = 16_384
 
 
 def _chunked_product_sum(rows: np.ndarray, blocks, width: int, shares: int) -> np.ndarray:
@@ -470,15 +497,29 @@ def _chunked_product_sum(rows: np.ndarray, blocks, width: int, shares: int) -> n
     numpy hands a product with one row or one column to gemv, whose
     rounding depends on the row count, so the split is made only into
     products that gemm computes: at least two rows each, and never when
-    ``flat`` has one column."""
+    ``flat`` has one column.
+
+    When the products of a block's whole chunks hold at most
+    ``_BATCHED_PRODUCT_ENTRIES`` entries together, one batched matmul
+    computes them: numpy makes the same gemm call per chunk as a loop of
+    matmuls would, and the products are added in the same order."""
     gw = np.zeros((rows.shape[1], width))
     prod = np.empty(gw.shape, dtype=rows.dtype)
+    chunk = _kernels.KERNEL_GRAD_CHUNK
 
     def reduce(rows: np.ndarray, block: np.ndarray, a: int, b: int) -> None:
         rows_ab, prod_ab, gw_ab = rows[:, a:b], prod[a:b], gw[a:b]
-        for r in range(0, len(block), _kernels.KERNEL_GRAD_CHUNK):
-            chunk = slice(r, r + _kernels.KERNEL_GRAD_CHUNK)
-            np.matmul(rows_ab[chunk].T, block[chunk], out=prod_ab)
+        start = 0
+        whole = len(block) // chunk
+        if whole > 1 and whole * gw.size <= _BATCHED_PRODUCT_ENTRIES:
+            start = whole * chunk
+            products = np.matmul(
+                rows_ab[:start].reshape(whole, chunk, b - a).transpose(0, 2, 1),
+                block[:start].reshape(whole, chunk, width))
+            for product in products:
+                gw_ab += product
+        for r in range(start, len(block), chunk):
+            np.matmul(rows_ab[r:r + chunk].T, block[r:r + chunk], out=prod_ab)
             gw_ab += prod_ab
 
     shares = shares if width > 1 else 1
@@ -510,8 +551,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
         )
     row = _kernels.pool_row(x.shape, window, stride)
     _, _, oh, ow = row.out_shape
-    view = np.lib.stride_tricks.sliding_window_view(x.data, (window, window), axis=(2, 3))
-    view = view[:, :, ::stride, ::stride]
+    view = _windows(x.data, window, window, stride)
     out = np.empty((n, c, oh, ow))
     if not x.requires_grad:
         def forward_only(a: int, b: int) -> None:

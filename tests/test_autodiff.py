@@ -1113,3 +1113,155 @@ class TestForwardOnly:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == want
+
+
+class TestWindows:
+    """_windows is sliding_window_view plus the stride slice, as one
+    read-only as_strided view."""
+
+    @pytest.mark.parametrize("stride", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kh, kw", [(1, 1), (2, 2), (3, 3), (5, 5), (11, 11),
+                                        (1, 3), (4, 2), (7, 11)])
+    def test_matches_sliding_window_view(self, kh, kw, stride):
+        rng = np.random.default_rng(kh * 100 + kw * 10 + stride)
+        for shape in [(2, 3, 11, 11), (1, 1, 12, 17), (3, 2, 23, 14), (2, 11, 11)]:
+            x = rng.normal(size=shape)
+            inputs = [x, x[..., ::2, 1:], np.swapaxes(x, -1, -2)]
+            for arr in inputs:
+                if kh > arr.shape[-2] or kw > arr.shape[-1]:
+                    continue
+                want = np.lib.stride_tricks.sliding_window_view(
+                    arr, (kh, kw), axis=(-2, -1))[..., ::stride, ::stride, :, :]
+                got = ad._windows(arr, kh, kw, stride)
+                assert got.shape == want.shape, (shape, arr.strides)
+                assert got.tobytes() == want.tobytes(), (shape, arr.strides)
+                assert not got.flags.writeable
+                assert np.shares_memory(got, arr)
+
+
+def window_view_columns(x, w, stride, padding, dtype):
+    """The (n * oh * ow, c * kh * kw) columns by one copy of the row-major
+    window view, as conv2d gathered its kept columns before staging them
+    channel-major."""
+    n, c, h, wd = x.shape
+    _, _, kh, kw = w.shape
+    padded = np.zeros((n, c, h + 2 * padding, wd + 2 * padding), dtype=dtype)
+    padded[:, :, padding:padding + h, padding:padding + wd] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols = np.empty(windows.shape, dtype=dtype)
+    cols[...] = windows
+    return cols.reshape(-1, c * kh * kw)
+
+
+class TestKeptColumns:
+    """A conv2d that keeps its columns stages them channel-major and then
+    transposes them; the columns, the output and every gradient are the
+    bytes of the one-copy window view."""
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", [
+        *(p for p in conv_layers() if p.id.startswith("desk")),
+        pytest.param((1, 12, 12), (4, 1, 5, 5), 1, 2, id="5x5-stride-1-1-channel"),
+        pytest.param((3, 13, 13), (6, 3, 1, 1), 3, 0, id="1x1-stride-3"),
+        pytest.param((2, 17, 17), (5, 2, 5, 5), 3, 1, id="5x5-stride-3"),
+        pytest.param((1, 9, 9), (4, 1, 1, 1), 1, 0, id="1x1-1-channel"),
+    ])
+    def test_columns_and_bytes_match_window_view(
+        self, in_chw, k_shape, stride, padding, gemms, monkeypatch
+    ):
+        x, w, b = conv_layer_inputs(in_chw, k_shape, n=8)
+        assert not _kernels.conv_row(x.shape, w.shape, stride, padding).regather
+        kept = []
+        real = ad._chunked_product_sum
+
+        def recording(rows, blocks, width, shares):
+            blocks = list(blocks)
+            kept.extend(block.copy() for block in blocks)
+            return real(rows, blocks, width, shares)
+
+        monkeypatch.setattr(ad, "_chunked_product_sum", recording)
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        with scope:
+            dtype = np.float32 if conv_runs_float32() else np.float64
+            xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+            out = ad.conv2d(xt, wt, stride, padding, bt)
+            rng = np.random.default_rng(61)
+            coeff = rng.normal(size=out.shape) * (rng.random(size=out.shape) < 0.6)
+            ad.weighted_sum(out, coeff).backward()
+            want_grads = reference_conv_grads(x, w, stride, padding,
+                                              np.zeros(out.shape) + coeff)
+        cols = window_view_columns(x, w, stride, padding, dtype)
+        assert len(kept) == 1 and kept[0].dtype == dtype
+        assert kept[0].tobytes() == cols.tobytes()
+        n, o = x.shape[0], w.shape[0]
+        prod = np.matmul(cols.reshape(n, -1, cols.shape[1]),
+                         w.reshape(o, -1).astype(dtype).T)
+        want = np.empty(out.shape)
+        want.reshape(n, o, -1)[...] = prod.transpose(0, 2, 1)
+        want += b[None, :, None, None]
+        assert out.data.tobytes() == want.tobytes()
+        for what, grad, ref in zip(("input", "kernel", "bias"),
+                                   (xt.grad, wt.grad, bt.grad), want_grads):
+            assert grad.tobytes() == ref.tobytes(), what
+
+
+def loop_product_sum(rows, blocks, width):
+    """rows.T @ flat as the parent summed it: one matmul per 128-row chunk,
+    each product added in ascending order into a zero float64 matrix."""
+    flat = np.concatenate(blocks)
+    gw = np.zeros((rows.shape[1], width))
+    for r in range(0, len(flat), _kernels.KERNEL_GRAD_CHUNK):
+        chunk = slice(r, r + _kernels.KERNEL_GRAD_CHUNK)
+        gw += np.matmul(rows[chunk].T, flat[chunk])
+    return gw
+
+
+class TestChunkedProductSum:
+    """The kernel-gradient reduction gives the bytes of the per-chunk loop,
+    whether its whole chunks come from one batched matmul or one matmul
+    each, in one block or several, on one share or two."""
+
+    @pytest.mark.parametrize("shares", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("o, width", [(8, 25), (16, 72)])  # desk c0 and c1
+    @pytest.mark.parametrize("chunks", [1, 2, 64])
+    @pytest.mark.parametrize("ragged", [0, 37])
+    def test_matches_per_chunk_loop(self, serial_shares, chunks, ragged, o, width,
+                                    dtype, shares):
+        serial_shares(shares - 1)
+        rng = np.random.default_rng(chunks * 10 + ragged)
+        count = chunks * _kernels.KERNEL_GRAD_CHUNK + ragged
+        rows = rng.normal(size=(count, o)).astype(dtype)
+        flat = rng.normal(size=(count, width)).astype(dtype)
+        split = (chunks // 2) * _kernels.KERNEL_GRAD_CHUNK
+        for blocks in ([flat], [flat[:split], flat[split:]] if split else [flat]):
+            want = loop_product_sum(rows, blocks, width)
+            got = ad._chunked_product_sum(rows, iter(blocks), width, shares)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), len(blocks)
+
+    @pytest.mark.parametrize("chunks", [1, 2, 64])
+    def test_first_negative_zero_product_gives_positive_zero(
+        self, serial_shares, chunks, monkeypatch
+    ):
+        # gemm gives +0.0 for a sum of zero products, so every zero it
+        # returns is made -0.0 here; the sum starts from 0.0 + product
+        real = np.matmul
+
+        def negative_zeros(*args, **kwargs):
+            product = real(*args, **kwargs)
+            product[product == 0.0] = -0.0
+            return product
+
+        monkeypatch.setattr(np, "matmul", negative_zeros)
+        rng = np.random.default_rng(67)
+        count = chunks * _kernels.KERNEL_GRAD_CHUNK
+        rows = rng.normal(size=(count, 8)).astype(np.float32)
+        rows[:, 0] = 0.0
+        flat = rng.normal(size=(count, 25)).astype(np.float32)
+        for shares in (1, 2):
+            serial_shares(shares - 1)
+            got = ad._chunked_product_sum(rows, [flat], 25, shares)
+            assert np.all(got[0] == 0.0) and not np.signbit(got[0]).any()
+            assert got.tobytes() == loop_product_sum(rows, [flat], 25).tobytes()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from milnet.cli import main
+from milnet.gradcheck import run_suite
 from milnet.pgm import load_gray_image
 from milnet.training import load_checkpoint
 
@@ -552,7 +553,105 @@ class TestCv:
         assert f"argument {flag}: must be at least" in capsys.readouterr().err
 
 
+# every command with an --out: its arguments besides --out, whether --out
+# names a directory, and the functions that load data or compute, none of
+# which may run when --out is unusable
+OUT_COMMANDS = [
+    pytest.param(["synth"], True, ("generate_synthetic",), id="synth"),
+    pytest.param(["train", "--data", "{data}"], False,
+                 ("load_manifest", "prepare_inputs", "train"), id="train"),
+    pytest.param(["cv", "--data", "{data}"], True,
+                 ("load_manifest", "cross_validate"), id="cv"),
+    pytest.param(["eval", "--ckpt", "{ckpt}", "--data", "{data}"], True,
+                 ("load_checkpoint", "load_manifest", "score_images"), id="eval"),
+    pytest.param(["bag", "--ckpts", "{ckpt}", "{ckpt}", "--data", "{data}"], True,
+                 ("load_checkpoint", "load_manifest", "score_images"), id="bag"),
+    pytest.param(["viz", "--ckpt", "{ckpt}", "--image", "{image}"], True,
+                 ("load_checkpoint", "export_response_map"), id="viz"),
+    pytest.param(["stats", "--data", "{data}"], True,
+                 ("load_manifest", "write_dataset_stats"), id="stats"),
+]
+
+
+class TestOutCheckedFirst:
+    """Every command checks its --out before it loads a manifest or spends
+    any compute: it exits 2 naming the path and leaves nothing behind."""
+
+    @staticmethod
+    def run(argv, data_dir, ckpt_path, out, compute, monkeypatch):
+        import milnet.cli as cli
+
+        calls = []
+        for name in compute:
+            monkeypatch.setattr(cli, name,
+                                lambda *a, _name=name, **k: calls.append(_name))
+        fill = {"data": str(data_dir / "manifest.csv"), "ckpt": str(ckpt_path),
+                "image": str(data_dir / "img_0000.pgm")}
+        rc = main([arg.format(**fill) for arg in argv] + ["--out", str(out)])
+        return rc, calls
+
+    @pytest.mark.parametrize("argv, directory, compute", OUT_COMMANDS)
+    def test_out_of_the_wrong_kind(self, argv, directory, compute, data_dir, ckpt_path,
+                                   tmp_path, capsys, monkeypatch):
+        # a directory output over a file, a checkpoint over a directory
+        out = tmp_path / "taken"
+        if directory:
+            out.write_bytes(b"keep")
+        else:
+            out.mkdir()
+        rc, calls = self.run(argv, data_dir, ckpt_path, out, compute, monkeypatch)
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+        if directory:
+            assert out.read_bytes() == b"keep"
+        else:
+            assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, directory, compute", OUT_COMMANDS)
+    def test_out_below_a_file(self, argv, directory, compute, data_dir, ckpt_path,
+                              tmp_path, capsys, monkeypatch):
+        (tmp_path / "file").write_bytes(b"keep")
+        out = tmp_path / "file" / "sub" / "out"
+        rc, calls = self.run(argv, data_dir, ckpt_path, out, compute, monkeypatch)
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_train_metrics_path_taken_by_a_directory(self, data_dir, ckpt_path, tmp_path,
+                                                     capsys, monkeypatch):
+        (tmp_path / "m_metrics.csv").mkdir()
+        out = tmp_path / "m.miln"
+        rc, calls = self.run(["train", "--data", "{data}"], data_dir, ckpt_path, out,
+                             ("load_manifest", "prepare_inputs", "train"), monkeypatch)
+        assert rc == 2
+        assert "m_metrics.csv" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m_metrics.csv"]
+
+
 class TestGradcheck:
+    @pytest.mark.parametrize("argv", [["--draws", "0"],
+                                      ["--module", "heads", "--draws", "-3"]])
+    def test_draws_below_one_exit_2_at_parse_time(self, argv, capsys, monkeypatch):
+        import milnet.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", *argv])
+        assert exc.value.code == 2
+        assert "argument --draws: must be at least 1" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("module", ["all", "heads", "backbone"])
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_run_suite_rejects_draws_below_one(self, module, draws):
+        with pytest.raises(ValueError, match=f"n_draws must be at least 1, got {draws}"):
+            run_suite(module=module, n_draws=draws)
+
     def test_all_suites_pass(self, capsys):
         rc = main(["gradcheck", "--draws", "2", "--seed", "5"])
         assert rc == 0

@@ -359,6 +359,65 @@ class TestAugment:
         assert out.shape == self.img.shape
 
 
+def allocating_augment(image, cfg, rng):
+    """augment as it was written before flip and shift wrote into
+    rotation's border buffer: a shifted copy, then a rotation of its own
+    (the masked oracle, whose bytes the allocating rotation had)."""
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape
+    do_flip = rng.random() < cfg.flip_prob
+    max_dx = int(cfg.shift_frac * w)
+    max_dy = int(cfg.shift_frac * h)
+    dx = int(rng.integers(-max_dx, max_dx + 1))
+    dy = int(rng.integers(-max_dy, max_dy + 1))
+    angle = float(rng.uniform(-cfg.rotate_deg_max, cfg.rotate_deg_max))
+    side = int(round(cfg.cutout_frac * min(h, w)))
+    cut_x = int(rng.integers(0, w - side + 1))
+    cut_y = int(rng.integers(0, h - side + 1))
+    if do_flip:
+        img = img[:, ::-1]
+    if dx or dy:
+        shifted = np.zeros_like(img)
+        src_y = slice(max(0, -dy), min(h, h - dy))
+        src_x = slice(max(0, -dx), min(w, w - dx))
+        dst_y = slice(max(0, dy), min(h, h + dy))
+        dst_x = slice(max(0, dx), min(w, w + dx))
+        shifted[dst_y, dst_x] = img[src_y, src_x]
+        img = shifted
+    img = masked_rotation(img, angle)
+    if side > 0:
+        img[cut_y:cut_y + side, cut_x:cut_x + side] = 0.0
+    return img
+
+
+class TestAugmentBytes:
+    """augment runs in place and gives the bytes of the allocating
+    version."""
+
+    SHAPES = [(64, 64), (224, 224), (17, 31), (2, 2), (1, 1)]
+    CONFIGS = [
+        AugmentConfig(),
+        AugmentConfig(flip_prob=0.0),
+        AugmentConfig(flip_prob=1.0),
+        AugmentConfig(flip_prob=1.0, shift_frac=0.99),  # the largest shifts
+        AugmentConfig(rotate_deg_max=0.0),
+        AugmentConfig(shift_frac=0.99, rotate_deg_max=180.0, cutout_frac=0.0),
+        AugmentConfig(flip_prob=0.0, shift_frac=0.0, rotate_deg_max=0.0,
+                      cutout_frac=0.0),
+    ]
+
+    @pytest.mark.parametrize("h, w", SHAPES)
+    def test_augment_matches_allocating_version(self, h, w):
+        rng = np.random.default_rng(h * 1000 + w + 7)
+        for stream in range(200):
+            img = _rotation_image(rng, h, w)
+            cfg = self.CONFIGS[stream % len(self.CONFIGS)]
+            got = augment(img, cfg, derive_rng(17, "aug", h, w, stream))
+            want = allocating_augment(img, cfg, derive_rng(17, "aug", h, w, stream))
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (stream, cfg)
+
+
 class TestToNetworkInput:
     def test_resize_mode_range_and_shape(self):
         rng = np.random.default_rng(20)

@@ -5,8 +5,9 @@ The three bag losses, by hand
 A bag is one image's vector of patch responses; the label says whether at
 least one patch is positive, never which one.  The three heads turn that
 weak signal into a loss in different ways.  They read the network's logits
-z (a response is sigmoid(z)) for a whole batch of bags at once; here we feed
-them one four-patch bag small enough to check against pencil arithmetic.
+z (a response is sigmoid(z)) for a whole batch of bags at once, and give the
+loss and its gradient with respect to z, in plain numpy; here we feed them
+one four-patch bag small enough to check against pencil arithmetic.
 """
 
 import math
@@ -19,22 +20,20 @@ from milnet.heads import BagWeights, MilConfig, bag_loss, bag_weights
 
 
 def make_bag(values):
-    """A (1, m) logit leaf whose responses are the given values."""
+    """The (1, m) logits whose responses are the given values."""
     v = np.asarray(values, dtype=np.float64)
-    return Tensor((np.log(v) - np.log1p(-v))[None, :], requires_grad=True)
+    return (np.log(v) - np.log1p(-v))[None, :]
 
 
 def loss_of(head, values, label, **kw):
-    z = make_bag(values)
-    loss = bag_loss(MilConfig(head=head, **kw), z, [label], w)
-    loss.backward()
-    return float(loss.data), z.grad[0]
+    loss, grad = bag_loss(MilConfig(head=head, **kw), make_bag(values), [label], w)
+    return loss, grad[0]
 
 
 r = (0.2, 0.8, 0.5, 0.1)
 w = BagWeights(w1=1.0, w0=1.0, w1_patch=0.25, w0_patch=0.75)
 print("responses:", r, " bag label: 1")
-print("bag prediction (all heads):", ad.sigmoid(make_bag(r)).data.max())
+print("bag prediction (all heads):", ad.sigmoid(Tensor(make_bag(r))).data.max())
 
 # ---------------------------------------------------------------------------
 # max pooling: only the largest response matters, loss = -log(max r).  The
@@ -82,10 +81,19 @@ print(f"negative bag, any k:                        {neg:.6f} vs {expect:.6f}")
 # a confidently wrong bag still gets pushed: a negative bag whose top logit is
 # 20 (response 1 - 2e-9) costs w0 * (20 + log(1 + e^-20)) and that logit's
 # gradient is w0 * sigmoid(20), not zero
-z = Tensor(np.array([[20.0, 0.0, -1.0, 1.0]]), requires_grad=True)
-loss = bag_loss(MilConfig(head="max_pool"), z, [0], BagWeights(0.8, 0.2, 0.25, 0.75))
-loss.backward()
-print(f"\nwrong negative bag: loss {float(loss.data):.6f}, grad {z.grad[0]}")
+z = np.array([[20.0, 0.0, -1.0, 1.0]])
+loss, grad = bag_loss(MilConfig(head="max_pool"), z, [0], BagWeights(0.8, 0.2, 0.25, 0.75))
+print(f"\nwrong negative bag: loss {loss:.6f}, grad {grad[0]}")
+
+# ---------------------------------------------------------------------------
+# in training the head is one graph node over the logits
+# (training.batch_objective): its value is the loss, and its closure hands
+# the logits the loss gradient, from where backward runs through the network
+logits = Tensor(make_bag(r), requires_grad=True)
+loss, grad = bag_loss(MilConfig(head="max_pool"), logits.data, [1], w)
+root = ad.node(loss, (logits,), lambda g: logits._accumulate(float(g) * grad))
+root.backward()
+print("as a graph node: logits.grad =", logits.grad[0])
 
 # ---------------------------------------------------------------------------
 # where the weights come from: training-set counts.  Say 40 positives out of

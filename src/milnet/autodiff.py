@@ -1,19 +1,20 @@
 """Reverse-mode automatic differentiation over dense arrays.
 
-The op set is exactly what the whole-image MIL pipeline needs: 2-D
-cross-correlation, max pooling, pointwise nonlinearities (relu, sigmoid and
-log_sigmoid, the stable log sigmoid(x) = -softplus(-x) the bag losses are
-built from), a shared channel contraction, and scalar reductions (sum,
-weighted sum with constant coefficients, squared L2 norm).  The sum and the
-weighted sum are correctly rounded (math.fsum), so a bag loss does not
-change by one bit when the patches or the bags are reordered.  A fresh
-graph is built for every batch.  Tensors are treated as immutable once they
-enter a graph, with one exception: an interior tensor's ``.data`` may be
-swapped for a stand-in of the same shape and dtype once every node that
-reads it in forward is built.  That is safe because of this module's rule
-for backward closures: a closure reads only arrays it captured in forward,
-never a parent's ``.data`` (``_accumulate`` takes the parent's shape from
-its stand-in).
+The op set is what the backbone, the response layer and the L2 penalty
+need: 2-D cross-correlation, max pooling, relu and sigmoid, a shared channel
+contraction, a reshape, and the squared L2 norm.  The bag losses are not
+built from ops: ``heads.bag_loss`` computes a head's value and its gradient
+with respect to the instance logits in plain numpy, and
+``training.batch_objective`` puts them under one node made by :func:`node`,
+the constructor for nodes built outside this module.
+
+A fresh graph is built for every batch.  Tensors are treated as immutable
+once they enter a graph, with one exception: an interior tensor's ``.data``
+may be swapped for a stand-in of the same shape and dtype once every node
+that reads it in forward is built.  That is safe because of this module's
+rule for backward closures: a closure reads only arrays it captured in
+forward, never a parent's ``.data`` (``_accumulate`` takes the parent's
+shape from its stand-in).
 
 Memory: backward releases the graph as it runs it.  Each interior node
 loses its closure, its parents and its gradient before its closure runs, so
@@ -55,8 +56,11 @@ summed in ascending order into a float64 accumulator; the conv input
 gradient adds the kernel taps in a fixed order, and each tap's product
 rounds as it would in one GEMM over all taps.  This holds for sgemm as for
 dgemm, so repeated runs on identical inputs produce bitwise-identical
-values and gradients, at 1 and at 2 BLAS threads alike.  Gathered columns
-are copies: the forward runs the same per-image GEMM on them, and the
+values and gradients, at 1 and at 2 BLAS threads alike, with the kernel that
+OpenBLAS 0.3.31 selects on an AVX-512 x86-64 CPU (SkylakeX).  Its AVX2
+kernel (Haswell) rounds some chunk products differently at 2 threads, and
+by the number of output channels a GEMM holds.  Gathered columns are
+copies: the forward runs the same per-image GEMM on them, and the
 regathered rows reach the kernel gradient in the same 128-row chunks, a
 chunk that straddles two images included, so either route gives the same
 bytes.
@@ -95,7 +99,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import math
 from functools import partial
 
 import numpy as np
@@ -104,20 +107,15 @@ from . import _kernels
 
 __all__ = [
     "Tensor",
-    "add",
-    "add_n",
     "affine_channel",
     "conv2d",
     "float64_gemms",
     "l2_norm_sq",
-    "log_sigmoid",
     "maxpool2d",
-    "reduce_sum",
+    "node",
     "relu",
     "reshape",
-    "scale",
     "sigmoid",
-    "weighted_sum",
 ]
 
 
@@ -230,6 +228,20 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
         out._parents = parents
         out._backward_fn = backward_fn
     return out
+
+
+def node(data, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """A graph node built outside this module, as ``training.batch_objective``
+    builds its root: value ``data``, and ``backward_fn(grad)`` to route the
+    node's gradient to ``parents``, calling ``_accumulate`` on each.
+
+    The closure follows this module's rule: it reads only arrays it captured
+    when the node was built, never a parent's ``.data``.  As with the ops
+    here, it is kept, and run, only when some parent requires a gradient.
+    The ops themselves call ``_node``, so that a wrapper of this function
+    sees only the nodes built outside the module.
+    """
+    return _node(np.asarray(data, dtype=np.float64), tuple(parents), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -631,22 +643,6 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(out, (x,), backward)
 
 
-def log_sigmoid(x: Tensor) -> Tensor:
-    """log sigmoid(x) = -softplus(-x), finite for every finite x.
-
-    The gradient is sigmoid(-x), computed directly rather than as
-    1 - sigmoid(x), so it stays exact to rounding where sigmoid(x) rounds
-    to 1.
-    """
-    d = x.data
-    out = np.minimum(d, 0.0) - np.log1p(np.exp(-np.abs(d)))
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * _logistic(-d))
-
-    return _node(out, (x,), backward)
-
-
 def affine_channel(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Contract the channel axis of an NCHW tensor with a shared weight vector.
 
@@ -687,33 +683,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions and scalar algebra
-
-def reduce_sum(x: Tensor) -> Tensor:
-    """Sum of all entries, correctly rounded, so independent of their order."""
-    out = np.asarray(math.fsum(x.data.ravel().tolist()))
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(np.full(x.shape, float(grad)))
-
-    return _node(out, (x,), backward)
-
-
-def weighted_sum(x: Tensor, coeff: np.ndarray) -> Tensor:
-    """sum(coeff * x) for a constant coefficient array of x's shape; the sum
-    of the products is correctly rounded, so independent of their order."""
-    coeff = np.asarray(coeff, dtype=np.float64)
-    if coeff.shape != x.shape:
-        raise ValueError(
-            f"weighted_sum coefficients {coeff.shape} do not match input {x.shape}"
-        )
-    out = np.asarray(math.fsum((coeff * x.data).ravel().tolist()))
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(float(grad) * coeff)
-
-    return _node(out, (x,), backward)
-
+# reductions
 
 def l2_norm_sq(*tensors: Tensor) -> Tensor:
     """Sum of squares over every element of one or more tensors, as one
@@ -731,42 +701,3 @@ def l2_norm_sq(*tensors: Tensor) -> Tensor:
                 x._accumulate(2.0 * float(grad) * d)
 
     return _node(out, tensors, backward)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    out = x.data * c
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * c)
-
-    return _node(out, (x,), backward)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = a.data + b.data
-
-    def backward(grad: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(grad)
-        if b.requires_grad:
-            b._accumulate(grad)
-
-    return _node(out, (a, b), backward)
-
-
-def add_n(tensors: list[Tensor]) -> Tensor:
-    """Sum a nonempty list of same-shape tensors, left to right."""
-    if not tensors:
-        raise ValueError("add_n requires at least one tensor")
-    out = tensors[0].data.copy()
-    for t in tensors[1:]:
-        out = out + t.data
-
-    def backward(grad: np.ndarray) -> None:
-        for t in tensors:
-            if t.requires_grad:
-                t._accumulate(grad)
-
-    return _node(out, tuple(tensors), backward)

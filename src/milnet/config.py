@@ -12,6 +12,7 @@ are written with repr() and therefore round-trip exactly.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -58,12 +59,12 @@ class TrainConfig:
     finetune_learning_rate: float = 5e-5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError(f"lr must be positive, got {self.learning_rate}")
-        if self.finetune_learning_rate <= 0:
-            raise ValueError(
-                f"finetune_lr must be positive, got {self.finetune_learning_rate}"
-            )
+        # "not" so that NaN fails too: a NaN or infinite rate would fail
+        # only at the second step, as a non-finite loss
+        for nm, v in (("lr", self.learning_rate), ("eps", self.eps),
+                      ("finetune_lr", self.finetune_learning_rate)):
+            if not 0.0 < v < math.inf:
+                raise ValueError(f"{nm} must be a finite positive number, got {v}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -71,8 +72,6 @@ class TrainConfig:
         for nm, b in (("beta1", self.beta1), ("beta2", self.beta2)):
             if not 0.0 < b < 1.0:
                 raise ValueError(f"{nm} must be in (0, 1), got {b}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.k_grid or any(k < 1 for k in self.k_grid):
             raise ValueError(f"k_grid needs positive entries, got {self.k_grid}")
         object.__setattr__(self, "k_grid", tuple(sorted(set(self.k_grid))))

@@ -10,6 +10,7 @@ behavior can be verified at desk scale with known ground truth.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -139,10 +140,13 @@ class SynthSpec:
             raise ValueError(f"mass_frac must be in (0, 1), got {self.mass_frac}")
         if int(round(self.mass_frac * self.image_size)) < 1:
             raise ValueError("mass would be smaller than one pixel")
-        if self.intensity_lift <= 0:
-            raise ValueError("intensity_lift must be positive")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
+        # "not" so that NaN fails too
+        if not 0.0 < self.intensity_lift < math.inf:
+            raise ValueError(f"intensity_lift must be a finite positive number, "
+                             f"got {self.intensity_lift}")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise ValueError(f"noise_level must be a finite nonnegative number, "
+                             f"got {self.noise_level}")
 
 
 # Background texture range; the planted plateau amplitude is scaled above the

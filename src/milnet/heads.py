@@ -1,4 +1,4 @@
-"""The three MIL loss heads, computed from one (N, m) logit tensor.
+"""The three MIL loss heads, computed from one (N, m) logit array.
 
 Every head scores the same instance logits z (the response of a patch is
 sigmoid(z)) and differs only in which ranked patches get which target.  The
@@ -9,14 +9,15 @@ the max-pooling term.  Inference is the same for every head: the top
 response is the bag's predicted probability.
 
 Ranking is a row-wise stable argsort of the logits, ties going to the
-smaller patch index; it is the same order as ranking the responses, and it
-is not a graph op, since a sort is locally a fixed permutation.  The ranks
-and labels fix two constant per-cell coefficient arrays, one for the
+smaller patch index; it is the same order as ranking the responses.  The
+ranks and labels fix two constant per-cell coefficient arrays, one for the
 -log sigmoid(z) terms and one for the -log sigmoid(-z) = -log(1 - sigmoid(z))
-terms, and each is applied with one weighted sum, so a batch costs the same
-handful of graph nodes at every size.  Working in logits keeps every term
-finite, and a confidently wrong patch gets a gradient close to its weight
-rather than none.
+terms.  A head is plain numpy, not a piece of the autodiff graph: bag_loss
+returns the batch's loss and its gradient with respect to the logits, and
+the training objective puts both under one graph node.  A sort is locally
+a fixed permutation, so the ranking adds nothing to the gradient.  Working
+in logits keeps every term finite, and a confidently wrong patch gets a
+gradient close to its weight rather than none.
 
 bag_loss sums the bag terms over the batch (no mean); the training objective
 adds the L2 penalty (lam / 2) * ||theta||^2 once per step, over all
@@ -26,12 +27,12 @@ is the backbone's cell count; bag_loss reads it from the logits it is given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import _logistic
 
 __all__ = [
     "HEADS",
@@ -65,10 +66,12 @@ class MilConfig:
             raise ValueError(f"unknown head {self.head!r}; choose from {HEADS}")
         if self.k < 1:
             raise ValueError(f"k must be a positive int, got {self.k}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
+        # "not 0 <= x < inf" is also true of NaN: a NaN mu would train a
+        # plain max_pool run, and a NaN lambda would drop the L2 term
+        if not 0.0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be a finite nonnegative number, got {self.mu}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be a finite nonnegative number, got {self.lam}")
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(
                 f"weight_mode must be {' or '.join(map(repr, WEIGHT_MODES))}, "
@@ -117,24 +120,29 @@ def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced"
 
 def bag_loss(
     cfg: MilConfig,
-    logits: Tensor,
+    z: np.ndarray,
     labels,
     weights: BagWeights,
-) -> Tensor:
-    """Summed bag terms of the configured head over a batch, without L2.
+) -> tuple[float, np.ndarray]:
+    """Summed bag terms of the configured head over a batch, without L2, and
+    their gradient with respect to the logits: ``(value, dz)``.
 
-    logits is the (N, m) graph tensor of instance logits, labels the N bag
-    labels (0 or 1).  Per bag, with the patches ranked by logit:
+    z is the (N, m) array of instance logits, labels the N bag labels (0 or
+    1).  Per bag, with the patches ranked by logit:
       max_pool      -w1 log sigmoid(z_top) if positive,
                     -w0 log sigmoid(-z_top) if negative;
       label_assign  -w1_patch sum_top-k log sigmoid(z)
                     - w0_patch sum_rest log sigmoid(-z) if positive,
                     -w0_patch sum_all log sigmoid(-z) if negative;
       sparse        the max_pool term + mu * sum_all sigmoid(z).
+    Each sum is correctly rounded (math.fsum), so the value does not change
+    by one bit when the patches or the bags are reordered.  The value and dz
+    keep the expressions, and dz the order of its terms, that the reference
+    graph of scalar ops in tests/test_heads.py checks byte for byte.
     """
-    z = logits.data
+    z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] == 0:
-        raise ValueError(f"logits must be a nonempty (N, m) tensor, got {z.shape}")
+        raise ValueError(f"logits must be a nonempty (N, m) array, got {z.shape}")
     n, m = z.shape
     labels = np.asarray(labels)
     if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
@@ -154,10 +162,22 @@ def bag_loss(
     else:
         pos_coef[pos, order[pos, 0]] = weights.w1
         neg_coef[neg, order[neg, 0]] = weights.w0
-    terms = [
-        ad.weighted_sum(ad.log_sigmoid(logits), -pos_coef),
-        ad.weighted_sum(ad.log_sigmoid(ad.scale(logits, -1.0)), -neg_coef),
-    ]
+
+    def weighted_log_sigmoid(coeff: np.ndarray, d: np.ndarray) -> float:
+        # sum(coeff * log sigmoid(d)); log sigmoid(d) = -softplus(-d) is
+        # finite for every finite d
+        terms = coeff * (np.minimum(d, 0.0) - np.log1p(np.exp(-np.abs(d))))
+        return math.fsum(terms.ravel().tolist())
+
+    # d/dd log sigmoid(d) = sigmoid(-d), computed directly rather than as
+    # 1 - sigmoid(d), so it stays exact to rounding where sigmoid(d) rounds
+    # to 1; "+ 0.0" turns each -0.0 into +0.0, as a fresh gradient starts
+    up, down, flip = -pos_coef, -neg_coef, z * -1.0
+    value = weighted_log_sigmoid(up, z) + weighted_log_sigmoid(down, flip)
+    dz = (up + 0.0) * _logistic(-z) + 0.0
+    dz += ((down + 0.0) * _logistic(-flip) + 0.0) * -1.0
     if cfg.head == "sparse" and cfg.mu > 0.0:
-        terms.append(ad.scale(ad.reduce_sum(ad.sigmoid(logits)), cfg.mu))
-    return ad.add_n(terms)
+        r = _logistic(z)
+        value += math.fsum(r.ravel().tolist()) * cfg.mu
+        dz += cfg.mu * r * (1.0 - r)
+    return value, dz

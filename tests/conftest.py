@@ -1,9 +1,22 @@
+import math
 import multiprocessing
 
+import numpy as np
 import pytest
 
 from milnet import _kernels, model, training
 from milnet import autodiff as ad
+
+
+def graph_sum(x: ad.Tensor, coeff=None) -> ad.Tensor:
+    """sum(coeff * x), or sum(x) without coeff, as one graph node made with
+    ``ad.node``: the scalar root the op tests run backward from.  The sum is
+    correctly rounded, and backward hands x ``float(grad) * coeff`` (ones
+    without coeff)."""
+    coeff = np.ones(x.shape) if coeff is None else np.asarray(coeff, dtype=np.float64)
+    assert coeff.shape == x.shape, (coeff.shape, x.shape)
+    value = math.fsum((coeff * x.data).ravel().tolist())
+    return ad.node(value, (x,), lambda grad: x._accumulate(float(grad) * coeff))
 
 
 @pytest.fixture(autouse=True)

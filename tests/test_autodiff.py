@@ -24,6 +24,8 @@ from milnet.config import TrainConfig
 from milnet.cv import cross_validate
 from milnet.model import PRESETS, BackboneSpec, init_params, layer_plan, response_grids
 
+from conftest import graph_sum
+
 
 def central_diff(f, arr, idx, step=1e-6):
     orig = arr[idx]
@@ -68,15 +70,16 @@ class TestTensorBasics:
 
     def test_grad_not_tracked_without_flag(self):
         a = Tensor([1.0, -2.0])
-        out = ad.reduce_sum(ad.relu(a))
+        out = graph_sum(ad.relu(a))
         out.backward()
         assert a.grad is None
 
     def test_diamond_graph_accumulates(self):
         # z = sum(x) + sum(x): gradient is 2 everywhere
         x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        s = ad.reduce_sum(x)
-        z = ad.add(s, s)
+        s = graph_sum(x)
+        z = ad.node(s.data + s.data, (s, s),
+                    lambda grad: [s._accumulate(grad) for _ in range(2)])
         z.backward()
         assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
@@ -87,15 +90,18 @@ class TestAccumulate:
 
     def test_first_contribution_of_negative_zero_gives_positive_zero(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        ad.reduce_sum(ad.scale(x, -0.0)).backward()  # contributions 1 * -0.0
+        graph_sum(x, np.full(3, -0.0)).backward()  # contributions 1 * -0.0
         assert np.array_equal(x.grad, np.zeros(3))
         assert not np.signbit(x.grad).any()
 
-    def test_add_gives_each_parent_its_own_gradient(self):
+    def test_parents_handed_one_array_get_their_own_gradients(self):
         a = Tensor([1.0, 2.0], requires_grad=True)
         b = Tensor([3.0, 4.0], requires_grad=True)
         c = Tensor([5.0, 6.0], requires_grad=True)
-        ad.reduce_sum(ad.add(ad.add_n([a, b]), c)).backward()
+        # a + b + c, whose closure hands the same array to every parent
+        total = ad.node(a.data + b.data + c.data, (a, b, c),
+                        lambda grad: [t._accumulate(grad) for t in (a, b, c)])
+        graph_sum(total).backward()
         grads = [a.grad, b.grad, c.grad]
         for i, g in enumerate(grads):
             assert_array_equal(g, [1.0, 1.0])
@@ -111,7 +117,7 @@ class TestAccumulate:
         x = Tensor(np.zeros((1, 2, 2, 2)))
         weight = Tensor([1.0, 1.0])
         bias = Tensor([0.5], requires_grad=True)
-        ad.reduce_sum(ad.affine_channel(x, weight, bias)).backward()
+        graph_sum(ad.affine_channel(x, weight, bias)).backward()
         assert bias.grad.shape == (1,) and bias.grad[0] == 4.0
 
 
@@ -121,7 +127,7 @@ class TestPointwiseOps:
         t = Tensor(x, requires_grad=True)
         out = ad.relu(t)
         assert_array_equal(out.data, [0.0, 0.0, 3.0])
-        ad.reduce_sum(out).backward()
+        graph_sum(out).backward()
         # subgradient at 0 is 0
         assert_array_equal(t.grad, [0.0, 0.0, 1.0])
 
@@ -142,63 +148,13 @@ class TestPointwiseOps:
 
         def build():
             leaf = Tensor(x, requires_grad=True)
-            return ad.reduce_sum(ad.sigmoid(leaf)), leaf
+            return graph_sum(ad.sigmoid(leaf)), leaf
 
         check_grad(build, x)
 
-    def test_log_gradient_and_domain(self):
-        # log_sigmoid is the only log the graph takes; its domain is every
-        # real number, so there is nothing to reject
-        x = np.array([-30.0, -2.0, -0.5, 0.0, 0.5, 2.0, 30.0])
-
-        def build():
-            leaf = Tensor(x, requires_grad=True)
-            return ad.reduce_sum(ad.log_sigmoid(leaf)), leaf
-
-        check_grad(build, x)
-        extreme = ad.log_sigmoid(Tensor([-1e300, -750.0, 750.0, 1e300])).data
-        assert np.isfinite(extreme).all()
-
-    def test_log_sigmoid_matches_closed_form_and_stays_finite(self):
-        x = np.array([-800.0, -40.0, -1.0, 0.0, 1.0, 40.0, 800.0])
-        t = Tensor(x, requires_grad=True)
-        out = ad.log_sigmoid(t)
-        expected = np.array([-800.0, -40.0 - math.exp(-40.0),
-                             -math.log1p(math.e), -math.log(2.0),
-                             -math.log1p(math.exp(-1.0)), -math.exp(-40.0), -0.0])
-        assert_allclose(out.data, expected, rtol=1e-15, atol=0)
-        ad.reduce_sum(out).backward()
-        # d/dx log sigmoid(x) = sigmoid(-x) = exp(-log(1 + e^x))
-        assert_allclose(t.grad, np.exp(-np.logaddexp(0.0, x)), rtol=1e-15, atol=0)
-        assert t.grad[1] == 1.0 and t.grad[5] > 0.0
 
 
 class TestReductions:
-    def test_reduce_sum(self):
-        x = np.arange(6.0).reshape(2, 3)
-        t = Tensor(x, requires_grad=True)
-        out = ad.reduce_sum(t)
-        assert out.data == 15.0
-        out.backward()
-        assert_array_equal(t.grad, np.ones((2, 3)))
-
-    def test_reduce_sum_is_order_independent(self):
-        x = np.array([1e16, 1.0, -1e16, 3.0, 1e-3, 2.5])
-        sums = {float(ad.reduce_sum(Tensor(x[p])).data)
-                for p in ([0, 1, 2, 3, 4, 5], [5, 4, 3, 2, 1, 0], [1, 0, 3, 2, 5, 4])}
-        assert sums == {6.501}
-
-    def test_weighted_sum_value_and_grad(self):
-        x = np.array([[1.0, -2.0], [0.5, 4.0]])
-        coeff = np.array([[3.0, 0.0], [-2.0, 0.25]])
-        t = Tensor(x, requires_grad=True)
-        out = ad.weighted_sum(t, coeff)
-        assert out.data == 3.0 + 0.0 - 1.0 + 1.0
-        out.backward()
-        assert_array_equal(t.grad, coeff)
-        with pytest.raises(ValueError):
-            ad.weighted_sum(t, np.ones(4))
-
     def test_l2_norm_sq(self):
         x = np.array([1.0, -2.0, 2.0])
         t = Tensor(x, requires_grad=True)
@@ -207,24 +163,6 @@ class TestReductions:
         out.backward()
         assert_array_equal(t.grad, 2.0 * x)
 
-    def test_scale_and_add(self):
-        x = np.array([1.0, 2.0])
-        t = Tensor(x, requires_grad=True)
-        out = ad.reduce_sum(ad.add(ad.scale(t, 3.0), ad.scale(t, -1.0)))
-        # sum(3x - x) = sum(2x)
-        assert out.data == 2 * 3.0
-        out.backward()
-        assert_array_equal(t.grad, [2.0, 2.0])
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            ad.add(Tensor([1.0]), Tensor([1.0, 2.0]))
-
-    def test_add_n_matches_sum(self):
-        rng = np.random.default_rng(3)
-        parts = [Tensor(rng.normal(size=())) for _ in range(5)]
-        out = ad.add_n(parts)
-        assert_allclose(out.data, sum(float(p.data) for p in parts), rtol=1e-15)
 
 
 class TestShapeOps:
@@ -233,7 +171,7 @@ class TestShapeOps:
         t = Tensor(x, requires_grad=True)
         out = ad.reshape(t, (3, 4))
         assert out.shape == (3, 4)
-        ad.reduce_sum(out).backward()
+        graph_sum(out).backward()
         assert_array_equal(t.grad, np.ones(12))
 
 
@@ -299,7 +237,7 @@ class TestConv2d:
         def build():
             leaf = Tensor(w, requires_grad=True)
             out = ad.conv2d(Tensor(x), leaf, stride=2, padding=1)
-            return ad.reduce_sum(out), leaf
+            return graph_sum(out), leaf
 
         coords = [tuple(c) for c in rng.integers(0, [3, 2, 3, 3], size=(8, 4))]
         check_grad(build, w, coords=coords)
@@ -313,7 +251,7 @@ class TestConv2d:
         def build():
             leaf = Tensor(x, requires_grad=True)
             out = ad.conv2d(leaf, Tensor(w), stride=1, padding=1)
-            return ad.reduce_sum(out), leaf
+            return graph_sum(out), leaf
 
         coords = [tuple(c) for c in rng.integers(0, [2, 2, 5, 5], size=(8, 4))]
         check_grad(build, x, coords=coords)
@@ -389,8 +327,8 @@ class TestConv2d:
         bare = Tensor(x, requires_grad=True)
         ref = ad.conv2d(bare, Tensor(w), padding=1)
         assert np.array_equal(out.data, ref.data + b[None, :, None, None])
-        ad.reduce_sum(out).backward()
-        ad.reduce_sum(ref).backward()
+        graph_sum(out).backward()
+        graph_sum(ref).backward()
         assert_array_equal(xt.grad, bare.grad)
         assert_array_equal(bt.grad, np.full(3, 8.0))  # 2 images x 2x2 cells
 
@@ -422,7 +360,7 @@ class TestMaxPool2d:
     def test_gradient_scatters_to_argmax(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)
         t = Tensor(x, requires_grad=True)
-        ad.reduce_sum(ad.maxpool2d(t, window=2, stride=2)).backward()
+        graph_sum(ad.maxpool2d(t, window=2, stride=2)).backward()
         expected = np.zeros((1, 1, 4, 4))
         for i, j in [(1, 1), (1, 3), (3, 1), (3, 3)]:
             expected[0, 0, i, j] = 1.0
@@ -431,7 +369,7 @@ class TestMaxPool2d:
     def test_tie_goes_to_first_occurrence(self):
         x = np.full((1, 1, 2, 2), 7.0)
         t = Tensor(x, requires_grad=True)
-        ad.reduce_sum(ad.maxpool2d(t, window=2, stride=2)).backward()
+        graph_sum(ad.maxpool2d(t, window=2, stride=2)).backward()
         expected = np.zeros((1, 1, 2, 2))
         expected[0, 0, 0, 0] = 1.0  # row-major first among equals
         assert_array_equal(t.grad, expected)
@@ -441,7 +379,7 @@ class TestMaxPool2d:
         x = np.zeros((1, 1, 3, 3))
         x[0, 0, 1, 1] = 9.0
         t = Tensor(x, requires_grad=True)
-        ad.reduce_sum(ad.maxpool2d(t, window=2, stride=1)).backward()
+        graph_sum(ad.maxpool2d(t, window=2, stride=1)).backward()
         assert t.grad[0, 0, 1, 1] == 4.0
 
     def test_gradient_fd_random(self):
@@ -451,7 +389,7 @@ class TestMaxPool2d:
 
         def build():
             leaf = Tensor(x, requires_grad=True)
-            return ad.reduce_sum(ad.maxpool2d(leaf, window=2, stride=2)), leaf
+            return graph_sum(ad.maxpool2d(leaf, window=2, stride=2)), leaf
 
         check_grad(build, x, step=1e-3)
 
@@ -479,21 +417,21 @@ class TestAffineChannel:
         def build_w():
             leaf = Tensor(w, requires_grad=True)
             out = ad.affine_channel(Tensor(x), leaf, Tensor(b))
-            return ad.reduce_sum(out), leaf
+            return graph_sum(out), leaf
 
         check_grad(build_w, w)
 
         def build_b():
             leaf = Tensor(b, requires_grad=True)
             out = ad.affine_channel(Tensor(x), Tensor(w), leaf)
-            return ad.reduce_sum(out), leaf
+            return graph_sum(out), leaf
 
         check_grad(build_b, b, coords=[()])
 
         def build_x():
             leaf = Tensor(x, requires_grad=True)
             out = ad.affine_channel(leaf, Tensor(w), Tensor(b))
-            return ad.reduce_sum(out), leaf
+            return graph_sum(out), leaf
 
         check_grad(build_x, x)
 
@@ -508,7 +446,7 @@ class TestDeterminism:
             xt = Tensor(x.copy(), requires_grad=True)
             wt = Tensor(w.copy(), requires_grad=True)
             y = ad.maxpool2d(ad.relu(ad.conv2d(xt, wt, stride=1, padding=1)), 2, 2)
-            loss = ad.reduce_sum(y)
+            loss = graph_sum(y)
             loss.backward()
             return float(loss.data), xt.grad.copy(), wt.grad.copy()
 
@@ -533,7 +471,7 @@ class TestRelease:
         y = ad.conv2d(x, w, stride=1, padding=1, bias=b)
         r = ad.relu(y)
         p = ad.maxpool2d(r, 3, 2)
-        return (x, w, b), [y, r, p], ad.reduce_sum(p)
+        return (x, w, b), [y, r, p], graph_sum(p)
 
     def test_interior_state_is_freed_and_leaf_grads_match(self):
         # reference: the same graph's closures called by hand, root first
@@ -561,11 +499,11 @@ class TestRelease:
             root.backward()
         # a new graph on a released interior tensor hits the same error
         with pytest.raises(RuntimeError, match="already released by a previous backward"):
-            ad.reduce_sum(interior[1]).backward()
+            graph_sum(interior[1]).backward()
         for leaf, grad in zip((x, w, b), grads):
             assert_array_equal(leaf.grad, grad)
         # the leaves themselves start new graphs as before
-        ad.reduce_sum(x).backward()
+        graph_sum(x).backward()
         assert_array_equal(x.grad, grads[0] + 1.0)
 
     def test_conv_backward_frees_columns_before_input_gradient(self):
@@ -598,23 +536,16 @@ class TestRelease:
 # case -> (op over its tensor operands, operand shapes); a case is named by
 # its op, and conv2d has a second case on the regather route
 CLOSURE_CASES = {
-    "add": (ad.add, [(2, 3), (2, 3)]),
-    "add_n": (lambda *ts: ad.add_n(list(ts)), [(2, 3)] * 3),
     "affine_channel": (ad.affine_channel, [(2, 3, 4, 5), (3,), ()]),
     "conv2d": (lambda x, w, b: ad.conv2d(x, w, stride=2, padding=1, bias=b),
                [(2, 3, 7, 7), (4, 3, 3, 3), (4,)]),
     "conv2d/regather": (lambda x, w: ad.conv2d(x, w, stride=1, padding=1),
                         [(2, 3, 6, 6), (4, 3, 3, 3)]),
     "l2_norm_sq": (ad.l2_norm_sq, [(2, 3), (4,)]),
-    "log_sigmoid": (ad.log_sigmoid, [(2, 3, 4)]),
     "maxpool2d": (lambda x: ad.maxpool2d(x, 3, 2), [(2, 3, 7, 7)]),
-    "reduce_sum": (ad.reduce_sum, [(2, 3, 4)]),
     "relu": (ad.relu, [(2, 3, 4)]),
     "reshape": (lambda x: ad.reshape(x, (6, 4)), [(2, 3, 4)]),
-    "scale": (lambda x: ad.scale(x, -1.5), [(2, 3, 4)]),
     "sigmoid": (ad.sigmoid, [(2, 3, 4)]),
-    "weighted_sum": (lambda x: ad.weighted_sum(x, np.linspace(-1.0, 2.0, 24).reshape(x.shape)),
-                     [(2, 3, 4)]),
 }
 
 
@@ -625,19 +556,21 @@ class TestClosuresReadNoParentData:
     graph."""
 
     def test_every_op_has_a_case(self):
+        # a node made with ad.node runs its caller's closure
         ops = {case.split("/")[0] for case in CLOSURE_CASES}
-        assert ops == set(ad.__all__) - {"Tensor", "float64_gemms"}
+        assert ops == set(ad.__all__) - {"Tensor", "float64_gemms", "node"}
 
     @staticmethod
     def leaf_grads(case: str, drop: bool) -> list[bytes]:
         op, shapes = CLOSURE_CASES[case]
         rng = np.random.default_rng(41)
         leaves = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
-        # interior operands; relu and maxpool2d meet zeros and ties too
-        parents = [ad.scale(leaf, 1.0) for leaf in leaves]
+        # interior operands, views of the leaves' data; relu and maxpool2d
+        # meet zeros and ties too
+        parents = [ad.reshape(leaf, leaf.shape) for leaf in leaves]
         parents[0].data[..., ::3] = 0.0
         out = op(*parents)
-        root = ad.weighted_sum(out, rng.normal(size=out.shape))
+        root = graph_sum(out, rng.normal(size=out.shape))
         if drop:
             for t in [*parents, out]:
                 t.data = np.full(t.shape, np.nan)
@@ -694,7 +627,7 @@ class TestGemmPrecision:
             wt = Tensor(w, requires_grad=True)
             out = ad.conv2d(xt, wt, stride=stride, padding=padding)
             coeff = np.random.default_rng(32).normal(size=out.shape)
-            ad.weighted_sum(out, coeff).backward()
+            graph_sum(out, coeff).backward()
             return out.data, wt.grad, xt.grad
 
         fast = run()
@@ -943,7 +876,7 @@ def serial_shares(split_ops, monkeypatch):
 def conv_param_grads(x, w, b, stride, padding, coeff) -> list[np.ndarray]:
     """Input, kernel and bias gradients of sum(coeff * conv2d(x, w, b))."""
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
-    ad.weighted_sum(ad.conv2d(xt, wt, stride, padding, bt), coeff).backward()
+    graph_sum(ad.conv2d(xt, wt, stride, padding, bt), coeff).backward()
     return [xt.grad, wt.grad, bt.grad]
 
 
@@ -1188,7 +1121,7 @@ class TestKeptColumns:
             out = ad.conv2d(xt, wt, stride, padding, bt)
             rng = np.random.default_rng(61)
             coeff = rng.normal(size=out.shape) * (rng.random(size=out.shape) < 0.6)
-            ad.weighted_sum(out, coeff).backward()
+            graph_sum(out, coeff).backward()
             want_grads = reference_conv_grads(x, w, stride, padding,
                                               np.zeros(out.shape) + coeff)
         cols = window_view_columns(x, w, stride, padding, dtype)

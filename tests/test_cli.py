@@ -61,6 +61,15 @@ class TestSynth:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["noise_level", "intensity_lift"])
+    def test_non_finite_float_exits_2_before_writing(self, tmp_path, capsys, key):
+        spec = tmp_path / "synth.cfg"
+        spec.write_text(f"image_size = 16\nn_pos = 1\nn_neg = 1\n{key} = nan\n")
+        rc = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["synth.cfg"]
+
     def test_defaults_without_spec(self, tmp_path):
         # the default spec writes 200 images; just check the wiring on a
         # custom tiny spec elsewhere and make sure --out is required here
@@ -288,6 +297,21 @@ class TestTrain:
         assert rc == 2
         assert "label_assign" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("key, value", [
+        ("mu", "nan"), ("lambda", "nan"), ("lr", "nan"), ("lr", "inf"), ("eps", "nan"),
+        ("finetune_lr", "-inf"),
+    ])
+    def test_non_finite_float_exits_2_before_training(self, data_dir, tmp_path, capsys,
+                                                      key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"head = sparse\nepochs = 1\n{key} = {value}\n")
+        out = tmp_path / "m.miln"
+        rc = main(["train", "--config", str(cfg),
+                   "--data", str(data_dir / "manifest.csv"), "--out", str(out)])
+        assert rc == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 class TestEval:
     def test_outputs(self, data_dir, ckpt_path, tmp_path):

@@ -1,5 +1,6 @@
 """Flat-config parsing: user files, checkpoint blobs, synth specs."""
 
+import math
 import re
 from dataclasses import fields
 from operator import attrgetter
@@ -314,6 +315,32 @@ class TestSynthSpecFile:
         p.write_text(f"seed = 3\n{text}\n")
         with pytest.raises(ValueError, match=re.escape(f"{p}: ") + message):
             parse_synth_file(str(p))
+
+
+
+# each float that NaN or +-inf used to get through: (config key, builder)
+NON_FINITE_FIELDS = {
+    "mu": lambda v: MilConfig(head="sparse", mu=v),
+    "lambda": lambda v: MilConfig(lam=v),
+    "lr": lambda v: TrainConfig(learning_rate=v),
+    "finetune_lr": lambda v: TrainConfig(finetune_learning_rate=v),
+    "eps": lambda v: TrainConfig(eps=v),
+    "noise_level": lambda v: SynthSpec(noise_level=v),
+    "intensity_lift": lambda v: SynthSpec(intensity_lift=v),
+}
+
+
+class TestNonFiniteFloats:
+    """NaN and +-inf are rejected by the config objects themselves, before
+    any compute: otherwise a NaN mu would train a plain max_pool run, a NaN
+    lambda would drop L2, and a NaN or infinite rate would fail only at the
+    second step."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("key", sorted(NON_FINITE_FIELDS))
+    def test_constructor_rejects(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a finite"):
+            NON_FINITE_FIELDS[key](value)
 
 
 class TestKeyTables:

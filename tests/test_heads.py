@@ -1,4 +1,5 @@
-"""Loss-head values and gradients against from-scratch scalar oracles.
+"""Loss-head values and gradients against from-scratch scalar oracles, and
+byte for byte against the graph of scalar ops the heads were once built of.
 
 The heads take instance logits; a bag given here as responses r is fed in
 as logit(r), and the oracles are written in terms of r.
@@ -11,7 +12,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from milnet import autodiff as ad
-from milnet.autodiff import Tensor
+from milnet.autodiff import Tensor, _logistic
 from milnet.config import TrainConfig
 from milnet.heads import (
     BagWeights,
@@ -19,7 +20,14 @@ from milnet.heads import (
     bag_loss,
     bag_weights,
 )
-from milnet.model import BackboneSpec, ModelParams, init_params, params_to_leaves
+from milnet.model import (
+    BackboneSpec,
+    ModelParams,
+    forward_backbone,
+    init_params,
+    instance_responses,
+    params_to_leaves,
+)
 from milnet.training import bag_scores, batch_objective
 
 
@@ -29,11 +37,12 @@ def logit(values):
 
 
 def bag_from(values):
-    """One bag of responses as a (1, m) logit leaf that records gradients."""
-    return Tensor(logit(values)[None, :], requires_grad=True)
+    """One bag of responses as a (1, m) logit array."""
+    return logit(values)[None, :]
 
 
 def head_loss(head, z, label, weights, k=1, mu=0.0):
+    """(value, gradient with respect to z) of one bag."""
     return bag_loss(MilConfig(head=head, k=k, mu=mu), z, [label], weights)
 
 
@@ -69,35 +78,35 @@ class TestHandValues:
     R = (0.2, 0.8, 0.5, 0.1)
 
     def test_max_pool_positive_bag(self):
-        loss = head_loss("max_pool", bag_from(self.R), 1, UNIT)
-        assert_allclose(loss.data, -math.log(0.8), rtol=1e-12)
-        assert_allclose(loss.data, 0.223144, atol=1e-6)
+        loss, _ = head_loss("max_pool", bag_from(self.R), 1, UNIT)
+        assert_allclose(loss, -math.log(0.8), rtol=1e-12)
+        assert_allclose(loss, 0.223144, atol=1e-6)
 
     def test_max_pool_negative_bag(self):
-        loss = head_loss("max_pool", bag_from((0.2, 0.1)), 0, UNIT)
-        assert_allclose(loss.data, -math.log(1.0 - 0.2), rtol=1e-12)
-        assert_allclose(loss.data, 0.223144, atol=1e-6)
+        loss, _ = head_loss("max_pool", bag_from((0.2, 0.1)), 0, UNIT)
+        assert_allclose(loss, -math.log(1.0 - 0.2), rtol=1e-12)
+        assert_allclose(loss, 0.223144, atol=1e-6)
 
     def test_max_pool_half_is_ln2_either_label(self):
         for label in (0, 1):
-            loss = head_loss("max_pool", bag_from((0.5, 0.3)), label, UNIT)
-            assert_allclose(loss.data, math.log(2.0), rtol=1e-12)
+            loss, _ = head_loss("max_pool", bag_from((0.5, 0.3)), label, UNIT)
+            assert_allclose(loss, math.log(2.0), rtol=1e-12)
 
     def test_label_assign_worked_example(self):
         # r=(0.2,0.8,0.5,0.1), y=1, k=2, patch weights (0.25, 0.75):
         # 0.25*(-ln 0.8 - ln 0.5) + 0.75*(-ln 0.8 - ln 0.9)
         expected = 0.25 * (-math.log(0.8) - math.log(0.5)) \
             + 0.75 * (-math.log(0.8) - math.log(0.9))
-        loss = head_loss("label_assign", bag_from(self.R), 1, UNIT, k=2)
-        assert_allclose(loss.data, expected, rtol=1e-12)
+        loss, _ = head_loss("label_assign", bag_from(self.R), 1, UNIT, k=2)
+        assert_allclose(loss, expected, rtol=1e-12)
         oracle = label_assign_oracle(self.R, 1, 2, 0.25, 0.75)
-        assert_allclose(loss.data, oracle, rtol=1e-12)
+        assert_allclose(loss, oracle, rtol=1e-12)
 
     def test_sparse_worked_example(self):
         # max-pool term -ln 0.8 plus 0.01 * (0.2+0.8+0.5+0.1)
-        loss = head_loss("sparse", bag_from(self.R), 1, UNIT, mu=0.01)
-        assert_allclose(loss.data, -math.log(0.8) + 0.01 * 1.6, rtol=1e-12)
-        assert_allclose(loss.data, 0.239144, atol=1e-6)
+        loss, _ = head_loss("sparse", bag_from(self.R), 1, UNIT, mu=0.01)
+        assert_allclose(loss, -math.log(0.8) + 0.01 * 1.6, rtol=1e-12)
+        assert_allclose(loss, 0.239144, atol=1e-6)
 
 
 class TestAgainstScalarOracle:
@@ -111,8 +120,8 @@ class TestAgainstScalarOracle:
             label = int(rng.integers(0, 2))
             w1, w0 = rng.uniform(0.1, 2.0, size=2)
             weights = BagWeights(w1=w1, w0=w0, w1_patch=0.5, w0_patch=0.5)
-            loss = head_loss("max_pool", bag_from(r), label, weights)
-            assert_allclose(loss.data, max_pool_oracle(r.tolist(), label, w1, w0),
+            loss, _ = head_loss("max_pool", bag_from(r), label, weights)
+            assert_allclose(loss, max_pool_oracle(r.tolist(), label, w1, w0),
                             rtol=1e-12)
 
     def test_label_assign_random(self):
@@ -124,8 +133,8 @@ class TestAgainstScalarOracle:
             k = int(rng.integers(1, m + 1))
             w1p, w0p = rng.uniform(0.1, 1.0, size=2)
             weights = BagWeights(w1=1.0, w0=1.0, w1_patch=w1p, w0_patch=w0p)
-            loss = head_loss("label_assign", bag_from(r), label, weights, k=k)
-            assert_allclose(loss.data,
+            loss, _ = head_loss("label_assign", bag_from(r), label, weights, k=k)
+            assert_allclose(loss,
                             label_assign_oracle(r.tolist(), label, k, w1p, w0p),
                             rtol=1e-12)
 
@@ -138,8 +147,8 @@ class TestAgainstScalarOracle:
             mu = float(rng.uniform(0.0, 0.1))
             w1, w0 = rng.uniform(0.1, 2.0, size=2)
             weights = BagWeights(w1=w1, w0=w0, w1_patch=0.5, w0_patch=0.5)
-            loss = head_loss("sparse", bag_from(r), label, weights, mu=mu)
-            assert_allclose(loss.data, sparse_oracle(r.tolist(), label, mu, w1, w0),
+            loss, _ = head_loss("sparse", bag_from(r), label, weights, mu=mu)
+            assert_allclose(loss, sparse_oracle(r.tolist(), label, mu, w1, w0),
                             rtol=1e-12)
 
     def test_batch_is_the_sum_of_its_bags(self):
@@ -149,17 +158,13 @@ class TestAgainstScalarOracle:
                     MilConfig(head="sparse", mu=0.05)):
             z = rng.normal(0.0, 2.0, size=(6, 9))
             labels = np.array([0, 1, 1, 0, 1, 0])
-            batch = Tensor(z, requires_grad=True)
-            loss = bag_loss(cfg, batch, labels, weights)
-            loss.backward()
+            loss, dz = bag_loss(cfg, z, labels, weights)
             for i in range(6):
-                row = Tensor(z[i:i + 1], requires_grad=True)
-                one = bag_loss(cfg, row, labels[i:i + 1], weights)
-                one.backward()
-                assert_allclose(batch.grad[i], row.grad[0], rtol=1e-12, atol=0)
-            total = sum(float(bag_loss(cfg, Tensor(z[i:i + 1]), labels[i:i + 1],
-                                       weights).data) for i in range(6))
-            assert_allclose(loss.data, total, rtol=1e-12)
+                _, row = bag_loss(cfg, z[i:i + 1], labels[i:i + 1], weights)
+                assert_allclose(dz[i], row[0], rtol=1e-12, atol=0)
+            total = sum(bag_loss(cfg, z[i:i + 1], labels[i:i + 1], weights)[0]
+                        for i in range(6))
+            assert_allclose(loss, total, rtol=1e-12)
 
 
 class TestDegeneracies:
@@ -169,13 +174,10 @@ class TestDegeneracies:
             m = int(rng.integers(1, 17))
             r = rng.uniform(0.01, 0.99, size=m)
             label = int(rng.integers(0, 2))
-            raw_a, raw_b = bag_from(r), bag_from(r)
-            la = head_loss("sparse", raw_a, label, UNIT, mu=0.0)
-            lb = head_loss("max_pool", raw_b, label, UNIT)
-            assert la.data == lb.data
-            la.backward()
-            lb.backward()
-            assert_array_equal(raw_a.grad, raw_b.grad)
+            la, ga = head_loss("sparse", bag_from(r), label, UNIT, mu=0.0)
+            lb, gb = head_loss("max_pool", bag_from(r), label, UNIT)
+            assert la == lb
+            assert_array_equal(ga, gb)
 
     def test_label_assign_k_equals_m_is_per_instance_ce(self):
         rng = np.random.default_rng(104)
@@ -184,9 +186,9 @@ class TestDegeneracies:
                 r = rng.uniform(0.01, 0.99, size=m)
                 w1p = float(rng.uniform(0.1, 1.0))
                 weights = BagWeights(w1=1.0, w0=1.0, w1_patch=w1p, w0_patch=0.5)
-                loss = head_loss("label_assign", bag_from(r), 1, weights, k=m)
+                loss, _ = head_loss("label_assign", bag_from(r), 1, weights, k=m)
                 brute = -w1p * sum(math.log(v) for v in r)
-                assert_allclose(loss.data, brute, rtol=1e-12)
+                assert_allclose(loss, brute, rtol=1e-12)
 
 
 class TestPermutationInvariance:
@@ -198,11 +200,11 @@ class TestPermutationInvariance:
             perm = rng.permutation(8)
             z = bag_from(r[perm])
             vals = (
-                head_loss("max_pool", z, 1, UNIT).data.item(),
-                head_loss("label_assign", z, 1, UNIT, k=3).data.item(),
-                head_loss("label_assign", z, 0, UNIT, k=3).data.item(),
-                head_loss("sparse", z, 1, UNIT, mu=0.02).data.item(),
-                float(ad.sigmoid(z).data.max()),  # inference: the top response
+                head_loss("max_pool", z, 1, UNIT)[0],
+                head_loss("label_assign", z, 1, UNIT, k=3)[0],
+                head_loss("label_assign", z, 0, UNIT, k=3)[0],
+                head_loss("sparse", z, 1, UNIT, mu=0.02)[0],
+                float(ad.sigmoid(Tensor(z)).data.max()),  # inference: the top response
             )
             if base is None:
                 base = vals
@@ -215,43 +217,36 @@ class TestGradientStructure:
     -(1 - r) and d(-log(1 - sigmoid(z)))/dz = r for response r."""
 
     def test_max_pool_touches_only_argmax(self):
-        raw = bag_from((0.2, 0.8, 0.5, 0.1))
-        loss = head_loss("max_pool", raw, 1, UNIT)
-        loss.backward()
-        assert raw.grad[0, 1] != 0.0
-        assert raw.grad[0, 0] == raw.grad[0, 2] == raw.grad[0, 3] == 0.0
+        _, grad = head_loss("max_pool", bag_from((0.2, 0.8, 0.5, 0.1)), 1, UNIT)
+        assert grad[0, 1] != 0.0
+        assert grad[0, 0] == grad[0, 2] == grad[0, 3] == 0.0
         # -(1 - r) at the top response
-        assert_allclose(raw.grad[0, 1], -(1.0 - 0.8), rtol=1e-12)
+        assert_allclose(grad[0, 1], -(1.0 - 0.8), rtol=1e-12)
 
     def test_max_pool_ties_go_to_the_smaller_index(self):
-        raw = Tensor(np.array([[0.5, 0.7, 0.5, 0.7]]), requires_grad=True)
-        head_loss("max_pool", raw, 1, UNIT).backward()
-        assert raw.grad[0, 1] != 0.0
-        assert raw.grad[0, 0] == raw.grad[0, 2] == raw.grad[0, 3] == 0.0
+        _, grad = head_loss("max_pool", np.array([[0.5, 0.7, 0.5, 0.7]]), 1, UNIT)
+        assert grad[0, 1] != 0.0
+        assert grad[0, 0] == grad[0, 2] == grad[0, 3] == 0.0
 
     def test_label_assign_touches_all(self):
-        raw = bag_from((0.2, 0.8, 0.5, 0.1))
-        loss = head_loss("label_assign", raw, 1, UNIT, k=2)
-        loss.backward()
-        assert (raw.grad != 0.0).all()
+        _, grad = head_loss("label_assign", bag_from((0.2, 0.8, 0.5, 0.1)), 1, UNIT, k=2)
+        assert (grad != 0.0).all()
         # top-2 pulled up (negative gradient), tail pushed down (positive)
-        assert raw.grad[0, 1] < 0 and raw.grad[0, 2] < 0
-        assert raw.grad[0, 0] > 0 and raw.grad[0, 3] > 0
+        assert grad[0, 1] < 0 and grad[0, 2] < 0
+        assert grad[0, 0] > 0 and grad[0, 3] > 0
 
     def test_sparse_touches_all(self):
-        raw = bag_from((0.2, 0.8, 0.5, 0.1))
-        loss = head_loss("sparse", raw, 1, UNIT, mu=0.05)
-        loss.backward()
-        assert (raw.grad != 0.0).all()
+        _, grad = head_loss("sparse", bag_from((0.2, 0.8, 0.5, 0.1)), 1, UNIT, mu=0.05)
+        assert (grad != 0.0).all()
         # mu * r * (1 - r) from the response sum on every cell
-        assert_allclose(raw.grad[0, 1], -(1.0 - 0.8) + 0.05 * 0.8 * 0.2, rtol=1e-12)
-        assert_allclose(raw.grad[0, 0], 0.05 * 0.2 * 0.8, rtol=1e-12)
+        assert_allclose(grad[0, 1], -(1.0 - 0.8) + 0.05 * 0.8 * 0.2, rtol=1e-12)
+        assert_allclose(grad[0, 0], 0.05 * 0.2 * 0.8, rtol=1e-12)
 
     def test_loss_decreases_as_top_response_rises(self):
         for top in (0.6, 0.7, 0.8, 0.9):
-            lo = head_loss("max_pool", bag_from((top - 0.05, 0.1)), 1, UNIT)
-            hi = head_loss("max_pool", bag_from((top, 0.1)), 1, UNIT)
-            assert hi.data < lo.data
+            lo, _ = head_loss("max_pool", bag_from((top - 0.05, 0.1)), 1, UNIT)
+            hi, _ = head_loss("max_pool", bag_from((top, 0.1)), 1, UNIT)
+            assert hi < lo
 
 
 class TestConfidentlyWrongBag:
@@ -266,22 +261,18 @@ class TestConfidentlyWrongBag:
         MilConfig(head="sparse", mu=0.01),
     ], ids=lambda c: c.head)
     def test_finite_loss_and_gradient_on_the_top_logit(self, cfg):
-        z = Tensor(np.array([[20.0, 0.0, -1.0, 1.0]]), requires_grad=True)
-        loss = bag_loss(cfg, z, [0], self.W)
-        assert np.isfinite(loss.data)
-        loss.backward()
-        assert np.isfinite(z.grad).all()
-        assert z.grad[0, 0] > 0.1
+        loss, grad = bag_loss(cfg, np.array([[20.0, 0.0, -1.0, 1.0]]), [0], self.W)
+        assert np.isfinite(loss)
+        assert np.isfinite(grad).all()
+        assert grad[0, 0] > 0.1
 
     def test_max_pool_value_and_gradient(self):
-        z = Tensor(np.array([[20.0, 0.0, -1.0, 1.0]]), requires_grad=True)
-        loss = head_loss("max_pool", z, 0, self.W)
+        loss, grad = head_loss("max_pool", np.array([[20.0, 0.0, -1.0, 1.0]]), 0, self.W)
         # -w0 log(1 - sigmoid(20)) = w0 * (20 + log(1 + e^-20))
-        assert_allclose(loss.data, 0.2 * (20.0 + math.log1p(math.exp(-20.0))),
+        assert_allclose(loss, 0.2 * (20.0 + math.log1p(math.exp(-20.0))),
                         rtol=1e-12)
-        loss.backward()
-        assert_allclose(z.grad[0, 0], 0.2 / (1.0 + math.exp(-20.0)), rtol=1e-12)
-        assert z.grad[0, 1] == z.grad[0, 2] == z.grad[0, 3] == 0.0
+        assert_allclose(grad[0, 0], 0.2 / (1.0 + math.exp(-20.0)), rtol=1e-12)
+        assert grad[0, 1] == grad[0, 2] == grad[0, 3] == 0.0
 
 
 class TestL2Penalty:
@@ -385,7 +376,7 @@ class TestBagLossDispatch:
         w = BagWeights(w1=1.0, w0=1.0, w1_patch=0.25, w0_patch=0.75)
         vals = {}
         for name, cfg in cfgs.items():
-            vals[name] = bag_loss(cfg, bag_from(r), [1], w).data.item()
+            vals[name] = bag_loss(cfg, bag_from(r), [1], w)[0]
         assert_allclose(vals["max_pool"], -math.log(0.8), rtol=1e-12)
         assert_allclose(vals["label_assign"],
                         label_assign_oracle(r, 1, 2, 0.25, 0.75), rtol=1e-12)
@@ -393,8 +384,8 @@ class TestBagLossDispatch:
 
     def test_bag_loss_has_no_l2(self):
         cfg = MilConfig(head="max_pool", lam=10.0)
-        loss = bag_loss(cfg, bag_from((0.4, 0.2)), [1], UNIT)
-        assert_allclose(loss.data, -math.log(0.4), rtol=1e-12)
+        loss, _ = bag_loss(cfg, bag_from((0.4, 0.2)), [1], UNIT)
+        assert_allclose(loss, -math.log(0.4), rtol=1e-12)
 
 
 
@@ -435,4 +426,207 @@ class TestInferBag:
         with pytest.raises(ValueError):
             bag_loss(MilConfig(), z, [1, 0], UNIT)
         with pytest.raises(ValueError):
-            bag_loss(MilConfig(), Tensor(np.zeros(4)), [1], UNIT)
+            bag_loss(MilConfig(), np.zeros(4), [1], UNIT)
+
+
+# ---------------------------------------------------------------------------
+# The reference: the six scalar ops and the head and objective composition
+# that training used before each head became plain numpy, as they were but
+# for building their nodes with ad.node.
+
+def ref_log_sigmoid(x: Tensor) -> Tensor:
+    d = x.data
+    out = np.minimum(d, 0.0) - np.log1p(np.exp(-np.abs(d)))
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad * _logistic(-d))
+
+    return ad.node(out, (x,), backward)
+
+
+def ref_reduce_sum(x: Tensor) -> Tensor:
+    out = np.asarray(math.fsum(x.data.ravel().tolist()))
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(np.full(x.shape, float(grad)))
+
+    return ad.node(out, (x,), backward)
+
+
+def ref_weighted_sum(x: Tensor, coeff: np.ndarray) -> Tensor:
+    coeff = np.asarray(coeff, dtype=np.float64)
+    out = np.asarray(math.fsum((coeff * x.data).ravel().tolist()))
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(float(grad) * coeff)
+
+    return ad.node(out, (x,), backward)
+
+
+def ref_scale(x: Tensor, c: float) -> Tensor:
+    out = x.data * c
+
+    def backward(grad: np.ndarray) -> None:
+        x._accumulate(grad * c)
+
+    return ad.node(out, (x,), backward)
+
+
+def ref_add(a: Tensor, b: Tensor) -> Tensor:
+    out = a.data + b.data
+
+    def backward(grad: np.ndarray) -> None:
+        if a.requires_grad:
+            a._accumulate(grad)
+        if b.requires_grad:
+            b._accumulate(grad)
+
+    return ad.node(out, (a, b), backward)
+
+
+def ref_add_n(tensors: list[Tensor]) -> Tensor:
+    out = tensors[0].data.copy()
+    for t in tensors[1:]:
+        out = out + t.data
+
+    def backward(grad: np.ndarray) -> None:
+        for t in tensors:
+            if t.requires_grad:
+                t._accumulate(grad)
+
+    return ad.node(out, tuple(tensors), backward)
+
+
+def ref_bag_loss(cfg: MilConfig, logits: Tensor, labels, weights: BagWeights) -> Tensor:
+    z = logits.data
+    n, m = z.shape
+    labels = np.asarray(labels)
+    order = np.argsort(-z, axis=1, kind="stable")
+    pos = labels == 1
+    neg = ~pos
+    pos_coef = np.zeros((n, m))
+    neg_coef = np.zeros((n, m))
+    if cfg.head == "label_assign":
+        rows = np.flatnonzero(pos)[:, None]
+        pos_coef[rows, order[pos, :cfg.k]] = weights.w1_patch
+        neg_coef[rows, order[pos, cfg.k:]] = weights.w0_patch
+        neg_coef[neg] = weights.w0_patch
+    else:
+        pos_coef[pos, order[pos, 0]] = weights.w1
+        neg_coef[neg, order[neg, 0]] = weights.w0
+    terms = [
+        ref_weighted_sum(ref_log_sigmoid(logits), -pos_coef),
+        ref_weighted_sum(ref_log_sigmoid(ref_scale(logits, -1.0)), -neg_coef),
+    ]
+    if cfg.head == "sparse" and cfg.mu > 0.0:
+        terms.append(ref_scale(ref_reduce_sum(ad.sigmoid(logits)), cfg.mu))
+    return ref_add_n(terms)
+
+
+def ref_objective(cfg: TrainConfig, weights, leaves, x, labels) -> Tensor:
+    fmap = forward_backbone(x, cfg.backbone, leaves)
+    logits = instance_responses(fmap, leaves["response.weight"], leaves["response.bias"])
+    total = ref_bag_loss(cfg.mil, logits, labels, weights)
+    if cfg.mil.lam > 0.0:
+        total = ref_add(total, ref_scale(ad.l2_norm_sq(*leaves.values()), cfg.mil.lam / 2.0))
+    return total
+
+
+M = 16  # the desk preset's cell count
+LABELS = np.array([1, 0, 1, 1, 0, 0])
+
+
+def special_logits(rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """(6, M) logit batches: plain draws, ties, signed zeros, and magnitudes
+    where exp overflows (750) or the logistic rounds to 0 or 1 (1e300)."""
+    shape = (len(LABELS), M)
+    return {
+        "normal": rng.normal(0.0, 3.0, size=shape),
+        "ties": rng.integers(-2, 3, size=shape) * 0.5,
+        "zeros": rng.choice(np.array([-0.0, 0.0, 0.0, -0.0, 1.5, -1.5]), size=shape),
+        "large": rng.choice(np.array([-750.0, 750.0, -1e300, 1e300, -0.0, 0.0, 3.0, -3.0]),
+                            size=shape),
+    }
+
+
+def configs(head: str, weight_mode: str):
+    """Every MilConfig the byte tests cover: k in {1, M/2, M}, mu in {0, 1e-3}
+    and lam in {0, 1e-5}."""
+    for k in (1, M // 2, M):
+        for mu in (0.0, 1e-3):
+            for lam in (0.0, 1e-5):
+                yield MilConfig(head=head, k=k, mu=mu, lam=lam, weight_mode=weight_mode)
+
+
+HEAD_CASES = [pytest.param(head, mode, id=f"{head}-{mode}")
+              for head in ("max_pool", "label_assign", "sparse")
+              for mode in ("balanced", "literal")]
+
+
+class TestComposedGraphBytes:
+    """bag_loss and batch_objective give the bytes of the reference graph:
+    the loss value, the logit gradient and every leaf gradient."""
+
+    @pytest.mark.parametrize("head, weight_mode", HEAD_CASES)
+    def test_value_and_logit_gradient(self, head, weight_mode):
+        rng = np.random.default_rng(71)
+        batches = special_logits(rng)
+        for cfg in configs(head, weight_mode):
+            weights = bag_weights(3, 8, cfg.k, M, mode=weight_mode)
+            for what, z in batches.items():
+                value, dz = bag_loss(cfg, z, LABELS, weights)
+                assert np.isfinite(value) and np.isfinite(dz).all(), (cfg, what)
+                leaf = Tensor(z, requires_grad=True)
+                ref = ref_bag_loss(cfg, leaf, LABELS, weights)
+                ref.backward()
+                assert np.asarray(value).tobytes() == ref.data.tobytes(), (cfg, what)
+                assert dz.dtype == leaf.grad.dtype and dz.shape == leaf.grad.shape
+                assert dz.tobytes() == leaf.grad.tobytes(), (cfg, what)
+
+    @staticmethod
+    def objective_bytes(objective, cfg, params, x) -> list[bytes]:
+        leaves = params_to_leaves(params)
+        weights = bag_weights(3, 8, cfg.mil.k, M, mode=cfg.mil.weight_mode)
+        total = objective(cfg, weights, leaves, Tensor(x), LABELS)
+        total.backward()
+        return [total.data.tobytes()] + [leaf.grad.tobytes() for leaf in leaves.values()]
+
+    @pytest.mark.parametrize("head, weight_mode", HEAD_CASES)
+    def test_objective_value_and_leaf_gradients(self, head, weight_mode):
+        rng = np.random.default_rng(73)
+        desk = TrainConfig()
+        desk_params = init_params(desk.backbone, seed=5)
+        images = rng.uniform(0.0, 1.0, size=(len(LABELS), 1, 64, 64))
+        # a 1x1 identity conv on 4x4 inputs makes each pixel a logit, so the
+        # special batches reach the head; float64 GEMMs keep 1e300 finite
+        spec = BackboneSpec(input_size=4, layers=(("conv", 1, 1, 1, 0),))
+        unit = ModelParams(spec, {
+            "conv0.kernel": np.ones((1, 1, 1, 1)), "conv0.bias": np.zeros(1),
+            "response.weight": np.ones(1), "response.bias": np.asarray(0.0),
+        })
+        pixels = [z.reshape(len(LABELS), 1, 4, 4) for z in special_logits(rng).values()]
+        for mil in configs(head, weight_mode):
+            cfg = TrainConfig(mil=mil)
+            assert (self.objective_bytes(batch_objective, cfg, desk_params, images)
+                    == self.objective_bytes(ref_objective, cfg, desk_params, images)), mil
+            cfg = TrainConfig(backbone=spec, mil=mil)
+            with ad.float64_gemms():
+                for x in pixels:
+                    assert (self.objective_bytes(batch_objective, cfg, unit, x)
+                            == self.objective_bytes(ref_objective, cfg, unit, x)), mil
+
+    def test_bag_loss_builds_no_graph_node(self, monkeypatch):
+        built = []
+        init = Tensor.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", recording)
+        for head in ("max_pool", "label_assign", "sparse"):
+            value, dz = bag_loss(MilConfig(head=head, k=2, mu=0.1),
+                                 bag_from((0.2, 0.8, 0.5, 0.1)), [1], UNIT)
+            assert type(value) is float and type(dz) is np.ndarray
+        assert built == []
+

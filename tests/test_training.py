@@ -449,10 +449,13 @@ def _graph_nodes(root) -> int:
 
 class TestGraphSize:
     """One training step builds one graph path for the whole batch: the node
-    count does not grow with the batch, and a desk step stays small."""
+    count does not grow with the batch.  A desk step builds 11 nodes for
+    every head: 3 conv, 3 relu, 1 pool, the response layer and its reshape,
+    the L2 norm and the objective; 10 without L2."""
 
+    @pytest.mark.parametrize("lam, nodes", [(1e-5, 11), (0.0, 10)])
     @pytest.mark.parametrize("head", ["max_pool", "label_assign", "sparse"])
-    def test_node_count_independent_of_batch_size(self, head, monkeypatch):
+    def test_node_count_independent_of_batch_size(self, head, lam, nodes, monkeypatch):
         counts = []
         backward = training.Tensor.backward
 
@@ -468,11 +471,10 @@ class TestGraphSize:
         for batch in (2, 8):
             cfg = TrainConfig(epochs=1, batch_size=batch, seed=1,
                               augment_enabled=False,
-                              mil=MilConfig(head=head, k=2, mu=1e-3))
+                              mil=MilConfig(head=head, k=2, mu=1e-3, lam=lam))
             train(inputs, labels, inputs[:4], labels[:4], cfg)
         assert len(counts) == 4 + 1  # four steps at batch 2, one at batch 8
-        assert len(set(counts)) == 1, counts
-        assert counts[-1] <= 21, counts
+        assert counts == [nodes] * 5, counts
 
 
 def batch8_step(preset: str = "paper", head: str = "max_pool"):

@@ -1,5 +1,7 @@
 """How each conv and pool layer runs: the size rules, the row they give a
-layer, and the thread pool a layer's work is split over.
+layer, and the thread pool a layer's work is split over; and
+:func:`split_blocks`, which runs an elementwise pass over a parameter
+(Adam's update, the L2 gradient) in cache-sized blocks on the same pool.
 
 ``model.layer_plan`` applies the rules to every layer of a backbone, and
 ``autodiff.conv2d`` and ``autodiff.maxpool2d`` apply the same functions,
@@ -15,6 +17,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import partial
 from typing import NamedTuple
+
+import numpy as np
 
 # Rows (batch x output positions) reduced per BLAS call in the conv kernel
 # gradient.  With OpenBLAS 0.3.31, one GEMM over all rows, or one per image,
@@ -58,6 +62,19 @@ _TAPWISE_MAX_KW = 3
 # the desk pool (16K at batch 8) got slower split, the paper pools (0.66M to
 # 3.4M) faster.
 _SPLIT_MIN_POOL_READS = 200_000
+
+# Elements of one block of an elementwise pass over a parameter tensor
+# (``split_blocks``): Adam's update and the L2 gradient.  Adam's six float64
+# arrays of a block take 1.5 MiB, inside a 2 MiB L2 cache.  One paper-preset
+# Adam step, split over 2 threads, took 12.4-12.8 ms at this size, 14.8-17.6
+# at 16,384 and 14.6-15.4 at 65,536 (min of 15), against 31-32 ms unblocked
+# on one thread.  Smaller blocks hand the interpreter lock between the
+# threads at every ufunc call: 50 ms at 4,096.
+ELEMENT_BLOCK = 32_768
+
+# Elements from which such a pass splits over the op pool by element range:
+# every paper conv kernel but c0's (7,744), and no desk parameter.
+_SPLIT_MIN_ELEMENTS = 65_536
 
 
 class LayerRow(NamedTuple):
@@ -162,3 +179,26 @@ def split_range(fn, n: int, shares: int, min_size: int = 1) -> None:
         return
     bounds = [n * i // shares for i in range(shares + 1)]
     _run_shares([partial(fn, a, b) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+def split_blocks(fn, n: int, scratch: int) -> None:
+    """Call fn(a, b, *bufs) on consecutive blocks [a, b) of at most
+    ELEMENT_BLOCK items that cover range(n), where bufs are ``scratch``
+    float64 arrays of b - a items that fn may overwrite.  From
+    _SPLIT_MIN_ELEMENTS items on, the blocks are split by range over the
+    calling thread and the pool; the scratch arrays are allocated here, one
+    set per share, as _run_shares asks."""
+    if n <= ELEMENT_BLOCK:
+        fn(0, n, *(np.empty(n) for _ in range(scratch)))
+        return
+    shares = cpu_budget() if n >= _SPLIT_MIN_ELEMENTS else 1
+    spare = [[np.empty(ELEMENT_BLOCK) for _ in range(scratch)]
+             for _ in range(shares)]
+
+    def share(a: int, b: int) -> None:
+        bufs = spare.pop()
+        for start in range(a, b, ELEMENT_BLOCK):
+            stop = min(start + ELEMENT_BLOCK, b)
+            fn(start, stop, *(buf[:stop - start] for buf in bufs))
+
+    split_range(share, n, shares)

@@ -1,8 +1,9 @@
 """Reverse-mode automatic differentiation over dense arrays.
 
 The op set is what the backbone, the response layer and the L2 penalty
-need: 2-D cross-correlation, max pooling, relu and sigmoid, a shared channel
-contraction, a reshape, and the squared L2 norm.  The bag losses are not
+need: 2-D cross-correlation (with or without the relu that follows it, as
+one node), max pooling, relu and sigmoid, a shared channel contraction, a
+reshape, and the squared L2 norm.  The bag losses are not
 built from ops: ``heads.bag_loss`` computes a head's value and its gradient
 with respect to the instance logits in plain numpy, and
 ``training.batch_objective`` puts them under one node made by :func:`node`,
@@ -21,7 +22,8 @@ loses its closure, its parents and its gradient before its closure runs, so
 every kept array and every interior gradient is freed once the last closure
 that reads it has returned.  The backbone ops keep only what their backward
 reads, never their input or their output: relu keeps its output's mask
-(``out > 0``), maxpool2d its argmax, conv2d its columns or their source.  So
+(``out > 0``), maxpool2d its argmax, conv2d its columns or their source,
+and the relu's mask when it rectifies its own output.  So
 ``model.forward_backbone`` can drop each large activation as soon as the
 next layer is built (see there).  A conv2d whose row keeps its columns
 (``_kernels.conv_row``: a small im2col matrix, as on every desk layer)
@@ -32,7 +34,11 @@ backward, an image at a time, into a buffer of one image's rows plus one
 chunk.  At the paper preset, batch 8, regathering cut what a step holds
 after forward from 164.8 to 88.6 MiB and its backward peak from 174.5 to
 113.4 MiB (tracemalloc); dropping the activations then cut them to 28.2
-and 60.4 MiB.  Backward frees the columns or their source as soon as the
+and 60.4 MiB.  A conv2d that rectifies its output applies relu's backward
+in the gradient it is handed, and ``Tensor._accumulate`` keeps a fresh
+contribution (the pool's input gradient, the kernel gradient, the bias
+sums) as the gradient instead of copying it, which cut the backward peak
+to 54.6 MiB.  Backward frees the columns or their source as soon as the
 kernel gradient is reduced, and builds the input gradient one kernel row
 at a time, so the input gradient's column matrix never exists whole.
 Leaves keep their ``.grad``.  A second backward through a released node
@@ -80,13 +86,17 @@ again splits by input channel.
 
 Forward-only branches: when no operand of conv2d or maxpool2d requires a
 gradient, as in ``model.response_grids``, the op builds no graph state and
-gives the same bytes by a cheaper route.  conv2d lays its float32 im2col
-columns out channel-major, (n, c*kh*kw, oh*ow), so the kernel matrix times
-the columns lands in NCHW order with no transpose; with OpenBLAS 0.3.31,
-sgemm rounds each output as it does from the graph path's row-major
-columns.  dgemm does not (paper layers c0 and c1), so float64 operands keep
-the graph's layout.  Its padded input, columns and GEMM product are views
-of one allocation.  maxpool2d takes np.maximum tap by tap in row-major
+gives the same bytes by a cheaper route.  A conv2d that rectifies its
+output does so in place in each share, as in a graph, and keeps no mask.
+conv2d lays its float32 im2col columns out channel-major, (n, c*kh*kw,
+oh*ow), so the kernel matrix times the columns lands in NCHW order with no
+transpose; with OpenBLAS 0.3.31, sgemm rounds each output as it does from
+the graph path's row-major columns, but for the sign of a zero: where every
+product underflows, as on subnormal-scale inputs, the graph path gives
++0.0 and this route may give -0.0, which relu maps to the same bytes.
+dgemm does not (paper layers c0 and c1), so float64 operands keep the
+graph's layout.  Its padded input, columns and GEMM product are views of
+one allocation.  maxpool2d takes np.maximum tap by tap in row-major
 window order with the running max as the second argument, which numpy
 returns on a tie (-0.0 against +0.0 too), so the earlier tap wins as in
 argmax.
@@ -153,14 +163,23 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    def _accumulate(self, contribution: np.ndarray) -> None:
+    def _accumulate(self, contribution: np.ndarray, fresh: bool = False) -> None:
+        """Add a contribution to this node's gradient.
+
+        The first one becomes the gradient as 0.0 + the contribution, what a
+        zero-filled start would hold: IEEE addition commutes, so -0.0
+        becomes +0.0, and a contribution that broadcasts fills the node's
+        shape.  It goes into a fresh array, never the caller's, unless the
+        caller passes ``fresh``: a writable float64 array that nothing else
+        holds, which is kept as the gradient, +0.0 added in place, when it
+        has the node's shape.
+        """
         if self.grad is None:
-            # a fresh array, never the caller's, holding what a zero-filled
-            # start plus the contribution would: IEEE addition commutes, so
-            # -0.0 becomes +0.0 here too, and a contribution that broadcasts
-            # fills the node's shape
-            self.grad = np.add(contribution, 0.0, out=np.empty_like(self.data),
-                               dtype=np.float64)
+            if fresh and contribution.shape == self.data.shape:
+                self.grad = np.add(contribution, 0.0, out=contribution)
+            else:
+                self.grad = np.add(contribution, 0.0, out=np.empty_like(self.data),
+                                   dtype=np.float64)
         else:
             self.grad += contribution
 
@@ -274,9 +293,10 @@ def conv2d(
     stride: int = 1,
     padding: int = 0,
     bias: Tensor | None = None,
+    relu: bool = False,
 ) -> Tensor:
     """2-D cross-correlation of an NCHW batch with an OIKhKw kernel, plus an
-    optional per-output-channel bias.
+    optional per-output-channel bias, and rectified when ``relu`` is set.
 
     No kernel flip is applied.  The GEMM operands are float32, or float64
     inside :func:`float64_gemms`; products are upcast and accumulated in
@@ -287,6 +307,13 @@ def conv2d(
     kept for backward (see the module docstring).  When no operand requires
     a gradient, the forward-only branch gives the same bytes with
     channel-major columns.
+
+    With ``relu``, one node gives the bytes of :func:`relu` applied to the
+    conv's output: each share rectifies its images in place with relu's own
+    ``np.maximum`` call and keeps relu's mask, and backward multiplies the
+    upstream gradient by the mask and adds +0.0, as relu's backward and
+    ``Tensor._accumulate`` do, in its shares, before the bias sum and the
+    GEMM operand cast.
     """
     if x.ndim != 4 or kernel.ndim != 4:
         raise ValueError(
@@ -359,6 +386,8 @@ def conv2d(
         staged = cols if channel_major else np.empty((n, k, p), dtype=dtype)
     wmat = kernel.data.reshape(o, k).astype(dtype)
     out = np.empty((n, o, oh, ow))
+    # relu's mask of out > 0: a -0.0 or NaN output gives False either way
+    mask = np.empty(out.shape, dtype=bool) if graph and relu else None
 
     def forward(a: int, b: int) -> None:
         padded[a:b, :, padding:padding + h, padding:padding + w] = x.data[a:b]
@@ -380,6 +409,10 @@ def conv2d(
                 out[a:b].reshape(b - a, o, p)[...] = prod[a:b].transpose(0, 2, 1)
         if bias is not None:
             out[a:b] += bias.data[None, :, None, None]
+        if relu:
+            np.maximum(out[a:b], 0.0, out=out[a:b])
+        if mask is not None:
+            np.greater(out[a:b], 0.0, out=mask[a:b])
 
     _kernels.split_range(forward, n, row.shares)
     if not graph:
@@ -410,16 +443,27 @@ def conv2d(
 
     def backward(grad: np.ndarray) -> None:
         nonlocal cols, source
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2, 3)))
-        if not (kernel.requires_grad or x.requires_grad):
-            return
-        g = np.empty((n, p, o), dtype=dtype)
+        g = (np.empty((n, p, o), dtype=dtype)
+             if kernel.requires_grad or x.requires_grad else None)
 
         def upstream(a: int, b: int) -> None:
-            g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
+            if mask is not None:
+                # relu's backward and _accumulate's +0.0, in the node's own
+                # gradient: nothing else holds it once backward() hands it
+                # here.  The +0.0 turns -0.0 into what conv's backward got
+                # from a relu node; no leaf gradient in the tests shows the
+                # difference, as the sums below give +0.0 for -0.0 terms
+                np.multiply(grad[a:b], mask[a:b], out=grad[a:b])
+                grad[a:b] += 0.0
+            if g is not None:
+                g[a:b] = grad[a:b].reshape(b - a, o, p).transpose(0, 2, 1)
 
-        _kernels.split_range(upstream, n, row.shares)
+        if mask is not None or g is not None:
+            _kernels.split_range(upstream, n, row.shares)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(grad.sum(axis=(0, 2, 3)), fresh=True)
+        if g is None:
+            return
         if kernel.requires_grad:
             # no local name holds the blocks, so that the kept columns are
             # freed below
@@ -427,7 +471,7 @@ def conv2d(
                 g.reshape(n * p, o),
                 regathered_rows() if regather else (cols.reshape(n * p, k),), k,
                 row.grad_shares)
-            kernel._accumulate(gw.reshape(o, c, kh, kw))
+            kernel._accumulate(gw.reshape(o, c, kh, kw), fresh=True)
         # the columns and their source are not read again: free them before
         # the input gradient's buffers are allocated
         cols = source = None
@@ -604,7 +648,7 @@ def maxpool2d(x: Tensor, window: int, stride: int) -> Tensor:
             np.add.at(gx[a:b], (nn, cc, src[a:b]), grad[a:b])
 
         _kernels.split_range(scatter, n, row.shares)
-        x._accumulate(gx.reshape(n, c, h, w))
+        x._accumulate(gx.reshape(n, c, h, w), fresh=True)
 
     return _node(out, (x,), backward)
 
@@ -687,7 +731,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def l2_norm_sq(*tensors: Tensor) -> Tensor:
     """Sum of squares over every element of one or more tensors, as one
-    node: each tensor's sum of squares, added left to right."""
+    node: each tensor's sum of squares, added left to right.
+
+    Backward adds 2 * grad * x into each gradient block by block
+    (``_kernels.split_blocks``), with no temporary of the tensor's size."""
     if not tensors:
         raise ValueError("l2_norm_sq requires at least one tensor")
     datas = [x.data for x in tensors]
@@ -696,8 +743,21 @@ def l2_norm_sq(*tensors: Tensor) -> Tensor:
         out = out + (d * d).sum()
 
     def backward(grad: np.ndarray) -> None:
+        scale = 2.0 * float(grad)
         for x, d in zip(tensors, datas):
-            if x.requires_grad:
-                x._accumulate(2.0 * float(grad) * d)
+            if not x.requires_grad:
+                continue
+            if x.grad is None:
+                # a zero-filled start, as _accumulate's first contribution
+                x.grad = np.zeros(x.shape)
+            if not x.grad.flags.c_contiguous:
+                x._accumulate(scale * d)
+                continue
+            flat_grad, flat_d = x.grad.reshape(-1), d.reshape(-1)
+
+            def add(a: int, b: int, scratch: np.ndarray) -> None:
+                flat_grad[a:b] += np.multiply(scale, flat_d[a:b], out=scratch)
+
+            _kernels.split_blocks(add, flat_grad.size, scratch=1)
 
     return _node(out, tensors, backward)

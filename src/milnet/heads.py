@@ -90,8 +90,11 @@ class BagWeights:
 
     def __post_init__(self):
         for name in ("w1", "w0", "w1_patch", "w0_patch"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            # "not 0 <= x < inf" is also true of NaN, which "x < 0" lets by
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite nonnegative number, got {getattr(self, name)}"
+                )
 
 
 def bag_weights(n_pos: int, n_total: int, k: int, m: int, mode: str = "balanced") -> BagWeights:

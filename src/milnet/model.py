@@ -254,13 +254,14 @@ def params_to_leaves(params: ModelParams, requires_grad: bool = True) -> dict[st
 def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -> Tensor:
     """Run the conv stack on an (N, 1, H, W) batch; returns the feature map.
 
-    Each layer runs as its ``layer_plan`` row says.  In a graph, an interior
-    activation whose row is marked ``drop`` has its ``.data`` replaced, once
-    the next layer is built, by a read-only zero-strided NaN array of the
-    same shape, so that its memory is freed: no backward closure reads a
-    parent's data (``autodiff`` docstring).  The input and the returned
-    feature map are never dropped.  With no graph (inference), a relu
-    rectifies its input in place, unless that is ``x``.
+    Each layer runs as its ``layer_plan`` row says, and a conv layer that a
+    relu follows is one ``conv2d`` node that rectifies its own output, in
+    a graph and in inference alike.  In a graph, an interior activation
+    whose row is marked ``drop`` has its ``.data`` replaced, once the next
+    layer is built, by a read-only zero-strided NaN array of the same shape,
+    so that its memory is freed: no backward closure reads a parent's data
+    (``autodiff`` docstring).  The input and the returned feature map are
+    never dropped.
     """
     if x.ndim != 4 or x.shape[1] != 1:
         raise ValueError(f"expected (N, 1, H, W) input, got {x.shape}")
@@ -269,19 +270,23 @@ def forward_backbone(x: Tensor, spec: BackboneSpec, leaves: dict[str, Tensor]) -
             f"input spatial size {x.shape[2]}x{x.shape[3]} does not match "
             f"backbone input size {spec.input_size}"
         )
+    plan = layer_plan(spec, x.shape[0])
     out = x
     conv_i = 0
     drop = False
-    for row in layer_plan(spec, x.shape[0]):
+    for i, row in enumerate(plan):
+        if row.kind == "relu" and i and plan[i - 1].kind == "conv":
+            # the conv before it rectified its output; the fused node is
+            # dropped as this row says
+            drop = row.drop
+            continue
         prev = out
         if row.kind == "conv":
+            relu = i + 1 < len(plan) and plan[i + 1].kind == "relu"
             out = ad.conv2d(out, leaves[f"conv{conv_i}.kernel"], stride=row.stride,
-                            padding=row.padding, bias=leaves[f"conv{conv_i}.bias"])
+                            padding=row.padding, bias=leaves[f"conv{conv_i}.bias"],
+                            relu=relu)
             conv_i += 1
-        elif row.kind == "relu" and not out.requires_grad and out is not x:
-            # no graph: rectify the fresh output of the layer before in
-            # place, with the graph relu's own call
-            np.maximum(out.data, 0.0, out=out.data)
         elif row.kind == "relu":
             out = ad.relu(out)
         else:

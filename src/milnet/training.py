@@ -89,12 +89,17 @@ def adam_step(
 ) -> TrainState:
     """One bias-corrected Adam update, in place; returns the state.
 
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).  Each intermediate
-    goes into one of two scratch arrays per parameter, in the order of the
-    plain expressions ((1 - beta2) * g, then times g; lr * m_hat, then the
-    division), so the update rounds exactly as they do.
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).  Each parameter goes
+    through in blocks of ``_kernels.ELEMENT_BLOCK`` elements, split by
+    element range over the op pool from ``_kernels._SPLIT_MIN_ELEMENTS`` on
+    (``_kernels.split_blocks``).  Each intermediate goes into one of two
+    block-sized scratch arrays, in the order of the plain expressions
+    ((1 - beta2) * g, then times g; lr * m_hat, then the division), so every
+    element rounds exactly as they do.  Every gradient, and every parameter
+    and moment (C-contiguous, so that its blocks are views), is checked
+    before anything is updated.
     """
-    t = state.step + 1
+    flats = []
     for name, arr in state.params.arrays.items():
         if name not in grads or grads[name] is None:
             raise ValueError(f"missing gradient for parameter {name!r}")
@@ -104,18 +109,30 @@ def adam_step(
                 f"gradient shape {g.shape} does not match parameter "
                 f"{name!r} shape {arr.shape}"
             )
-        m = state.m[name]
-        v = state.v[name]
-        s1, s2 = np.empty_like(arr), np.empty_like(arr)
-        m *= beta1
-        m += np.multiply(1.0 - beta1, g, out=s1)
-        v *= beta2
-        np.multiply(1.0 - beta2, g, out=s1)
-        v += np.multiply(s1, g, out=s1)
-        m_hat = np.divide(m, 1.0 - beta1**t, out=s1)
-        v_hat = np.divide(v, 1.0 - beta2**t, out=s2)
-        denom = np.add(np.sqrt(v_hat, out=s2), eps, out=s2)
-        arr -= np.divide(np.multiply(lr, m_hat, out=s1), denom, out=s1)
+        m, v = state.m[name], state.v[name]
+        if not (arr.flags.c_contiguous and m.flags.c_contiguous
+                and v.flags.c_contiguous):
+            raise ValueError(
+                f"parameter {name!r} and its Adam moments must be C-contiguous "
+                "arrays, to be updated in place"
+            )
+        flats.append((arr.reshape(-1), m.reshape(-1), v.reshape(-1), g.reshape(-1)))
+    t = state.step + 1
+    bias1, bias2 = 1.0 - beta1**t, 1.0 - beta2**t
+    for p, m, v, g in flats:
+        def update(a: int, b: int, s1: np.ndarray, s2: np.ndarray) -> None:
+            m_ab, v_ab, g_ab = m[a:b], v[a:b], g[a:b]
+            m_ab *= beta1
+            m_ab += np.multiply(1.0 - beta1, g_ab, out=s1)
+            v_ab *= beta2
+            np.multiply(1.0 - beta2, g_ab, out=s1)
+            v_ab += np.multiply(s1, g_ab, out=s1)
+            m_hat = np.divide(m_ab, bias1, out=s1)
+            v_hat = np.divide(v_ab, bias2, out=s2)
+            denom = np.add(np.sqrt(v_hat, out=s2), eps, out=s2)
+            p[a:b] -= np.divide(np.multiply(lr, m_hat, out=s1), denom, out=s1)
+
+        _kernels.split_blocks(update, p.size, scratch=2)
     state.step = t
     return state
 

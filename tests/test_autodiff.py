@@ -108,6 +108,26 @@ class TestAccumulate:
             for other in grads[i + 1:]:
                 assert not np.shares_memory(g, other)
 
+    def test_fresh_contribution_is_kept_as_the_gradient(self):
+        # a fresh first contribution becomes the gradient itself, -0.0 made
+        # +0.0 in place; a later one is added into it
+        x = Tensor(np.ones(3), requires_grad=True)
+        first = np.array([-0.0, 2.0, -3.0])
+        x._accumulate(first, fresh=True)
+        assert x.grad is first
+        assert_array_equal(x.grad, [0.0, 2.0, -3.0])
+        assert not np.signbit(x.grad[0])
+        x._accumulate(np.ones(3), fresh=True)
+        assert x.grad is first
+        assert_array_equal(x.grad, [1.0, 3.0, -2.0])
+
+    def test_fresh_contribution_that_broadcasts_is_copied(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        row = np.array([-0.0, 1.0, 2.0])
+        x._accumulate(row, fresh=True)
+        assert x.grad.shape == (2, 3) and not np.shares_memory(x.grad, row)
+        assert x.grad.tobytes() == np.tile([0.0, 1.0, 2.0], (2, 1)).tobytes()
+
     def test_scalar_and_broadcast_contributions(self):
         # a 0-d leaf gets a 0-d array, as a zero-filled start gives; a
         # contribution that broadcasts fills the node's shape
@@ -162,6 +182,45 @@ class TestReductions:
         assert out.data == 9.0
         out.backward()
         assert_array_equal(t.grad, 2.0 * x)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    @pytest.mark.parametrize("size", [1, _kernels.ELEMENT_BLOCK - 1,
+                                      _kernels.ELEMENT_BLOCK,
+                                      _kernels.ELEMENT_BLOCK + 1,
+                                      2 * _kernels.ELEMENT_BLOCK + 3, 663_552])
+    def test_blocked_gradient_bytes(self, size, workers, op_pool, monkeypatch):
+        # the gradient is added block by block, split over the pool when
+        # workers is 1 and the size reaches the split rule (here every
+        # size), into an existing gradient and into none: the bytes of
+        # grad + 2 * g * x and of 0.0 + 2 * g * x
+        op_pool(workers)
+        monkeypatch.setattr(_kernels, "_SPLIT_MIN_ELEMENTS", 1)
+        rng = np.random.default_rng(size)
+        data = rng.normal(size=size)
+        data[::7] = -0.0
+        upstream = 0.37
+        for start in (None, rng.normal(size=size)):
+            t = Tensor(data.copy(), requires_grad=True)
+            if start is not None:
+                t.grad = start.copy()
+            out = ad.l2_norm_sq(t)
+            graph_sum(out, upstream).backward()
+            scaled = 2.0 * float(np.asarray(upstream)) * data
+            want = (np.zeros(size) if start is None else start) + scaled
+            assert t.grad.tobytes() == want.tobytes()
+
+    def test_gradient_of_another_layout_is_added_in_place(self):
+        # a transposed leaf's first gradient takes its layout, which has no
+        # flat view: the L2 term is added into it whole
+        data = np.random.default_rng(54).normal(size=(3, 4)).T
+        t = Tensor(data, requires_grad=True)
+        coeff = np.arange(12.0).reshape(4, 3)
+        graph_sum(t, coeff).backward()
+        grad = t.grad
+        assert not grad.flags.c_contiguous
+        ad.l2_norm_sq(t).backward()
+        assert t.grad is grad
+        assert t.grad.tobytes() == ((coeff + 0.0) + 2.0 * data).tobytes()
 
 
 
@@ -541,6 +600,12 @@ CLOSURE_CASES = {
                [(2, 3, 7, 7), (4, 3, 3, 3), (4,)]),
     "conv2d/regather": (lambda x, w: ad.conv2d(x, w, stride=1, padding=1),
                         [(2, 3, 6, 6), (4, 3, 3, 3)]),
+    "conv2d/relu": (lambda x, w, b: ad.conv2d(x, w, stride=2, padding=1, bias=b,
+                                              relu=True),
+                    [(2, 3, 7, 7), (4, 3, 3, 3), (4,)]),
+    "conv2d/relu/regather": (lambda x, w: ad.conv2d(x, w, stride=1, padding=1,
+                                                    relu=True),
+                             [(2, 3, 6, 6), (4, 3, 3, 3)]),
     "l2_norm_sq": (ad.l2_norm_sq, [(2, 3), (4,)]),
     "maxpool2d": (lambda x: ad.maxpool2d(x, 3, 2), [(2, 3, 7, 7)]),
     "relu": (ad.relu, [(2, 3, 4)]),
@@ -819,6 +884,89 @@ class TestSplitOps:
             send.close()
         assert got == want
         assert child_pool
+
+
+def relu_edge_inputs(in_chw, k_shape, gemms: str):
+    """Input, kernel and bias of one conv layer whose pre-activations hold
+    exact +0.0 and NaN besides positive and negative values: the second
+    image's products underflow to signed zeros in the GEMM's precision and
+    the third image is zero, so both give zeros where the bias is +-0.0, and
+    the bias of channel 2 is NaN."""
+    x, w, b = conv_layer_inputs(in_chw, k_shape)
+    tiny = 1e-30 if gemms == "float32" else 1e-170
+    w *= tiny
+    x[1] = -tiny
+    x[2] = 0.0
+    b[:] = np.where(np.arange(len(b)) % 2, -0.0, 0.0)
+    b[2] = np.nan
+    return x, w, b
+
+
+def relu_conv_bytes(x, w, b, stride, padding, fused: bool) -> list[bytes]:
+    """Output and input, kernel and bias gradient bytes of conv2d + relu, as
+    one fused node or as two."""
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    if fused:
+        out = ad.conv2d(xt, wt, stride, padding, bt, relu=True)
+    else:
+        out = ad.relu(ad.conv2d(xt, wt, stride, padding, bt))
+    coeff = np.random.default_rng(53).normal(size=out.shape)
+    graph_sum(out, coeff).backward()
+    return [a.tobytes() for a in (out.data, xt.grad, wt.grad, bt.grad)]
+
+
+class TestFusedRelu:
+    """conv2d with relu=True gives the bytes of conv2d followed by relu: its
+    output and every gradient, at 1 and 2 shares, for both GEMM
+    precisions."""
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_bytes_match_conv_then_relu(
+        self, split_ops, in_chw, k_shape, stride, padding, gemms
+    ):
+        x, w, b = relu_edge_inputs(in_chw, k_shape, gemms)
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        with scope:
+            pre = ad.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride,
+                            padding, Tensor(b)).data
+            assert (pre > 0).any() and (pre < 0).any() and np.isnan(pre).any()
+            assert (pre == 0).any()
+            for workers in (0, 1):
+                split_ops(workers)
+                got = relu_conv_bytes(x, w, b, stride, padding, fused=True)
+                want = relu_conv_bytes(x, w, b, stride, padding, fused=False)
+                for what, g, e in zip(("output", "input grad", "kernel grad",
+                                       "bias grad"), got, want):
+                    assert g == e, (workers, what)
+
+    @pytest.mark.parametrize("gemms", ["float32", "float64"])
+    @pytest.mark.parametrize("in_chw, k_shape, stride, padding", list(conv_layers()))
+    def test_forward_only_bytes_match_conv_then_relu(
+        self, split_ops, in_chw, k_shape, stride, padding, gemms
+    ):
+        x, w, b = relu_edge_inputs(in_chw, k_shape, gemms)
+        scope = ad.float64_gemms() if gemms == "float64" else contextlib.nullcontext()
+        with scope:
+            for workers in (0, 1):
+                split_ops(workers)
+                got = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b),
+                                relu=True)
+                pre = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b))
+                assert got._backward_fn is None
+                assert got.data.tobytes() == ad.relu(pre).data.tobytes(), workers
+
+    def test_negative_zero_pre_activations(self):
+        # where every product underflows, the graph GEMMs gave +0.0, but the
+        # forward-only float32 route gives -0.0 for some outputs on desk c0:
+        # relu maps both to the same bytes, fused or not
+        in_chw, k_shape, stride, padding = next(iter(conv_layers())).values
+        x, w, b = relu_edge_inputs(in_chw, k_shape, "float32")
+        pre = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b)).data
+        assert np.signbit(pre[pre == 0]).any()
+        got = ad.conv2d(Tensor(x), Tensor(w), stride, padding, Tensor(b), relu=True)
+        assert got.data.tobytes() == ad.relu(Tensor(pre)).data.tobytes()
+        assert not np.signbit(got.data[got.data == 0]).any()
 
 
 def reference_conv_grads(x, w, stride, padding, upstream):

@@ -332,6 +332,15 @@ class TestBagWeights:
         with pytest.raises(ValueError):
             BagWeights(w1=-0.1, w0=1.0, w1_patch=0.5, w0_patch=0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["w1", "w0", "w1_patch", "w0_patch"])
+    def test_non_finite_weight_rejected(self, field, value):
+        # a NaN passes "x < 0"; each field must be finite and nonnegative
+        fields = {"w1": 1.0, "w0": 1.0, "w1_patch": 0.5, "w0_patch": 0.5}
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be a finite nonnegative"):
+            BagWeights(**fields)
+
 
 class TestMilConfig:
     def test_defaults(self):

@@ -204,7 +204,8 @@ class TestForwardBackbone:
         # batch 8: every paper conv regathers its columns, so every paper
         # intermediate is dropped once the next layer is built; no desk conv
         # does, and every desk one is kept.  The input and the feature map
-        # always are.
+        # always are.  Each conv rectifies its own output, so a preset's
+        # nodes are its layers less its relus.
         spec = PRESETS[preset]
         params = init_params(spec, seed=1)
         rng = np.random.default_rng(3)
@@ -214,7 +215,7 @@ class TestForwardBackbone:
         while node is not x:  # each layer's first parent is its input
             interior.append(node)
             node = node._parents[0]
-        assert len(interior) == len(spec.layers) - 1
+        assert len(interior) == {"paper": 7, "desk": 3}[preset]
         for t in interior:
             assert (t.data.strides == (0, 0, 0, 0)) == dropped, t
             assert bool(np.isnan(t.data).all()) == dropped, t
@@ -223,9 +224,8 @@ class TestForwardBackbone:
         assert x.data.strides != (0, 0, 0, 0) and np.isfinite(x.data).all()
 
     def test_inference_relu_leaves_the_input_alone(self):
-        # with no graph, a relu rectifies the output of the layer before it
-        # in place; a leading relu reads the caller's input, which it must
-        # not change
+        # with no graph, a conv rectifies its own output in place; a
+        # leading relu reads the caller's input, which it must not change
         spec = BackboneSpec.parse("input:6,relu,conv:2:3:1:1,relu")
         params = init_params(spec, seed=4)
         x = np.random.default_rng(5).normal(size=(2, 1, 6, 6))

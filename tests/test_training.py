@@ -90,6 +90,27 @@ def adam_oracle(arrays, grad_seq, lr, beta1, beta2, eps):
     return params, m, v
 
 
+def unblocked_adam_step(state, grads, lr, beta1, beta2, eps):
+    """adam_step as it was before it went by blocks: each tensor at once,
+    with two scratch arrays of its size."""
+    t = state.step + 1
+    for name, arr in state.params.arrays.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        s1, s2 = np.empty_like(arr), np.empty_like(arr)
+        m *= beta1
+        m += np.multiply(1.0 - beta1, g, out=s1)
+        v *= beta2
+        np.multiply(1.0 - beta2, g, out=s1)
+        v += np.multiply(s1, g, out=s1)
+        m_hat = np.divide(m, 1.0 - beta1**t, out=s1)
+        v_hat = np.divide(v, 1.0 - beta2**t, out=s2)
+        denom = np.add(np.sqrt(v_hat, out=s2), eps, out=s2)
+        arr -= np.divide(np.multiply(lr, m_hat, out=s1), denom, out=s1)
+    state.step = t
+
+
 def state_from(arrays):
     params = ModelParams(TINY, {k: a.copy() for k, a in arrays.items()})
     return init_state(params)
@@ -145,6 +166,53 @@ class TestAdamStep:
             for k in arrays:
                 assert got[k].shape == expected[k].shape, k
                 assert got[k].tobytes() == expected[k].tobytes(), k
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_blocked_bytes_match_the_unblocked_update(self, split, op_pool, monkeypatch):
+        # sizes around the block and the paper conv kernels' sizes, with
+        # exact and signed zeros among the gradients, after steps 1 and 3;
+        # split, every tensor is shared by two threads
+        op_pool(1)
+        if split:
+            monkeypatch.setattr(_kernels, "_SPLIT_MIN_ELEMENTS", 1)
+        block = _kernels.ELEMENT_BLOCK
+        sizes = [1, block - 1, block, block + 1, 2 * block + 3]
+        paper = init_params(backbone_preset("paper"), seed=4).arrays
+        rng = np.random.default_rng(52)
+        arrays = {f"s{size}": rng.normal(size=size) for size in sizes}
+        arrays.update(paper)
+        state = state_from(arrays)
+        want = state_from(arrays)
+        for step in range(1, 4):
+            grads = {}
+            for k, a in arrays.items():
+                g = rng.normal(size=a.shape) * 1e-3
+                g = np.where(rng.random(size=a.shape) < 0.1, 0.0, g)
+                grads[k] = np.where(rng.random(size=a.shape) < 0.1, -0.0, g)
+            adam_step(state, grads, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+            unblocked_adam_step(want, grads, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8)
+            if step in (1, 3):
+                for got, expected in ((state.params.arrays, want.params.arrays),
+                                      (state.m, want.m), (state.v, want.v)):
+                    for k in arrays:
+                        assert got[k].tobytes() == expected[k].tobytes(), (step, k)
+        assert state.step == want.step == 3
+
+    def test_non_contiguous_parameter_raises_before_any_update(self):
+        # a transposed view cannot be updated through flat blocks: nothing
+        # is updated, not even the parameter before it
+        arrays = {"a": np.ones(3), "w": np.arange(6.0).reshape(2, 3).T}
+        state = init_state(ModelParams(TINY, dict(arrays)))
+        before = state.copy()
+        grads = {k: np.ones(a.shape) for k, a in arrays.items()}
+        with pytest.raises(ValueError, match="'w'.*C-contiguous"):
+            adam_step(state, grads)
+        assert state.step == 0
+        for got, expected in ((state.params.arrays, before.params.arrays),
+                              (state.m, before.m), (state.v, before.v)):
+            for k in arrays:
+                assert got[k].tobytes() == expected[k].tobytes(), k
+        assert_array_equal(arrays["w"], np.arange(6.0).reshape(2, 3).T)
 
     def test_eps_sits_outside_the_sqrt(self):
         # with a tiny first gradient the denominator is |g| + eps, which is
@@ -449,11 +517,11 @@ def _graph_nodes(root) -> int:
 
 class TestGraphSize:
     """One training step builds one graph path for the whole batch: the node
-    count does not grow with the batch.  A desk step builds 11 nodes for
-    every head: 3 conv, 3 relu, 1 pool, the response layer and its reshape,
-    the L2 norm and the objective; 10 without L2."""
+    count does not grow with the batch.  A desk step builds 8 nodes for
+    every head: 3 conv, each with its relu, 1 pool, the response layer and
+    its reshape, the L2 norm and the objective; 7 without L2."""
 
-    @pytest.mark.parametrize("lam, nodes", [(1e-5, 11), (0.0, 10)])
+    @pytest.mark.parametrize("lam, nodes", [(1e-5, 8), (0.0, 7)])
     @pytest.mark.parametrize("head", ["max_pool", "label_assign", "sparse"])
     def test_node_count_independent_of_batch_size(self, head, lam, nodes, monkeypatch):
         counts = []
@@ -475,6 +543,12 @@ class TestGraphSize:
             train(inputs, labels, inputs[:4], labels[:4], cfg)
         assert len(counts) == 4 + 1  # four steps at batch 2, one at batch 8
         assert counts == [nodes] * 5, counts
+
+    def test_paper_step_node_count(self):
+        # 5 conv, each with its relu, 3 pool, the response layer and its
+        # reshape, the L2 norm and the objective
+        _, objective = batch8_step("paper")
+        assert _graph_nodes(objective()) == 12
 
 
 def batch8_step(preset: str = "paper", head: str = "max_pool"):
